@@ -55,6 +55,7 @@ from .identifiers import (  # noqa: F401
 )
 from .ingest import (  # noqa: F401
     CellRecord,
+    Cells,
     IngestReport,
     Radio,
     filter_records,

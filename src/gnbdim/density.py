@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NonPositiveScaleError, WindowTooLargeError
-from .ingest import CellRecord
+from .ingest import CellRecord, Cells, as_cells
 
 EARTH_RADIUS_KM = 6371.0088
 MAX_TILES = 100_000_000
@@ -102,27 +102,27 @@ class DeploymentArea:
     area_km2: float
 
 
-def bin_records(records: Sequence[CellRecord], spec: GridSpec) -> DensityGrid:
+def bin_records(records: Cells | Sequence[CellRecord], spec: GridSpec) -> DensityGrid:
     """Accumulate each record's samples into its tile; out-of-grid is counted."""
-    weight = np.zeros((spec.n_rows, spec.n_cols), dtype=np.float64)
-    towers = np.zeros((spec.n_rows, spec.n_cols), dtype=np.int64)
-    if not records:
-        return DensityGrid(spec=spec, weight=weight, towers=towers)
-
-    lon = np.array([r.lon for r in records], dtype=np.float64)
-    lat = np.array([r.lat for r in records], dtype=np.float64)
-    samples = np.array([r.samples for r in records], dtype=np.float64)
-    x, y = project(lon, lat, spec)
+    cells = as_cells(records)
+    samples = np.array(cells.samples, dtype=np.float64)
+    x, y = project(cells.lon, cells.lat, spec)
     col = np.floor(x / spec.tile_km).astype(np.int64)
     row = np.floor(y / spec.tile_km).astype(np.int64)
     inside = (col >= 0) & (col < spec.n_cols) & (row >= 0) & (row < spec.n_rows)
 
-    np.add.at(weight, (row[inside], col[inside]), samples[inside])
-    np.add.at(towers, (row[inside], col[inside]), 1)
+    # bincount adds in input order, as a sequential scatter-add would. With
+    # no rows it returns integers even when given weights, hence the cast.
+    tile = row[inside] * spec.n_cols + col[inside]
+    n_tiles = spec.n_rows * spec.n_cols
+    weight = np.bincount(tile, weights=samples[inside], minlength=n_tiles).astype(
+        np.float64, copy=False
+    )
+    towers = np.bincount(tile, minlength=n_tiles).astype(np.int64, copy=False)
     return DensityGrid(
         spec=spec,
-        weight=weight,
-        towers=towers,
+        weight=weight.reshape(spec.n_rows, spec.n_cols),
+        towers=towers.reshape(spec.n_rows, spec.n_cols),
         n_outside=int((~inside).sum()),
     )
 
@@ -139,13 +139,12 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
             f"window {w_cols}x{h_rows} does not fit the {cols}x{rows} grid"
         )
     prefix = np.zeros((rows + 1, cols + 1), dtype=np.float64)
-    prefix[1:, 1:] = grid.weight.cumsum(axis=0).cumsum(axis=1)
-    sums = (
-        prefix[h_rows:, w_cols:]
-        - prefix[:-h_rows, w_cols:]
-        - prefix[h_rows:, :-w_cols]
-        + prefix[:-h_rows, :-w_cols]
-    )
+    np.cumsum(grid.weight, axis=0, out=prefix[1:, 1:])
+    np.cumsum(prefix[1:, 1:], axis=1, out=prefix[1:, 1:])
+    # In place, in the order (a - b) - c + d, with no further full-grid temporary.
+    sums = prefix[h_rows:, w_cols:] - prefix[:-h_rows, w_cols:]
+    sums -= prefix[h_rows:, :-w_cols]
+    sums += prefix[:-h_rows, :-w_cols]
     flat = int(np.argmax(sums))  # row-major: smallest row0 first, then col0
     row0, col0 = divmod(flat, sums.shape[1])
     return DeploymentArea(

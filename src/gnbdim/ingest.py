@@ -11,6 +11,10 @@ column order and the first failure decides the reject reason.
 
 A single-digit ``net`` column is zero-padded to the 2-digit minimum MNC
 width (exports strip leading zeros); wider values are kept verbatim.
+
+Kept rows land in a columnar :class:`Cells` table, built in one pass over
+the rows with no per-row object; :class:`CellRecord` is the value type of
+a single row.
 """
 
 from __future__ import annotations
@@ -18,14 +22,17 @@ from __future__ import annotations
 import csv
 import gzip
 import io
-import math
-from collections import Counter
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from pathlib import Path
 from typing import IO, Iterable
 
-from .errors import BadBboxError, GnbdimError, MissingHeaderError
+import numpy as np
+
+from .errors import BadBboxError, MissingHeaderError
 from .identifiers import Mcc, Mnc, PlmnId, Tac
 
 EXPECTED_HEADER = (
@@ -50,6 +57,18 @@ class Radio(Enum):
     CDMA = "CDMA"
 
 
+# A radio's code in the Cells.radio column is its position here.
+RADIOS = tuple(Radio)
+_RADIO_CODE = {radio.value: code for code, radio in enumerate(RADIOS)}
+_LTE = _RADIO_CODE[Radio.LTE.value]
+
+_FLOAT_MAX = sys.float_info.max
+_NAN = float("nan")
+# Distinct raw (mcc, net) spellings remembered per parse; real exports have
+# a few thousand, so the cap only bounds memory on adversarial input.
+_PLMN_CACHE_MAX = 1 << 16
+
+
 @dataclass(frozen=True)
 class CellRecord:
     """One crowdsourced tower observation."""
@@ -65,6 +84,93 @@ class CellRecord:
     created: int
     updated: int
     avg_signal: float | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Cells:
+    """Kept tower rows as typed columns, in input order.
+
+    ``radio`` holds each row's position in :data:`RADIOS`, ``plmn`` the
+    MCC+MNC digit string (the MCC is always 3 digits), and ``avg_signal``
+    NaN where the export left the field empty. Integer columns are Python
+    ints, so values beyond 64 bits are kept exactly.
+    """
+
+    radio: np.ndarray  # int8
+    plmn: list[str]
+    area: list[int]
+    cell: list[int]
+    lon: np.ndarray  # float64
+    lat: np.ndarray
+    range_m: np.ndarray
+    samples: list[int]
+    created: list[int]
+    updated: list[int]
+    avg_signal: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.plmn)
+
+    def row(self, i: int) -> CellRecord:
+        plmn = self.plmn[i]
+        signal = float(self.avg_signal[i])
+        return CellRecord(
+            radio=RADIOS[self.radio[i]],
+            plmn=PlmnId(Mcc(plmn[:3]), Mnc(plmn[3:])),
+            area=Tac(self.area[i]),
+            cell=self.cell[i],
+            lon=float(self.lon[i]),
+            lat=float(self.lat[i]),
+            range_m=float(self.range_m[i]),
+            samples=self.samples[i],
+            created=self.created[i],
+            updated=self.updated[i],
+            avg_signal=None if signal != signal else signal,
+        )
+
+    def __iter__(self):
+        return (self.row(i) for i in range(len(self)))
+
+    def take(self, keep: np.ndarray) -> Cells:
+        """The rows where the boolean mask ``keep`` is true, in order."""
+        flags = keep.tolist()
+        return Cells(
+            radio=self.radio[keep],
+            plmn=list(compress(self.plmn, flags)),
+            area=list(compress(self.area, flags)),
+            cell=list(compress(self.cell, flags)),
+            lon=self.lon[keep],
+            lat=self.lat[keep],
+            range_m=self.range_m[keep],
+            samples=list(compress(self.samples, flags)),
+            created=list(compress(self.created, flags)),
+            updated=list(compress(self.updated, flags)),
+            avg_signal=self.avg_signal[keep],
+        )
+
+
+def as_cells(records: Cells | Iterable[CellRecord]) -> Cells:
+    """``records`` as a Cells table; a list of CellRecord is converted."""
+    if isinstance(records, Cells):
+        return records
+    records = list(records)
+
+    def floats(values):
+        return np.array(values, dtype=np.float64)
+
+    return Cells(
+        radio=np.array([_RADIO_CODE[r.radio.value] for r in records], dtype=np.int8),
+        plmn=[str(r.plmn) for r in records],
+        area=[r.area.code for r in records],
+        cell=[r.cell for r in records],
+        lon=floats([r.lon for r in records]),
+        lat=floats([r.lat for r in records]),
+        range_m=floats([r.range_m for r in records]),
+        samples=[r.samples for r in records],
+        created=[r.created for r in records],
+        updated=[r.updated for r in records],
+        avg_signal=floats([_NAN if r.avg_signal is None else r.avg_signal for r in records]),
+    )
 
 
 @dataclass(frozen=True)
@@ -83,95 +189,16 @@ class IngestReport:
         }
 
 
-class _RowError(GnbdimError):
-    def __init__(self, reason: str, detail: str) -> None:
-        super().__init__(detail)
-        self.reason = reason
-
-
-def _parse_int(value: str, what: str, minimum: int = 0) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise _RowError(BAD_NUMERIC, f"{what}: not an integer: {value!r}") from None
-    if n < minimum:
-        raise _RowError(BAD_NUMERIC, f"{what}: {n} below {minimum}")
-    return n
-
-
-def _parse_float(value: str, what: str, reason: str = BAD_NUMERIC) -> float:
-    try:
-        x = float(value)
-    except ValueError:
-        raise _RowError(reason, f"{what}: not a number: {value!r}") from None
-    if not math.isfinite(x):
-        raise _RowError(reason, f"{what}: not finite: {value!r}")
-    return x
-
-
-def _parse_mnc(value: str) -> Mnc:
-    text = value.strip()
-    if len(text) == 1 and text.isdigit():
-        text = "0" + text
-    try:
-        return Mnc(text)
-    except GnbdimError as exc:
-        raise _RowError(BAD_NUMERIC, f"net: {exc}") from None
-
-
-def _parse_row(row: list[str]) -> CellRecord:
-    if len(row) != len(EXPECTED_HEADER):
-        raise _RowError(BAD_SHAPE, f"expected {len(EXPECTED_HEADER)} fields, got {len(row)}")
-
-    radio_text = row[0].strip()
-    try:
-        radio = Radio(radio_text)
-    except ValueError:
-        raise _RowError(BAD_RADIO, f"unknown radio {radio_text!r}") from None
-
-    try:
-        mcc = Mcc(row[1].strip())
-    except GnbdimError as exc:
-        raise _RowError(BAD_NUMERIC, f"mcc: {exc}") from None
-    mnc = _parse_mnc(row[2])
-
-    area = _parse_int(row[3].strip(), "area")
-    if area > 0xFFFF:
-        raise _RowError(BAD_NUMERIC, f"area: {area} exceeds 16-bit range")
-    cell = _parse_int(row[4].strip(), "cell")
-    if radio is Radio.LTE and cell >= LTE_CELL_LIMIT:
-        raise _RowError(BAD_NUMERIC, f"cell: {cell} exceeds the 28-bit LTE cell identity")
-
-    lon = _parse_float(row[6].strip(), "lon", BAD_COORDINATE)
-    lat = _parse_float(row[7].strip(), "lat", BAD_COORDINATE)
-    if not -180.0 <= lon <= 180.0:
-        raise _RowError(BAD_COORDINATE, f"lon: {lon} outside [-180, 180]")
-    if not -90.0 <= lat <= 90.0:
-        raise _RowError(BAD_COORDINATE, f"lat: {lat} outside [-90, 90]")
-
-    range_m = _parse_float(row[8].strip(), "range")
-    if range_m < 0:
-        raise _RowError(BAD_NUMERIC, f"range: {range_m} below 0")
-    samples = _parse_int(row[9].strip(), "samples")
-    created = _parse_int(row[11].strip(), "created")
-    updated = _parse_int(row[12].strip(), "updated")
-
-    signal_text = row[13].strip()
-    avg_signal = None if signal_text == "" else _parse_float(signal_text, "averageSignal")
-
-    return CellRecord(
-        radio=radio,
-        plmn=PlmnId(mcc, mnc),
-        area=Tac(area),
-        cell=cell,
-        lon=lon,
-        lat=lat,
-        range_m=range_m,
-        samples=samples,
-        created=created,
-        updated=updated,
-        avg_signal=avg_signal,
-    )
+def _plmn_digits(mcc_text: str, net_text: str) -> str | None:
+    """MCC+MNC digit string of a row's raw fields, None if either is invalid."""
+    mcc = mcc_text.strip()
+    mnc = net_text.strip()
+    if len(mnc) == 1 and mnc.isdigit():
+        mnc = "0" + mnc
+    digits = mcc + mnc
+    if len(mcc) == 3 and len(mnc) in (2, 3) and digits.isascii() and digits.isdigit():
+        return digits
+    return None
 
 
 def _as_text_stream(stream: IO | bytes) -> Iterable[str]:
@@ -182,7 +209,7 @@ def _as_text_stream(stream: IO | bytes) -> Iterable[str]:
     return stream
 
 
-def parse_csv(stream: IO | bytes) -> tuple[list[CellRecord], IngestReport]:
+def parse_csv(stream: IO | bytes) -> tuple[Cells, IngestReport]:
     """Parse tower records from a CSV stream; bad rows are counted, not fatal."""
     reader = csv.reader(_as_text_stream(stream))
     try:
@@ -194,29 +221,116 @@ def parse_csv(stream: IO | bytes) -> tuple[list[CellRecord], IngestReport]:
             f"header mismatch: expected {','.join(EXPECTED_HEADER)}"
         )
 
-    records: list[CellRecord] = []
-    reasons: Counter[str] = Counter()
-    rows_read = 0
+    radio, lon, lat, range_m, signal = (
+        array("b"), array("d"), array("d"), array("d"), array("d")
+    )
+    plmn, area, cell, samples, created, updated = [], [], [], [], [], []
+    plmn_of: dict[tuple[str, str], str | None] = {}
+    rows_read = bad_shape = bad_radio = bad_numeric = bad_coordinate = 0
+    n_fields = len(EXPECTED_HEADER)
+
+    # int() and float() ignore the same surrounding whitespace as
+    # str.strip(), so only the fields compared as text are stripped.
     for row in reader:
         if not row:
             continue  # blank line, not a data row
         rows_read += 1
+        if len(row) != n_fields:
+            bad_shape += 1
+            continue
+        code = _RADIO_CODE.get(row[0].strip())
+        if code is None:
+            bad_radio += 1
+            continue
+        key = (row[1], row[2])
         try:
-            records.append(_parse_row(row))
-        except _RowError as exc:
-            reasons[exc.reason] += 1
+            digits = plmn_of[key]
+        except KeyError:
+            if len(plmn_of) >= _PLMN_CACHE_MAX:
+                plmn_of.clear()
+            digits = plmn_of[key] = _plmn_digits(row[1], row[2])
+        if digits is None:
+            bad_numeric += 1
+            continue
+        try:
+            tac = int(row[3])
+            cid = int(row[4])
+        except ValueError:
+            bad_numeric += 1
+            continue
+        if not 0 <= tac <= 0xFFFF or cid < 0 or (code == _LTE and cid >= LTE_CELL_LIMIT):
+            bad_numeric += 1
+            continue
+        try:
+            x = float(row[6])
+            y = float(row[7])
+        except ValueError:
+            bad_coordinate += 1
+            continue
+        # Chained compares are false for NaN, so they also reject non-finite values.
+        if not (-180.0 <= x <= 180.0 and -90.0 <= y <= 90.0):
+            bad_coordinate += 1
+            continue
+        signal_text = row[13].strip()
+        try:
+            rng = float(row[8])
+            n = int(row[9])
+            t_created = int(row[11])
+            t_updated = int(row[12])
+            sig = float(signal_text) if signal_text else _NAN
+        except ValueError:
+            bad_numeric += 1
+            continue
+        if (
+            not 0.0 <= rng <= _FLOAT_MAX
+            or n < 0 or t_created < 0 or t_updated < 0
+            or (signal_text and not -_FLOAT_MAX <= sig <= _FLOAT_MAX)
+        ):
+            bad_numeric += 1
+            continue
+        radio.append(code)
+        plmn.append(digits)
+        area.append(tac)
+        cell.append(cid)
+        lon.append(x)
+        lat.append(y)
+        range_m.append(rng)
+        samples.append(n)
+        created.append(t_created)
+        updated.append(t_updated)
+        signal.append(sig)
 
+    counts = {
+        BAD_SHAPE: bad_shape,
+        BAD_RADIO: bad_radio,
+        BAD_NUMERIC: bad_numeric,
+        BAD_COORDINATE: bad_coordinate,
+    }
+    reasons = {reason: n for reason, n in counts.items() if n}
     rejected = sum(reasons.values())
     report = IngestReport(
         rows_read=rows_read,
         rows_kept=rows_read - rejected,
         rows_rejected=rejected,
-        reject_reasons=dict(reasons),
+        reject_reasons=reasons,
     )
-    return records, report
+    cells = Cells(
+        radio=np.frombuffer(radio, dtype=np.int8),
+        plmn=plmn,
+        area=area,
+        cell=cell,
+        lon=np.frombuffer(lon, dtype=np.float64),
+        lat=np.frombuffer(lat, dtype=np.float64),
+        range_m=np.frombuffer(range_m, dtype=np.float64),
+        samples=samples,
+        created=created,
+        updated=updated,
+        avg_signal=np.frombuffer(signal, dtype=np.float64),
+    )
+    return cells, report
 
 
-def read_cells(path: str | Path) -> tuple[list[CellRecord], IngestReport]:
+def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
     """Read a tower CSV file; names ending in .gz are decompressed."""
     path = Path(path)
     if path.name.endswith(".gz"):
@@ -226,53 +340,51 @@ def read_cells(path: str | Path) -> tuple[list[CellRecord], IngestReport]:
         return parse_csv(fh)
 
 
-def write_cells(path: str | Path, records: Iterable[CellRecord]) -> None:
+def write_cells(path: str | Path, records: Cells) -> None:
     """Write records back out in the canonical 14-column layout."""
+    names = [radio.value for radio in RADIOS]
+    rows = zip(
+        records.radio.tolist(), records.plmn, records.area, records.cell,
+        records.lon.tolist(), records.lat.tolist(), records.range_m.tolist(),
+        records.samples, records.created, records.updated,
+        records.avg_signal.tolist(),
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EXPECTED_HEADER)
-        for r in records:
-            writer.writerow([
-                r.radio.value,
-                r.plmn.mcc.digits,
-                r.plmn.mnc.digits,
-                r.area.code,
-                r.cell,
-                "",
-                repr(r.lon),
-                repr(r.lat),
-                repr(r.range_m),
-                r.samples,
-                "",
-                r.created,
-                r.updated,
-                "" if r.avg_signal is None else repr(r.avg_signal),
-            ])
+        # csv writes a float as its repr, so values round-trip exactly.
+        writer.writerows(
+            (names[code], plmn[:3], plmn[3:], area, cell, "", lon, lat, range_m,
+             samples, "", created, updated, "" if signal != signal else signal)
+            for code, plmn, area, cell, lon, lat, range_m, samples, created,
+            updated, signal in rows
+        )
 
 
 Bbox = tuple[float, float, float, float]  # (min_lon, min_lat, max_lon, max_lat)
 
 
 def filter_records(
-    records: Iterable[CellRecord],
+    records: Cells | Iterable[CellRecord],
     radio: Radio | None = None,
     plmn: PlmnId | None = None,
     bbox: Bbox | None = None,
-) -> list[CellRecord]:
-    """Keep records matching every present predicate, in input order."""
+) -> Cells:
+    """Keep records matching every present predicate, in input order.
+
+    When every row matches, the input table itself is returned.
+    """
+    cells = as_cells(records)
+    keep = np.ones(len(cells), dtype=bool)
     if bbox is not None:
         min_lon, min_lat, max_lon, max_lat = bbox
         if min_lon > max_lon or min_lat > max_lat:
             raise BadBboxError(f"bbox min exceeds max: {bbox}")
-    out = []
-    for r in records:
-        if radio is not None and r.radio is not radio:
-            continue
-        if plmn is not None and r.plmn != plmn:
-            continue
-        if bbox is not None and not (
-            min_lon <= r.lon <= max_lon and min_lat <= r.lat <= max_lat
-        ):
-            continue
-        out.append(r)
-    return out
+        keep &= (min_lon <= cells.lon) & (cells.lon <= max_lon)
+        keep &= (min_lat <= cells.lat) & (cells.lat <= max_lat)
+    if radio is not None:
+        keep &= cells.radio == _RADIO_CODE[radio.value]
+    if plmn is not None:
+        digits = str(plmn)
+        keep &= np.fromiter((p == digits for p in cells.plmn), dtype=bool, count=len(cells))
+    return cells if keep.all() else cells.take(keep)

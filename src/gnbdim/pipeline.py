@@ -30,7 +30,7 @@ from .density import (
 )
 from .economics import CostReport, cost_per_bit
 from .errors import ZeroTrafficError
-from .ingest import CellRecord, IngestReport, filter_records
+from .ingest import CellRecord, Cells, IngestReport, filter_records
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +45,9 @@ class DimensionOutcome:
     sites_lonlat: list[tuple[float, float]]
 
 
-def run_dimension(cfg: RunConfig, records: Sequence[CellRecord]) -> DimensionOutcome:
+def run_dimension(
+    cfg: RunConfig, records: Cells | Sequence[CellRecord]
+) -> DimensionOutcome:
     """Run the full pipeline over already-parsed records."""
     kept = filter_records(records, radio=cfg.radio, plmn=cfg.plmn, bbox=cfg.bbox)
     grid = bin_records(kept, cfg.grid)

@@ -84,6 +84,7 @@ class TestBinRecords:
         grid = bin_records([], spec_at())
         assert grid.weight.sum() == 0.0
         assert grid.towers.sum() == 0
+        assert grid.weight.dtype == np.float64
 
     def test_same_tile_accumulates(self):
         spec = spec_at(lon=-87.7, lat=41.8)
@@ -100,6 +101,35 @@ class TestBinRecords:
         grid = bin_records(records, spec)
         assert grid.n_outside == 49 - 4
         assert grid.weight.sum() == 4 * 5.0
+
+    def test_matches_sequential_loop(self):
+        # Samples up to 1e17 are not all exact in float64, so sums depend on
+        # the order of addition: the reference adds row by row, in input order.
+        import dataclasses
+        rng = np.random.default_rng(11)
+        spec = spec_at(lon=-87.7, lat=41.8, cols=9, rows=6, tile=0.5)
+        wider = spec_at(lon=-87.75, lat=41.75, cols=14, rows=12, tile=0.5)
+        records = [
+            dataclasses.replace(r, samples=int(rng.integers(0, 10**17)))
+            for r in tile_center_records(wider, samples=1)
+            for _ in range(3)
+        ]
+        rng.shuffle(records)
+        weight = np.zeros((spec.n_rows, spec.n_cols))
+        towers = np.zeros((spec.n_rows, spec.n_cols), dtype=np.int64)
+        outside = 0
+        for r in records:
+            x, y = project(r.lon, r.lat, spec)
+            col, row = math.floor(x / spec.tile_km), math.floor(y / spec.tile_km)
+            if 0 <= col < spec.n_cols and 0 <= row < spec.n_rows:
+                weight[row, col] += float(r.samples)
+                towers[row, col] += 1
+            else:
+                outside += 1
+        grid = bin_records(records, spec)
+        assert np.array_equal(grid.weight, weight)
+        assert np.array_equal(grid.towers, towers)
+        assert grid.n_outside == outside > 0
 
     def test_mass_conservation_exact(self):
         rng = np.random.default_rng(5)

@@ -33,7 +33,7 @@ class TestParseCsv:
         assert report.rows_read == 1
         assert report.rows_kept == 1
         assert len(records) == 1
-        r = records[0]
+        r = records.row(0)
         assert r.radio is Radio.LTE
         assert str(r.plmn) == "310260"
         assert r.area.code == 6699
@@ -48,7 +48,7 @@ class TestParseCsv:
 
     def test_header_only(self):
         records, report = parse_text(HEADER + "\n")
-        assert records == []
+        assert len(records) == 0
         assert report.rows_read == 0
         assert report.rows_kept == 0
         assert report.rows_rejected == 0
@@ -56,7 +56,7 @@ class TestParseCsv:
     def test_latitude_out_of_bounds(self):
         row = GOOD_ROW.replace(",41.8,", ",95,")
         records, report = parse_text(HEADER + "\n" + row + "\n")
-        assert records == []
+        assert len(records) == 0
         assert report.reject_reasons[BAD_COORDINATE] == 1
 
     def test_missing_header_is_fatal(self):
@@ -82,7 +82,7 @@ class TestParseCsv:
             GOOD_ROW.replace(",1000,", ",-5,"),       # negative range
         ]
         records, report = parse_text(HEADER + "\n" + "\n".join(rows) + "\n")
-        assert records == []
+        assert len(records) == 0
         assert report.reject_reasons[BAD_NUMERIC] == 3
 
     def test_lte_cell_identity_limit(self):
@@ -114,24 +114,24 @@ class TestParseCsv:
         none_row = GOOD_ROW.rsplit(",", 1)[0] + ","
         zero_row = GOOD_ROW.rsplit(",", 1)[0] + ",0"
         records, _ = parse_text(HEADER + "\n" + none_row + "\n" + zero_row + "\n")
-        assert records[0].avg_signal is None
-        assert records[1].avg_signal == 0.0
+        assert records.row(0).avg_signal is None
+        assert records.row(1).avg_signal == 0.0
 
     def test_single_digit_network_code_padded(self):
         row = GOOD_ROW.replace(",260,", ",1,")
         records, _ = parse_text(HEADER + "\n" + row + "\n")
-        assert records[0].plmn.mnc.digits == "01"
+        assert records.row(0).plmn.mnc.digits == "01"
 
     def test_explicit_leading_zero_preserved(self):
         row = GOOD_ROW.replace(",260,", ",01,")
         records, _ = parse_text(HEADER + "\n" + row + "\n")
-        assert records[0].plmn.mnc.digits == "01"
+        assert records.row(0).plmn.mnc.digits == "01"
 
     def test_deterministic(self):
         text = HEADER + "\n" + GOOD_ROW + "\njunk\n" + GOOD_ROW + "\n"
         first = parse_text(text)
         second = parse_text(text)
-        assert first[0] == second[0]
+        assert list(first[0]) == list(second[0])
         assert first[1] == second[1]
 
     def test_accepts_bytes(self):
@@ -153,7 +153,7 @@ class TestFiles:
         path = tmp_path / "canonical.csv"
         write_cells(path, records)
         back, report = read_cells(path)
-        assert back == records
+        assert list(back) == list(records)
         assert report.rows_rejected == 0
 
 
@@ -176,17 +176,17 @@ class TestFilterRecords:
     def test_radio_filter_preserves_order(self, mixed):
         kept = filter_records(mixed, radio=Radio.LTE)
         assert [r.radio for r in kept] == [Radio.LTE] * 3
-        assert kept == [r for r in mixed if r.radio is Radio.LTE]
+        assert list(kept) == [r for r in mixed if r.radio is Radio.LTE]
 
     def test_plmn_filter(self, mixed):
         kept = filter_records(mixed, plmn=parse_plmn("20801"))
         assert len(kept) == 1
-        assert str(kept[0].plmn) == "20801"
+        assert str(kept.row(0).plmn) == "20801"
 
     def test_bbox_containment(self, mixed):
         kept = filter_records(mixed, bbox=(0.0, 0.0, 3.0, 3.0))
         assert len(kept) == 1
-        assert kept[0].lon == 2.0
+        assert kept.row(0).lon == 2.0
 
     def test_bad_bbox(self, mixed):
         with pytest.raises(BadBboxError):
