@@ -7,9 +7,11 @@ infeasibility (no path-loss budget or no subscriber fits a cell).
 
 from __future__ import annotations
 
+import csv
 import logging
 import os
 import sys
+import zlib
 from pathlib import Path
 
 import click
@@ -78,6 +80,10 @@ def _read_input(path: str):
         _fail(EXIT_BAD_INPUT, f"input file not found: {path}")
     except MissingHeaderError as exc:
         _fail(EXIT_BAD_INPUT, f"{path}: {exc}")
+    except (OSError, EOFError, UnicodeDecodeError, zlib.error, csv.Error) as exc:
+        # Undecodable text, a corrupt or truncated .gz, or a path that is
+        # not a readable file.
+        _fail(EXIT_BAD_INPUT, f"cannot read input {path}: {exc}")
 
 
 @click.group()

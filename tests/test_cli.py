@@ -1,3 +1,4 @@
+import gzip
 import json
 
 import pytest
@@ -90,6 +91,53 @@ class TestIngest:
         src.write_text("lol,header\n" + GOOD_ROW + "\n", encoding="utf-8")
         result = runner.invoke(main, ["ingest", "--input", str(src)])
         assert result.exit_code == 2
+
+
+def _non_utf8(path):
+    path.write_bytes((HEADER + "\n" + GOOD_ROW + "\n").encode() + b"LTE,\xff\xfe\n")
+    return path
+
+
+def _corrupt_gz(path):
+    data = bytearray(gzip.compress((HEADER + "\n" + GOOD_ROW + "\n").encode() * 50))
+    data[-8] ^= 0xFF  # CRC-32 of the trailer
+    path.write_bytes(bytes(data))
+    return path
+
+
+def _truncated_gz(path):
+    data = gzip.compress((HEADER + "\n" + GOOD_ROW + "\n").encode() * 50)
+    path.write_bytes(data[: len(data) // 2])
+    return path
+
+
+def _directory(path):
+    path.mkdir()
+    return path
+
+
+class TestUnreadableInput:
+    @pytest.fixture(params=[
+        ("bad.csv", _non_utf8),
+        ("bad.csv.gz", _corrupt_gz),
+        ("cut.csv.gz", _truncated_gz),
+        ("dir.csv", _directory),
+    ], ids=["non-utf8", "corrupt-gz", "truncated-gz", "directory"])
+    def bad_input(self, request, tmp_path):
+        name, make = request.param
+        return make(tmp_path / name)
+
+    @pytest.mark.parametrize("command", ["ingest", "dimension"])
+    def test_exits_2_with_one_error_line(self, runner, tmp_path, config_file, bad_input, command):
+        args = ["--input", str(bad_input), "--out", str(tmp_path / "o")]
+        if command == "dimension":
+            args += ["--config", str(config_file)]
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 2, result.output
+        lines = result.output.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert str(bad_input) in lines[0]
 
 
 class TestDensity:
