@@ -28,11 +28,11 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import BadBboxError, MissingHeaderError
+from .errors import BadBboxError, GnbdimError, MissingHeaderError
 from .identifiers import Mcc, Mnc, PlmnId, Tac
 
 EXPECTED_HEADER = (
@@ -86,7 +86,7 @@ class CellRecord:
     avg_signal: float | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Cells:
     """Kept tower rows as typed columns, in input order.
 
@@ -111,7 +111,11 @@ class Cells:
     def __len__(self) -> int:
         return len(self.plmn)
 
+    def __repr__(self) -> str:
+        return f"Cells({len(self)} rows)"
+
     def row(self, i: int) -> CellRecord:
+        """Row ``i`` as a single-row value."""
         plmn = self.plmn[i]
         signal = float(self.avg_signal[i])
         return CellRecord(
@@ -128,7 +132,7 @@ class Cells:
             avg_signal=None if signal != signal else signal,
         )
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[CellRecord]:
         return (self.row(i) for i in range(len(self)))
 
     def take(self, keep: np.ndarray) -> Cells:
@@ -191,14 +195,13 @@ class IngestReport:
 
 def _plmn_digits(mcc_text: str, net_text: str) -> str | None:
     """MCC+MNC digit string of a row's raw fields, None if either is invalid."""
-    mcc = mcc_text.strip()
     mnc = net_text.strip()
     if len(mnc) == 1 and mnc.isdigit():
         mnc = "0" + mnc
-    digits = mcc + mnc
-    if len(mcc) == 3 and len(mnc) in (2, 3) and digits.isascii() and digits.isdigit():
-        return digits
-    return None
+    try:
+        return str(PlmnId(Mcc(mcc_text.strip()), Mnc(mnc)))
+    except GnbdimError:
+        return None
 
 
 def _as_text_stream(stream: IO | bytes) -> Iterable[str]:
