@@ -20,11 +20,12 @@ a single row.
 from __future__ import annotations
 
 import csv
+import functools
 import gzip
 import io
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import compress
 from pathlib import Path
@@ -64,9 +65,6 @@ _LTE = _RADIO_CODE[Radio.LTE.value]
 
 _FLOAT_MAX = sys.float_info.max
 _NAN = float("nan")
-# Distinct raw (mcc, net) spellings remembered per parse; real exports have
-# a few thousand, so the cap only bounds memory on adversarial input.
-_PLMN_CACHE_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -110,6 +108,20 @@ class Cells:
 
     def __len__(self) -> int:
         return len(self.plmn)
+
+    def __eq__(self, other: object) -> bool:
+        """Column-wise equality; absent signals (NaN) compare equal."""
+        if not isinstance(other, Cells):
+            return NotImplemented
+        for field in fields(self):
+            mine, theirs = getattr(self, field.name), getattr(other, field.name)
+            if isinstance(mine, np.ndarray):
+                same = np.array_equal(mine, theirs, equal_nan=True)
+            else:
+                same = mine == theirs
+            if not same:
+                return False
+        return True
 
     def __repr__(self) -> str:
         return f"Cells({len(self)} rows)"
@@ -193,6 +205,9 @@ class IngestReport:
         }
 
 
+# Exports repeat a handful of raw (mcc, net) spellings over many rows, so
+# each distinct spelling is validated once.
+@functools.lru_cache(maxsize=1 << 16)
 def _plmn_digits(mcc_text: str, net_text: str) -> str | None:
     """MCC+MNC digit string of a row's raw fields, None if either is invalid."""
     mnc = net_text.strip()
@@ -228,7 +243,6 @@ def parse_csv(stream: IO | bytes) -> tuple[Cells, IngestReport]:
         array("b"), array("d"), array("d"), array("d"), array("d")
     )
     plmn, area, cell, samples, created, updated = [], [], [], [], [], []
-    plmn_of: dict[tuple[str, str], str | None] = {}
     rows_read = bad_shape = bad_radio = bad_numeric = bad_coordinate = 0
     n_fields = len(EXPECTED_HEADER)
 
@@ -245,13 +259,7 @@ def parse_csv(stream: IO | bytes) -> tuple[Cells, IngestReport]:
         if code is None:
             bad_radio += 1
             continue
-        key = (row[1], row[2])
-        try:
-            digits = plmn_of[key]
-        except KeyError:
-            if len(plmn_of) >= _PLMN_CACHE_MAX:
-                plmn_of.clear()
-            digits = plmn_of[key] = _plmn_digits(row[1], row[2])
+        digits = _plmn_digits(row[1], row[2])
         if digits is None:
             bad_numeric += 1
             continue
@@ -343,8 +351,9 @@ def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
         return parse_csv(fh)
 
 
-def write_cells(path: str | Path, records: Cells) -> None:
+def write_cells(path: str | Path, records: Cells | Iterable[CellRecord]) -> None:
     """Write records back out in the canonical 14-column layout."""
+    records = as_cells(records)
     names = [radio.value for radio in RADIOS]
     rows = zip(
         records.radio.tolist(), records.plmn, records.area, records.cell,

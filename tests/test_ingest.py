@@ -1,6 +1,7 @@
 import gzip
 import io
 
+import numpy as np
 import pytest
 
 from gnbdim.errors import BadBboxError, MissingHeaderError
@@ -131,7 +132,7 @@ class TestParseCsv:
         text = HEADER + "\n" + GOOD_ROW + "\njunk\n" + GOOD_ROW + "\n"
         first = parse_text(text)
         second = parse_text(text)
-        assert list(first[0]) == list(second[0])
+        assert first[0] == second[0]
         assert first[1] == second[1]
 
     def test_accepts_bytes(self):
@@ -153,8 +154,35 @@ class TestFiles:
         path = tmp_path / "canonical.csv"
         write_cells(path, records)
         back, report = read_cells(path)
-        assert list(back) == list(records)
+        assert back == records
         assert report.rows_rejected == 0
+
+    def test_write_accepts_record_list(self, tmp_path):
+        records, _ = parse_text(HEADER + "\n" + GOOD_ROW + "\n")
+        path = tmp_path / "canonical.csv"
+        write_cells(path, list(records))
+        back, _ = read_cells(path)
+        assert back == records
+
+
+class TestCellsEquality:
+    def test_equal_by_value_not_identity(self):
+        text = HEADER + "\n" + GOOD_ROW + "\n" + GOOD_ROW.rsplit(",", 1)[0] + ",\n"
+        first, _ = parse_text(text)
+        second, _ = parse_text(text)
+        assert first is not second
+        assert first == second  # the absent signal is NaN in both
+        assert first.take(np.ones(len(first), dtype=bool)) == first
+
+    def test_one_differing_field_is_unequal(self):
+        records, _ = parse_text(HEADER + "\n" + GOOD_ROW + "\n")
+        for old, new in ((",41.8,", ",41.9,"), (",57,", ",58,"), (",-95", ",-96")):
+            other, _ = parse_text(HEADER + "\n" + GOOD_ROW.replace(old, new) + "\n")
+            assert other != records
+
+    def test_not_equal_to_a_record_list(self):
+        records, _ = parse_text(HEADER + "\n" + GOOD_ROW + "\n")
+        assert records != list(records)
 
 
 class TestFilterRecords:
