@@ -42,16 +42,11 @@ from .economics import (  # noqa: F401
     cost_per_bit,
 )
 from .identifiers import (  # noqa: F401
-    Eci,
     Mcc,
     Mnc,
     PlmnId,
     Tac,
-    Tai,
-    make_tai,
     parse_plmn,
-    region_key,
-    split_eci,
 )
 from .ingest import (  # noqa: F401
     CellRecord,

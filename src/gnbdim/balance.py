@@ -43,8 +43,10 @@ class BalanceThresholds:
     eta: float = DEFAULT_ETA
 
     def __post_init__(self) -> None:
-        if self.eps_radius <= 0 or self.eps_load <= 0:
-            raise ValueError("tolerances must be > 0")
+        if self.eps_radius <= 0:
+            raise ValueError("eps_radius must be > 0")
+        if self.eps_load <= 0:
+            raise ValueError("eps_load must be > 0")
         if not 0 < self.damping <= 1:
             raise ValueError("damping must be in (0, 1]")
         if self.max_iter < 1:

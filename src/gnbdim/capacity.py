@@ -38,15 +38,6 @@ class TrafficModel:
             raise ValueError("overhead_fraction must be in [0, 1)")
 
 
-@dataclass(frozen=True)
-class CapacityResult:
-    cell_capacity_mbps: float
-    max_subs_per_cell: int
-    radius_km: float
-    n_sites_capacity: int
-    actual_load: float
-
-
 def cell_capacity_mbps(cfg: NrConfig, traffic: TrafficModel) -> float:
     """Sum of BWP throughputs: n_prb * 12 * scs * SE * (1 - overhead)."""
     total_bps = sum(
@@ -95,19 +86,3 @@ def offered_load(
         hexagon_area_km2(radius_km) * rho_subs_per_km2 * traffic.demand_per_sub_mbps
     )
     return offered_mbps / capacity_mbps
-
-
-def dimension_capacity(
-    cfg: NrConfig, traffic: TrafficModel, rho_subs_per_km2: float, area_km2: float
-) -> CapacityResult:
-    """One-shot capacity leg: configuration -> capacity -> radius -> sites."""
-    capacity = cell_capacity_mbps(cfg, traffic)
-    n = max_subs_per_cell(capacity, traffic)
-    radius = capacity_radius(capacity, traffic, rho_subs_per_km2)
-    return CapacityResult(
-        cell_capacity_mbps=capacity,
-        max_subs_per_cell=n,
-        radius_km=radius,
-        n_sites_capacity=sites_for_capacity(area_km2, rho_subs_per_km2, n),
-        actual_load=offered_load(radius, rho_subs_per_km2, traffic, capacity),
-    )

@@ -17,10 +17,9 @@ from pathlib import Path
 import click
 
 from . import __version__, density, pipeline
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config_dict, load_filters, read_document
 from .errors import ConfigError, GnbdimError, InfeasibleError, MissingHeaderError
-from .identifiers import parse_plmn
-from .ingest import Radio, filter_records, read_cells, write_cells
+from .ingest import filter_records, read_cells, write_cells
 
 log = logging.getLogger("gnbdim")
 
@@ -42,35 +41,53 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _parse_bbox(text: str | None):
-    if text is None:
-        return None
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigError("--bbox expects minlon,minlat,maxlon,maxlat")
+def _number(text: str):
+    """A flag's number; other text is passed on for the config check to reject."""
     try:
-        return tuple(float(p) for p in parts)
+        return float(text)
     except ValueError:
-        raise ConfigError(f"--bbox has a non-numeric component: {text}") from None
+        return text
 
 
-def _parse_window(text: str | None):
+def _window(text: str | None) -> dict:
+    """``--window WxH`` as ``window`` section values."""
     if text is None:
-        return None
-    try:
-        w, h = text.lower().split("x")
-        return int(w), int(h)
-    except ValueError:
-        raise ConfigError(f"--window expects WxH, got {text}") from None
+        return {}
+    parts = text.lower().split("x")
+    if len(parts) != 2:
+        raise ConfigError(f"--window expects WxH, got {text}")
+    return {"w_cols": _number(parts[0]), "h_rows": _number(parts[1])}
 
 
-def _parse_radio(text: str | None):
-    if text is None:
-        return None
-    try:
-        return Radio(text.upper())
-    except ValueError:
-        raise ConfigError(f"unknown radio technology {text!r}") from None
+def _filter_flags(radio: str | None, plmn: str | None, bbox: str | None) -> dict:
+    """The filter flags as ``filters`` section values; None where not given."""
+    return {
+        "radio": None if radio is None else radio.upper(),
+        "plmn": plmn,
+        "bbox": None if bbox is None else [_number(p) for p in bbox.split(",")],
+    }
+
+
+def _load_config(path: str, flags: dict) -> RunConfig:
+    """The config file with the given flags written over its keys, loaded.
+
+    ``flags`` maps a top-level key to its flag value, or a section to a
+    dict of them; None means not given. A section that is not an object
+    is left as it is, for the loader to reject. The result names an input.
+    """
+    doc = read_document(path)
+    if isinstance(doc, dict):
+        for name, value in flags.items():
+            if isinstance(value, dict):
+                target = doc.setdefault(name, {})
+                if isinstance(target, dict):
+                    target.update((k, v) for k, v in value.items() if v is not None)
+            elif value is not None:
+                doc[name] = value
+    cfg = load_config_dict(doc)
+    if not cfg.input_path:
+        raise ConfigError("no input: give --input or set 'input' in the config")
+    return cfg
 
 
 def _read_input(path: str):
@@ -102,13 +119,9 @@ def main() -> None:
 def ingest(input_path, out_dir, radio, plmn, bbox) -> None:
     """Validate and filter records; write canonical CSV, report to stdout."""
     try:
+        radio, plmn, bbox = load_filters(_filter_flags(radio, plmn, bbox))
         records, report = _read_input(input_path)
-        records = filter_records(
-            records,
-            radio=_parse_radio(radio),
-            plmn=None if plmn is None else parse_plmn(plmn),
-            bbox=_parse_bbox(bbox),
-        )
+        records = filter_records(records, radio=radio, plmn=plmn, bbox=bbox)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_cells(out / "records.csv", records)
@@ -125,18 +138,16 @@ def ingest(input_path, out_dir, radio, plmn, bbox) -> None:
 def density_cmd(config_path, input_path, out_dir, window) -> None:
     """Rasterize records and locate the deployment area."""
     try:
-        cfg = load_config(config_path)
-        input_path = input_path or cfg.input_path
-        if not input_path:
-            raise ConfigError("no input: give --input or set 'input' in the config")
-        records, _report = _read_input(input_path)
+        cfg = _load_config(
+            config_path, {"input": input_path, "out": out_dir, "window": _window(window)}
+        )
+        records, _report = _read_input(cfg.input_path)
         records = filter_records(records, radio=cfg.radio, plmn=cfg.plmn, bbox=cfg.bbox)
-        w_cols, h_rows = _parse_window(window) or (cfg.w_cols, cfg.h_rows)
 
         grid = density.bin_records(records, cfg.grid)
-        area = density.find_5gda(grid, w_cols, h_rows)
+        area = density.find_5gda(grid, cfg.w_cols, cfg.h_rows)
 
-        out = Path(out_dir or cfg.out_dir or ".")
+        out = Path(cfg.out_dir or ".")
         out.mkdir(parents=True, exist_ok=True)
         (out / "grid.csv").write_text(density.grid_to_csv(grid), encoding="utf-8")
         (out / "fivegda.geojson").write_text(
@@ -158,11 +169,12 @@ def density_cmd(config_path, input_path, out_dir, window) -> None:
 def dimension(config_path, input_path, out_dir, window, radio, plmn, bbox) -> None:
     """Run the full pipeline and write summary.json plus sites.geojson."""
     try:
-        cfg = load_config(config_path)
-        cfg = _apply_overrides(cfg, input_path, out_dir, window, radio, plmn, bbox)
-        if not cfg.input_path:
-            raise ConfigError("no input: give --input or set 'input' in the config")
-
+        cfg = _load_config(config_path, {
+            "input": input_path,
+            "out": out_dir,
+            "window": _window(window),
+            "filters": _filter_flags(radio, plmn, bbox),
+        })
         records, report = _read_input(cfg.input_path)
         outcome = pipeline.run_dimension(cfg, records)
 
@@ -187,28 +199,6 @@ def dimension(config_path, input_path, out_dir, window, radio, plmn, bbox) -> No
         _fail(EXIT_INFEASIBLE, f"{type(exc).__name__}: {exc}")
     except GnbdimError as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
-
-
-def _apply_overrides(
-    cfg: RunConfig, input_path, out_dir, window, radio, plmn, bbox
-) -> RunConfig:
-    from dataclasses import replace
-
-    updates = {}
-    if input_path:
-        updates["input_path"] = input_path
-    if out_dir:
-        updates["out_dir"] = out_dir
-    if window:
-        w, h = _parse_window(window)
-        updates["w_cols"], updates["h_rows"] = w, h
-    if radio:
-        updates["radio"] = _parse_radio(radio)
-    if plmn:
-        updates["plmn"] = parse_plmn(plmn)
-    if bbox:
-        updates["bbox"] = _parse_bbox(bbox)
-    return replace(cfg, **updates) if updates else cfg
 
 
 if __name__ == "__main__":

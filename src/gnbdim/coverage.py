@@ -76,9 +76,9 @@ class PropagationModel:
             raise ValueError(f"kind must be 'free_space' or 'abg', got {self.kind!r}")
         if self.kind == "abg":
             if self.alpha <= 0:
-                raise ValueError("abg alpha must be > 0")
+                raise ValueError("alpha must be > 0 for abg")
             if self.gamma < 0:
-                raise ValueError("abg gamma must be >= 0")
+                raise ValueError("gamma must be >= 0 for abg")
 
 
 def free_space() -> PropagationModel:
@@ -168,29 +168,3 @@ def sites_for_coverage(area_km2: float, radius_km: float) -> int:
     if area_km2 <= 0 or radius_km <= 0:
         raise ValueError("area and radius must be positive")
     return math.ceil(area_km2 / hexagon_area_km2(radius_km))
-
-
-@dataclass(frozen=True)
-class CoverageResult:
-    mapl_db: float
-    radius_km: float
-    cell_area_km2: float
-    n_sites_coverage: int
-
-
-def dimension_coverage(
-    link: LinkBudget,
-    model: PropagationModel,
-    f_mhz: float,
-    bw_hz: float,
-    area_km2: float,
-) -> CoverageResult:
-    """One-shot coverage leg: budget -> MAPL -> radius -> site count."""
-    mapl = mapl_db(link, bw_hz)
-    radius = invert_to_radius(model, f_mhz, mapl)
-    return CoverageResult(
-        mapl_db=mapl,
-        radius_km=radius,
-        cell_area_km2=hexagon_area_km2(radius),
-        n_sites_coverage=sites_for_coverage(area_km2, radius),
-    )

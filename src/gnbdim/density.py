@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .ingest import CellRecord, Cells, as_cells
 
 EARTH_RADIUS_KM = 6371.0088
 MAX_TILES = 100_000_000
+MAX_EXTENT_KM = 2.0 * math.pi * EARTH_RADIUS_KM  # once around the Earth
 
 _DEG = math.pi / 180.0
 
@@ -36,12 +37,21 @@ class GridSpec:
     tile_km: float = 1.0
 
     def __post_init__(self) -> None:
+        if not -180 <= self.origin_lon <= 180:
+            raise ValueError(f"origin_lon must be in [-180, 180], got {self.origin_lon}")
+        if not -90 <= self.origin_lat <= 90:
+            raise ValueError(f"origin_lat must be in [-90, 90], got {self.origin_lat}")
         if self.tile_km <= 0:
             raise ValueError("tile_km must be > 0")
         if self.n_cols < 1 or self.n_rows < 1:
-            raise ValueError("grid must have at least one tile")
+            raise ValueError("n_cols and n_rows must be >= 1")
         if self.n_cols * self.n_rows > MAX_TILES:
-            raise ValueError(f"grid exceeds the {MAX_TILES}-tile guard")
+            raise ValueError(f"n_cols * n_rows exceeds the {MAX_TILES}-tile guard")
+        if max(self.n_cols, self.n_rows) * self.tile_km > MAX_EXTENT_KM:
+            raise ValueError(
+                f"tile_km * max(n_cols, n_rows) exceeds {MAX_EXTENT_KM:.0f} km, "
+                "once around the Earth"
+            )
 
     @property
     def extent_x_km(self) -> float:

@@ -22,8 +22,10 @@ class CostModel:
     opex_per_site_per_year: float
 
     def __post_init__(self) -> None:
-        if self.capex_per_site < 0 or self.opex_per_site_per_year < 0:
-            raise ValueError("costs must be >= 0")
+        if self.capex_per_site < 0:
+            raise ValueError("capex_per_site must be >= 0")
+        if self.opex_per_site_per_year < 0:
+            raise ValueError("opex_per_site_per_year must be >= 0")
         if self.capex_amortization_years <= 0:
             raise ValueError("capex_amortization_years must be > 0")
 

@@ -1,7 +1,6 @@
 """3GPP identifiers used to locate traffic geographically.
 
-PLMN-ID (MCC + MNC) names the operator, TAC names the tracking area, and
-the 28-bit E-UTRAN cell identity names the eNB and the cell under it.
+PLMN-ID (MCC + MNC) names the operator and TAC names the tracking area.
 MCC/MNC digits are kept as strings throughout: "01" and "1" are distinct
 network codes and integer round-trips would destroy the leading zero.
 """
@@ -13,8 +12,6 @@ from dataclasses import dataclass
 from .errors import BadLengthError, NonDigitError, OutOfRangeError
 
 TAC_MAX = 0xFFFF
-ECI_BITS = 28
-CELL_ID_BITS = 8  # lower bits of the ECI; the remaining 20 name the eNB
 
 
 def _require_digits(text: str, what: str) -> None:
@@ -77,57 +74,9 @@ class Tac:
         return f"{self.code:04X}"
 
 
-@dataclass(frozen=True)
-class Tai:
-    """Tracking area identity: PLMN-ID plus TAC."""
-
-    plmn: PlmnId
-    tac: Tac
-
-    def __str__(self) -> str:
-        # Fixed-width hex TAC keeps string sort order equal to numeric order.
-        return f"{self.plmn}-{self.tac}"
-
-
-@dataclass(frozen=True)
-class Eci:
-    """28-bit E-UTRAN cell identity: 20-bit eNB id over an 8-bit cell id."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < (1 << ECI_BITS):
-            raise OutOfRangeError(
-                f"ECI must be in [0, 2^{ECI_BITS}), got {self.value}"
-            )
-
-    @property
-    def enb_id(self) -> int:
-        return self.value >> CELL_ID_BITS
-
-    @property
-    def cell_id(self) -> int:
-        return self.value & ((1 << CELL_ID_BITS) - 1)
-
-
 def parse_plmn(text: str) -> PlmnId:
     """Split a 5- or 6-digit PLMN string into MCC (first 3) and MNC (rest)."""
     if len(text) not in (5, 6):
         raise BadLengthError(f"PLMN must be 5 or 6 characters, got {text!r}")
     _require_digits(text, "PLMN")
     return PlmnId(Mcc(text[:3]), Mnc(text[3:]))
-
-
-def make_tai(plmn: PlmnId, tac: Tac) -> Tai:
-    return Tai(plmn, tac)
-
-
-def split_eci(value: int) -> tuple[int, int]:
-    """Decompose a raw ECI into (enb_id, cell_id)."""
-    eci = Eci(value)
-    return eci.enb_id, eci.cell_id
-
-
-def region_key(tac: Tac, eci: Eci) -> tuple[int, int]:
-    """Composite grouping key for a geographic region, ordered TAC-first."""
-    return (tac.code, eci.value)

@@ -294,7 +294,8 @@ def parse_csv(stream: IO | bytes) -> tuple[Cells, IngestReport]:
             continue
         if (
             not 0.0 <= rng <= _FLOAT_MAX
-            or n < 0 or t_created < 0 or t_updated < 0
+            or not 0 <= n <= _FLOAT_MAX  # samples are binned as floats
+            or t_created < 0 or t_updated < 0
             or (signal_text and not -_FLOAT_MAX <= sig <= _FLOAT_MAX)
         ):
             bad_numeric += 1

@@ -49,7 +49,12 @@ def slot_ms(mu: int) -> float:
     return 1.0 / (1 << mu)
 
 
-def allowed_bandwidths_mhz(fr_band: str) -> tuple[float, ...]:
+def allowed_bandwidths_mhz(
+    fr_band: str, allowed: dict[str, tuple[float, ...]] | None = None
+) -> tuple[float, ...]:
+    """Allowed channel bandwidths of the range; ``allowed`` overrides per range."""
+    if allowed and fr_band in allowed:
+        return allowed[fr_band]
     if fr_band == "FR1":
         return FR1_BANDWIDTHS_MHZ
     if fr_band == "FR2":
@@ -63,7 +68,7 @@ def validate_bandwidth(
     allowed: dict[str, tuple[float, ...]] | None = None,
 ) -> None:
     """Raise unless ``bw_mhz`` is an allowed channel bandwidth for the range."""
-    table = allowed[fr_band] if allowed and fr_band in allowed else allowed_bandwidths_mhz(fr_band)
+    table = allowed_bandwidths_mhz(fr_band, allowed)
     if bw_mhz not in table:
         raise UnsupportedBandwidthError(
             f"{bw_mhz} MHz is not an allowed {fr_band} channel bandwidth {sorted(table)}"
@@ -168,12 +173,8 @@ class NrConfig:
         if not self.bwps:
             raise ValueError("at least one bandwidth part is required")
         if self.channel_bw_mhz == 0.0:
-            table = (
-                self.allowed[self.fr.band]
-                if self.allowed and self.fr.band in self.allowed
-                else allowed_bandwidths_mhz(self.fr.band)
-            )
-            object.__setattr__(self, "channel_bw_mhz", float(max(table)))
+            widest = max(allowed_bandwidths_mhz(self.fr.band, self.allowed))
+            object.__setattr__(self, "channel_bw_mhz", float(widest))
         validate_bandwidth(self.fr.band, self.channel_bw_mhz, self.allowed)
         for bwp in self.bwps:
             validate_bandwidth(self.fr.band, bwp.bw_mhz, self.allowed)

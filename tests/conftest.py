@@ -66,6 +66,16 @@ BASE_CONFIG = {
 }
 
 
+def set_key(doc: dict, dotted: str, value) -> dict:
+    """``doc`` with the dotted key set to ``value``, sections made as needed."""
+    *sections, key = dotted.split(".")
+    target = doc
+    for name in sections:
+        target = target.setdefault(name, {})
+    target[key] = value
+    return doc
+
+
 @pytest.fixture
 def base_config_dict() -> dict:
     return copy.deepcopy(BASE_CONFIG)

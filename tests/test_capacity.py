@@ -128,20 +128,3 @@ def test_max_subs_floor():
     assert max_subs_per_cell(300.0, traffic()) == 300
     assert max_subs_per_cell(300.5, traffic()) == 300
     assert max_subs_per_cell(309.6, traffic(target_load=0.5)) == 154
-
-
-def test_dimension_capacity_composes_the_leg():
-    from gnbdim.capacity import dimension_capacity
-
-    cfg = NrConfig(
-        fr=FrequencyRange("FR1", 3.5),
-        bwps=(bandwidth_part(mu=1, bw_mhz=100, n_prb=250),),
-        channel_bw_mhz=100,
-    )
-    res = dimension_capacity(cfg, traffic(), 100.0, 49.0)
-    assert res.cell_capacity_mbps == pytest.approx(309.6)
-    assert res.max_subs_per_cell == 309
-    assert res.radius_km == pytest.approx(math.sqrt(3.09 / HEX_AREA_FACTOR))
-    assert res.n_sites_capacity == 16
-    # At the capacity radius the cell runs exactly at its subscriber cap.
-    assert res.actual_load == pytest.approx(309 / 309.6)

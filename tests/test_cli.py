@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from gnbdim.cli import main
 
-from conftest import records_to_csv_text, tile_center_records
+from conftest import records_to_csv_text, set_key, tile_center_records
 
 GOOD_ROW = "LTE,310,260,6699,12345678,,-87.6,41.8,1000,57,1,1600000000,1700000000,-95"
 HEADER = "radio,mcc,net,area,cell,unit,lon,lat,range,samples,changeable,created,updated,averageSignal"
@@ -274,3 +274,63 @@ class TestDimension:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["deployment_area"]["w_cols"] == 3
         assert summary["deployment_area"]["area_km2"] == 9.0
+
+
+class TestConfigErrors:
+    """One case per class of bad config; each exits 2 naming the key."""
+
+    @pytest.mark.parametrize("dotted, value, flags", [
+        ("balance.eps_lod", 0.05, []),
+        ("balance.eps_load", float("nan"), []),
+        ("balance.max_iter", True, []),
+        ("grid.n_cols", 7.9, []),
+        ("link_budget.tx_power_dbm", "43", []),
+        ("grid.origin_lat", 95, []),
+        ("filters.bbox[0]", None, ["--bbox", "nan,0,1,1"]),
+    ], ids=["unknown-key", "non-finite", "bool", "fractional-int", "wrong-type",
+            "lat-range", "bbox-nan-flag"])
+    def test_exits_2_with_one_error_line(
+        self, runner, tmp_path, base_config_dict, towers_csv, dotted, value, flags
+    ):
+        base_config_dict["input"] = str(towers_csv)
+        base_config_dict["out"] = str(tmp_path / "out")
+        if not flags:
+            set_key(base_config_dict, dotted, value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config_dict), encoding="utf-8")
+        result = runner.invoke(main, ["dimension", "--config", str(cfg), *flags])
+        assert result.exit_code == 2, result.output
+        lines = result.output.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert dotted in lines[0]
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
+
+def test_samples_beyond_float_range_is_bad_numeric(runner, tmp_path, base_config_dict, towers_csv):
+    huge = "9" * 400
+    rows = towers_csv.read_text(encoding="utf-8").rstrip("\n").split("\n")
+    fields = rows[1].split(",")
+    fields[9] = huge
+    towers_csv.write_text("\n".join(rows + [",".join(fields)]) + "\n", encoding="utf-8")
+    base_config_dict["input"] = str(towers_csv)
+    base_config_dict["out"] = str(tmp_path / "out")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base_config_dict), encoding="utf-8")
+    result = runner.invoke(main, ["dimension", "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["ingest"]["reject_reasons"] == {"BadNumeric": 1}
+    assert summary["ingest"]["rows_kept"] == 49
+
+
+def test_filter_flags_are_written_into_the_echo(runner, tmp_path, config_file):
+    result = runner.invoke(main, [
+        "dimension", "--config", str(config_file),
+        "--radio", "lte", "--plmn", "310260", "--bbox", "-88,41,-87,42", "--window", "3x3",
+    ])
+    assert result.exit_code == 0, result.output
+    echo = json.loads((tmp_path / "out" / "summary.json").read_text())["config"]
+    assert echo["filters"] == {"radio": "LTE", "plmn": "310260", "bbox": [-88.0, 41.0, -87.0, 42.0]}
+    assert echo["window"] == {"w_cols": 3, "h_rows": 3}

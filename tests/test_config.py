@@ -1,10 +1,17 @@
+import copy
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnbdim.config import load_config, load_config_dict
 from gnbdim.errors import ConfigError
 from gnbdim.ingest import Radio
+
+from conftest import BASE_CONFIG, set_key
 
 
 class TestLoadConfig:
@@ -75,6 +82,10 @@ class TestLoadConfig:
         base_config_dict["nr"]["channel_bw_mhz"] = 100
         cfg = load_config_dict(base_config_dict)
         assert cfg.nr_config.bwps[0].bw_mhz == 37
+        # The echo keeps the table, so it reloads.
+        echo = cfg.to_dict()
+        assert echo["nr"]["allowed_bandwidths"] == {"FR1": [37, 100]}
+        assert load_config_dict(echo).nr_config.bwps[0].bw_mhz == 37
 
     def test_filters_parsed(self, base_config_dict):
         base_config_dict["filters"] = {
@@ -92,7 +103,11 @@ class TestLoadConfig:
         cfg = load_config_dict(base_config_dict)
         assert cfg.cost.capex_per_site == 200000.0
         assert cfg.cost.opex_per_site_per_year == 20000.0
-        # The echo bakes the multiplier in, so reloading it changes nothing.
+        # The echo carries the per-site costs and the multiplier as given,
+        # so reloading it changes nothing.
+        echo = cfg.to_dict()["cost"]
+        assert echo["capex_per_site"] == 100000.0
+        assert echo["cost_multiplier"] == 2.0
         assert load_config_dict(cfg.to_dict()).cost == cfg.cost
 
     def test_file_loading(self, base_config_dict, tmp_path):
@@ -110,3 +125,138 @@ class TestLoadConfig:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
+
+    def test_document_is_not_changed(self, base_config_dict):
+        before = copy.deepcopy(base_config_dict)
+        load_config_dict(base_config_dict)
+        assert base_config_dict == before
+
+
+# (dotted key to set, value, text the error must contain: the dotted key)
+DEFECTS = [
+    ("balance.eps_lod", 0.05, "balance.eps_lod"),
+    ("sneaky", {"a": 1}, "sneaky"),
+    ("balance.eps_load", float("nan"), "balance.eps_load"),
+    ("balance.max_iter", True, "balance.max_iter"),
+    ("link_budget.tx_power_dbm", "43", "link_budget.tx_power_dbm"),
+    ("grid.tile_km", float("inf"), "grid.tile_km"),
+    ("grid.tile_km", 1e200, "grid.tile_km"),
+    ("grid.origin_lat", 95, "grid.origin_lat"),
+    ("grid.origin_lon", -180.5, "grid.origin_lon"),
+    ("grid.n_cols", 7.9, "grid.n_cols"),
+    ("input", 5, "input"),
+    ("filters.bbox", [float("nan"), 0, 1, 1], "filters.bbox[0]"),
+    ("filters.radio", "lte", "filters.radio"),
+    ("nr.bwps", "x", "nr.bwps must be a list"),  # not "missing nr.bwps[0].mu"
+    ("nr.carrier_ghz", 10**400, "nr.carrier_ghz"),
+    ("link_budget.sensitivity_prbs", 0, "link_budget.sensitivity_prbs"),
+    ("cost.cost_multiplier", 0, "cost.cost_multiplier"),
+    ("cost.duty_fraction", 1.5, "cost.duty_fraction"),
+    ("traffic.target_load", 0, "traffic.target_load"),
+]
+
+
+@pytest.mark.parametrize(
+    "dotted, value, named", DEFECTS, ids=[f"{d}={v!r:.12}" for d, v, _ in DEFECTS]
+)
+def test_defect_is_config_error_naming_the_key(base_config_dict, dotted, value, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_config_dict(set_key(base_config_dict, dotted, value))
+
+
+# --- the echo of any valid document reloads to the same configuration -------
+
+def _num(lo: float, hi: float):
+    """Finite numbers in [lo, hi], as JSON ints or floats."""
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)), st.floats(lo, hi))
+
+
+# Keys with a default, any of which a document may leave out.
+DEFAULTED = [
+    "nr.guard_fraction", "nr.channel_bw_mhz", "link_budget.tx_losses_db",
+    "link_budget.sensitivity_prbs", "propagation.beta_db", "traffic.target_load",
+    "traffic.subs_per_weight", "balance.eps_radius", "balance.max_iter",
+    "balance.eta", "cost.duty_fraction", "grid.tile_km", "input", "out",
+]
+
+
+@st.composite
+def documents(draw) -> dict:
+    """Valid configuration documents, with every optional part of the schema."""
+    doc = copy.deepcopy(BASE_CONFIG)
+    allowed = draw(st.booleans())
+    bws = draw(st.lists(st.sampled_from([5, 10, 20, 40, 50, 100]),
+                        min_size=1, max_size=2 if allowed else 1))
+    channel = sum(bws)
+    parts, overrides = [], []
+    for bw in bws:
+        mu = draw(st.integers(0, 3))
+        fits = int(bw * 1e6 // (12 * 15e3 * 2**mu))
+        part = {"mu": mu, "bw_mhz": bw, "purpose": draw(st.sampled_from(["", "embb", "urllc"]))}
+        if draw(st.booleans()):
+            part["n_prb"] = draw(st.integers(1, fits))
+        if draw(st.booleans()):
+            overrides.append({"bw_mhz": bw, "mu": mu, "n_prb": draw(st.integers(1, fits))})
+        parts.append(part)
+    doc["nr"] = {
+        "fr": "FR1",
+        "carrier_ghz": draw(_num(0.5, 6.0)),
+        "channel_bw_mhz": draw(st.sampled_from([0, channel])),
+        "guard_fraction": draw(_num(0.0, 0.3)),
+        "bwps": parts,
+    }
+    if allowed:
+        doc["nr"]["allowed_bandwidths"] = {"FR1": sorted({*bws, channel})}
+    if overrides:
+        doc["nr"]["prb_overrides"] = overrides
+    doc["link_budget"]["tx_power_dbm"] = draw(_num(20, 50))
+    doc["link_budget"]["tx_losses_db"] = draw(_num(0, 5))
+    doc["link_budget"]["sensitivity_prbs"] = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        doc["propagation"] = {"kind": "abg", "alpha": draw(_num(15, 40)),
+                              "beta_db": draw(_num(0, 40)), "gamma": draw(_num(0, 3))}
+    doc["traffic"]["target_load"] = draw(_num(0.1, 1))
+    doc["traffic"]["subs_per_weight"] = draw(_num(0.1, 10))
+    doc["balance"] = {
+        "eps_radius": draw(_num(0.01, 1)), "eps_load": draw(_num(0.001, 1)),
+        "max_iter": draw(st.integers(1, 500)), "damping": draw(_num(0.01, 1)),
+        "eta": draw(_num(0, 0.99)),
+    }
+    doc["cost"]["capex_per_site"] = draw(_num(0, 1e6))
+    doc["cost"]["duty_fraction"] = draw(st.floats(0.01, 1))
+    doc["cost"]["cost_multiplier"] = draw(st.floats(0.01, 100).filter(lambda x: x != 1))
+    n_cols, n_rows = draw(st.integers(1, 50)), draw(st.integers(1, 50))
+    doc["grid"] = {
+        "origin_lon": draw(_num(-180, 180)), "origin_lat": draw(_num(-90, 90)),
+        "n_cols": n_cols, "n_rows": n_rows, "tile_km": draw(_num(0.1, 5)),
+    }
+    doc["window"] = {"w_cols": draw(st.integers(1, n_cols)),
+                     "h_rows": draw(st.integers(1, n_rows))}
+    lons = sorted(draw(st.lists(st.floats(-180, 180), min_size=2, max_size=2)))
+    lats = sorted(draw(st.lists(st.floats(-90, 90), min_size=2, max_size=2)))
+    doc["filters"] = {
+        "radio": draw(st.sampled_from([r.value for r in Radio])),
+        "plmn": draw(st.sampled_from(["310260", "20801", "001001"])),
+        "bbox": [lons[0], lats[0], lons[1], lats[1]],
+    }
+    doc["input"] = draw(st.text(max_size=8))
+    doc["out"] = draw(st.one_of(st.none(), st.text(max_size=8)))
+    for dotted in draw(st.sets(st.sampled_from(DEFAULTED))):
+        *sections, key = dotted.split(".")
+        target = doc
+        for name in sections:
+            target = target[name]
+        target.pop(key, None)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents())
+def test_echo_reloads_to_the_same_config(doc):
+    cfg = load_config_dict(doc)
+    echo = json.loads(json.dumps(cfg.to_dict()))  # as summary.json carries it
+    again = load_config_dict(echo)
+    assert again == cfg
+    # NrConfig.allowed does not take part in ==, so the echoes are compared too.
+    assert again.to_dict() == cfg.to_dict()
+    assert ("allowed_bandwidths" in echo["nr"]) == ("allowed_bandwidths" in doc["nr"])

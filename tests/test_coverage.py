@@ -9,7 +9,6 @@ from gnbdim.coverage import (
     HEX_AREA_FACTOR,
     LinkBudget,
     abg,
-    dimension_coverage,
     free_space,
     hexagon_area_km2,
     invert_to_radius,
@@ -165,14 +164,3 @@ class TestSites:
 
     def test_hexagon_area_factor(self):
         assert HEX_AREA_FACTOR == pytest.approx(3.0 * math.sqrt(3.0) / 2.0)
-
-
-def test_dimension_coverage_composes_the_leg():
-    link = make_link(penetration_margin_db=44.0)
-    res = dimension_coverage(link, free_space(), 3500, 360e3, 49.0)
-    assert res.mapl_db == pytest.approx(117.43697499232712)
-    assert res.radius_km == pytest.approx(
-        invert_to_radius(free_space(), 3500, res.mapl_db), rel=1e-9
-    )
-    assert res.cell_area_km2 == pytest.approx(hexagon_area_km2(res.radius_km))
-    assert res.n_sites_coverage == sites_for_coverage(49.0, res.radius_km)

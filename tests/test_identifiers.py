@@ -2,15 +2,10 @@ import pytest
 
 from gnbdim.errors import BadLengthError, NonDigitError, OutOfRangeError
 from gnbdim.identifiers import (
-    Eci,
     Mcc,
     Mnc,
-    PlmnId,
     Tac,
-    make_tai,
     parse_plmn,
-    region_key,
-    split_eci,
 )
 
 
@@ -66,52 +61,3 @@ class TestComponents:
             Tac(65536)
         with pytest.raises(OutOfRangeError):
             Tac(-1)
-
-
-class TestTai:
-    def test_zero_tac(self):
-        assert str(make_tai(parse_plmn("310260"), Tac(0))) == "310260-0000"
-
-    def test_hex_serialization(self):
-        assert str(make_tai(parse_plmn("310260"), Tac(6699))) == "310260-1A2B"
-
-    def test_max_tac(self):
-        assert str(make_tai(parse_plmn("20801"), Tac(65535))) == "20801-FFFF"
-
-
-class TestEci:
-    def test_zero(self):
-        assert split_eci(0) == (0, 0)
-
-    def test_split(self):
-        assert split_eci(12345678) == (48225, 78)
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            split_eci(1 << 28)
-        with pytest.raises(OutOfRangeError):
-            split_eci(-1)
-
-    def test_recomposition(self):
-        values = list(range(0, 600)) + [5_000_000, (1 << 28) - 1, 12345678]
-        for v in values:
-            enb, cell = split_eci(v)
-            assert enb * 256 + cell == v
-            assert 0 <= cell < 256
-
-
-class TestRegionKey:
-    def test_equality_and_distinctness(self):
-        k = region_key(Tac(100), Eci(5))
-        assert k == region_key(Tac(100), Eci(5))
-        assert k != region_key(Tac(101), Eci(5))
-        assert k != region_key(Tac(100), Eci(6))
-
-    def test_orders_tac_first(self):
-        assert region_key(Tac(99), Eci(900)) < region_key(Tac(100), Eci(1))
-
-    def test_injective_over_small_ranges(self):
-        keys = {
-            region_key(Tac(t), Eci(e)) for t in range(25) for e in range(25)
-        }
-        assert len(keys) == 25 * 25

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from collections import Counter
 
 from hypothesis import given, settings
@@ -102,6 +103,8 @@ def _parse_row(row: list[str]) -> CellRecord:
     if range_m < 0:
         raise _RowError(BAD_NUMERIC, f"range: {range_m} below 0")
     samples = _parse_int(row[9].strip(), "samples")
+    if samples > sys.float_info.max:
+        raise _RowError(BAD_NUMERIC, f"samples: {samples} beyond the float range")
     created = _parse_int(row[11].strip(), "created")
     updated = _parse_int(row[12].strip(), "updated")
 
@@ -173,7 +176,7 @@ VALID = [
     st.floats(-180, 180).map(repr),                                    # lon
     st.floats(-90, 90).map(repr),                                      # lat
     st.one_of(st.floats(0, 1e6).map(repr), ints(0, 10**4)),            # range
-    st.one_of(ints(0, 10**6), st.just(str(10**20))),                   # samples
+    st.one_of(ints(0, 10**6), st.sampled_from([str(10**20), str(10**400)])),  # samples
     TEXT,                                                              # changeable
     ints(0, 2_000_000_000),                                            # created
     ints(0, 2_000_000_000),                                            # updated
