@@ -149,6 +149,7 @@ DEFECTS = [
     ("filters.radio", "lte", "filters.radio"),
     ("nr.bwps", "x", "nr.bwps must be a list"),  # not "missing nr.bwps[0].mu"
     ("nr.carrier_ghz", 10**400, "nr.carrier_ghz"),
+    ("nr.bwps", [{"mu": 1, "bw_mhz": 1e305}], "nr: "),  # PRB count overflows
     ("link_budget.sensitivity_prbs", 0, "link_budget.sensitivity_prbs"),
     ("cost.cost_multiplier", 0, "cost.cost_multiplier"),
     ("cost.duty_fraction", 1.5, "cost.duty_fraction"),
