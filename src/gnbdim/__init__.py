@@ -41,15 +41,8 @@ from .economics import (  # noqa: F401
     compare_areas,
     cost_per_bit,
 )
-from .identifiers import (  # noqa: F401
-    Mcc,
-    Mnc,
-    PlmnId,
-    Tac,
-    parse_plmn,
-)
+from .identifiers import parse_plmn  # noqa: F401
 from .ingest import (  # noqa: F401
-    CellRecord,
     Cells,
     IngestReport,
     Radio,
@@ -61,7 +54,6 @@ from .nr import (  # noqa: F401
     BandwidthPart,
     FrequencyRange,
     NrConfig,
-    latency_feasible,
     prb_count,
     scs_khz,
     slot_ms,

@@ -142,10 +142,7 @@ def density_cmd(config_path, input_path, out_dir, window) -> None:
             config_path, {"input": input_path, "out": out_dir, "window": _window(window)}
         )
         records, _report = _read_input(cfg.input_path)
-        records = filter_records(records, radio=cfg.radio, plmn=cfg.plmn, bbox=cfg.bbox)
-
-        grid = density.bin_records(records, cfg.grid)
-        area = density.find_5gda(grid, cfg.w_cols, cfg.h_rows)
+        grid, area = pipeline.locate_area(cfg, records)
 
         out = Path(cfg.out_dir or ".")
         out.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 from . import balance, capacity, coverage, density, economics, ingest, nr
 from .errors import ConfigError, GnbdimError
-from .identifiers import PlmnId, parse_plmn
+from .identifiers import parse_plmn
 
 REQUIRED = object()  # default of a key that must be given
 ABSENT = object()  # default of a key left out, of the echo too, unless given
@@ -225,7 +225,7 @@ SCHEMA = {
 }
 
 
-Filters = tuple[ingest.Radio | None, PlmnId | None, ingest.Bbox | None]
+Filters = tuple[ingest.Radio | None, str | None, ingest.Bbox | None]
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,7 @@ class RunConfig:
     w_cols: int
     h_rows: int
     radio: ingest.Radio | None
-    plmn: PlmnId | None
+    plmn: str | None  # MCC+MNC digits
     bbox: ingest.Bbox | None
     input_path: str | None
     out_dir: str | None

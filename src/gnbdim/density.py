@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import NonPositiveScaleError, WindowTooLargeError
-from .ingest import CellRecord, Cells, as_cells
+from .errors import GnbdimError, NonPositiveScaleError, WindowTooLargeError
+from .ingest import Cells
 
 EARTH_RADIUS_KM = 6371.0088
 MAX_TILES = 100_000_000
@@ -112,11 +111,10 @@ class DeploymentArea:
     area_km2: float
 
 
-def bin_records(records: Cells | Sequence[CellRecord], spec: GridSpec) -> DensityGrid:
+def bin_records(records: Cells, spec: GridSpec) -> DensityGrid:
     """Accumulate each record's samples into its tile; out-of-grid is counted."""
-    cells = as_cells(records)
-    samples = np.array(cells.samples, dtype=np.float64)
-    x, y = project(cells.lon, cells.lat, spec)
+    samples = np.array(records.samples, dtype=np.float64)
+    x, y = project(records.lon, records.lat, spec)
     col = np.floor(x / spec.tile_km).astype(np.int64)
     row = np.floor(y / spec.tile_km).astype(np.int64)
     inside = (col >= 0) & (col < spec.n_cols) & (row >= 0) & (row < spec.n_rows)
@@ -142,6 +140,8 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
 
     All window placements are scored in O(n_rows * n_cols); the first
     maximum in row-major order wins, which is the south-west tie-break.
+    Weights are sample counts, never negative, so the grid total is the
+    largest prefix sum and bounds every window sum.
     """
     rows, cols = grid.weight.shape
     if not (1 <= w_cols <= cols and 1 <= h_rows <= rows):
@@ -149,8 +149,15 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
             f"window {w_cols}x{h_rows} does not fit the {cols}x{rows} grid"
         )
     prefix = np.zeros((rows + 1, cols + 1), dtype=np.float64)
-    np.cumsum(grid.weight, axis=0, out=prefix[1:, 1:])
-    np.cumsum(prefix[1:, 1:], axis=1, out=prefix[1:, 1:])
+    with np.errstate(over="ignore"):  # an overflow shows in the total, checked next
+        np.cumsum(grid.weight, axis=0, out=prefix[1:, 1:])
+        np.cumsum(prefix[1:, 1:], axis=1, out=prefix[1:, 1:])
+    total = float(prefix[-1, -1])
+    if not math.isfinite(total):
+        raise GnbdimError(
+            f"binned samples overflow: the grid's total weight is {total}, "
+            "beyond the float range"
+        )
     # In place, in the order (a - b) - c + d, with no further full-grid temporary.
     sums = prefix[h_rows:, w_cols:] - prefix[:-h_rows, w_cols:]
     sums -= prefix[h_rows:, :-w_cols]
@@ -189,32 +196,11 @@ def grid_to_csv(grid: DensityGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tile_polygon(spec: GridSpec, col: int, row: int, d_cols: int = 1, d_rows: int = 1) -> list:
+def _tile_polygon(spec: GridSpec, col: int, row: int, d_cols: int, d_rows: int) -> list:
     x0, y0 = col * spec.tile_km, row * spec.tile_km
     x1, y1 = (col + d_cols) * spec.tile_km, (row + d_rows) * spec.tile_km
     corners_km = [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]
     return [list(unproject(x, y, spec)) for x, y in corners_km]
-
-
-def grid_to_geojson(grid: DensityGrid) -> dict:
-    """FeatureCollection of tile polygons carrying weight/tower properties."""
-    features = []
-    for row in range(grid.spec.n_rows):
-        for col in range(grid.spec.n_cols):
-            features.append({
-                "type": "Feature",
-                "geometry": {
-                    "type": "Polygon",
-                    "coordinates": [_tile_polygon(grid.spec, col, row)],
-                },
-                "properties": {
-                    "row": row,
-                    "col": col,
-                    "weight": float(grid.weight[row, col]),
-                    "towers": int(grid.towers[row, col]),
-                },
-            })
-    return {"type": "FeatureCollection", "features": features}
 
 
 def area_to_geojson(area: DeploymentArea, spec: GridSpec) -> dict:

@@ -29,10 +29,6 @@ class BadLengthError(GnbdimError, ValueError):
     """Identifier text has the wrong number of characters."""
 
 
-class OutOfRangeError(GnbdimError, ValueError):
-    """Numeric identifier outside its allowed range."""
-
-
 # --- ingest ---------------------------------------------------------------
 
 class MissingHeaderError(GnbdimError):

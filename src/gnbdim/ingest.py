@@ -13,8 +13,8 @@ A single-digit ``net`` column is zero-padded to the 2-digit minimum MNC
 width (exports strip leading zeros); wider values are kept verbatim.
 
 Kept rows land in a columnar :class:`Cells` table, built in one pass over
-the rows with no per-row object; :class:`CellRecord` is the value type of
-a single row.
+the rows with no per-row object. It is the one representation of tower
+rows.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import compress
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
 from .errors import BadBboxError, GnbdimError, MissingHeaderError
-from .identifiers import Mcc, Mnc, PlmnId, Tac
+from .identifiers import plmn_digits
 
 EXPECTED_HEADER = (
     "radio", "mcc", "net", "area", "cell", "unit", "lon", "lat",
@@ -65,23 +65,6 @@ _LTE = _RADIO_CODE[Radio.LTE.value]
 
 _FLOAT_MAX = sys.float_info.max
 _NAN = float("nan")
-
-
-@dataclass(frozen=True)
-class CellRecord:
-    """One crowdsourced tower observation."""
-
-    radio: Radio
-    plmn: PlmnId
-    area: Tac
-    cell: int
-    lon: float
-    lat: float
-    range_m: float
-    samples: int
-    created: int
-    updated: int
-    avg_signal: float | None = None
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -126,27 +109,6 @@ class Cells:
     def __repr__(self) -> str:
         return f"Cells({len(self)} rows)"
 
-    def row(self, i: int) -> CellRecord:
-        """Row ``i`` as a single-row value."""
-        plmn = self.plmn[i]
-        signal = float(self.avg_signal[i])
-        return CellRecord(
-            radio=RADIOS[self.radio[i]],
-            plmn=PlmnId(Mcc(plmn[:3]), Mnc(plmn[3:])),
-            area=Tac(self.area[i]),
-            cell=self.cell[i],
-            lon=float(self.lon[i]),
-            lat=float(self.lat[i]),
-            range_m=float(self.range_m[i]),
-            samples=self.samples[i],
-            created=self.created[i],
-            updated=self.updated[i],
-            avg_signal=None if signal != signal else signal,
-        )
-
-    def __iter__(self) -> Iterator[CellRecord]:
-        return (self.row(i) for i in range(len(self)))
-
     def take(self, keep: np.ndarray) -> Cells:
         """The rows where the boolean mask ``keep`` is true, in order."""
         flags = keep.tolist()
@@ -163,30 +125,6 @@ class Cells:
             updated=list(compress(self.updated, flags)),
             avg_signal=self.avg_signal[keep],
         )
-
-
-def as_cells(records: Cells | Iterable[CellRecord]) -> Cells:
-    """``records`` as a Cells table; a list of CellRecord is converted."""
-    if isinstance(records, Cells):
-        return records
-    records = list(records)
-
-    def floats(values):
-        return np.array(values, dtype=np.float64)
-
-    return Cells(
-        radio=np.array([_RADIO_CODE[r.radio.value] for r in records], dtype=np.int8),
-        plmn=[str(r.plmn) for r in records],
-        area=[r.area.code for r in records],
-        cell=[r.cell for r in records],
-        lon=floats([r.lon for r in records]),
-        lat=floats([r.lat for r in records]),
-        range_m=floats([r.range_m for r in records]),
-        samples=[r.samples for r in records],
-        created=[r.created for r in records],
-        updated=[r.updated for r in records],
-        avg_signal=floats([_NAN if r.avg_signal is None else r.avg_signal for r in records]),
-    )
 
 
 @dataclass(frozen=True)
@@ -214,7 +152,7 @@ def _plmn_digits(mcc_text: str, net_text: str) -> str | None:
     if len(mnc) == 1 and mnc.isdigit():
         mnc = "0" + mnc
     try:
-        return str(PlmnId(Mcc(mcc_text.strip()), Mnc(mnc)))
+        return plmn_digits(mcc_text.strip(), mnc)
     except GnbdimError:
         return None
 
@@ -352,9 +290,8 @@ def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
         return parse_csv(fh)
 
 
-def write_cells(path: str | Path, records: Cells | Iterable[CellRecord]) -> None:
+def write_cells(path: str | Path, records: Cells) -> None:
     """Write records back out in the canonical 14-column layout."""
-    records = as_cells(records)
     names = [radio.value for radio in RADIOS]
     rows = zip(
         records.radio.tolist(), records.plmn, records.area, records.cell,
@@ -378,26 +315,25 @@ Bbox = tuple[float, float, float, float]  # (min_lon, min_lat, max_lon, max_lat)
 
 
 def filter_records(
-    records: Cells | Iterable[CellRecord],
+    records: Cells,
     radio: Radio | None = None,
-    plmn: PlmnId | None = None,
+    plmn: str | None = None,
     bbox: Bbox | None = None,
 ) -> Cells:
     """Keep records matching every present predicate, in input order.
 
-    When every row matches, the input table itself is returned.
+    ``plmn`` is an MCC+MNC digit string. When every row matches, the input
+    table itself is returned.
     """
-    cells = as_cells(records)
-    keep = np.ones(len(cells), dtype=bool)
+    keep = np.ones(len(records), dtype=bool)
     if bbox is not None:
         min_lon, min_lat, max_lon, max_lat = bbox
         if min_lon > max_lon or min_lat > max_lat:
             raise BadBboxError(f"bbox min exceeds max: {bbox}")
-        keep &= (min_lon <= cells.lon) & (cells.lon <= max_lon)
-        keep &= (min_lat <= cells.lat) & (cells.lat <= max_lat)
+        keep &= (min_lon <= records.lon) & (records.lon <= max_lon)
+        keep &= (min_lat <= records.lat) & (records.lat <= max_lat)
     if radio is not None:
-        keep &= cells.radio == _RADIO_CODE[radio.value]
+        keep &= records.radio == _RADIO_CODE[radio.value]
     if plmn is not None:
-        digits = str(plmn)
-        keep &= np.fromiter((p == digits for p in cells.plmn), dtype=bool, count=len(cells))
-    return cells if keep.all() else cells.take(keep)
+        keep &= np.fromiter((p == plmn for p in records.plmn), dtype=bool, count=len(records))
+    return records if keep.all() else records.take(keep)

@@ -152,13 +152,6 @@ def bandwidth_part(
     return BandwidthPart(mu=mu, bw_mhz=bw_mhz, n_prb=n_prb, purpose=purpose)
 
 
-def latency_feasible(bwp: BandwidthPart, tti_budget_ms: float) -> bool:
-    """True when the part's slot duration fits the TTI budget (inclusive)."""
-    if tti_budget_ms <= 0:
-        raise ValueError("tti_budget_ms must be positive")
-    return slot_ms(bwp.mu) <= tti_budget_ms
-
-
 @dataclass(frozen=True)
 class NrConfig:
     """Carrier-level radio configuration: range, channel, and its BWPs."""

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
 
 from . import __version__
 from .balance import DimensioningResult, iterate_balance
@@ -30,7 +29,7 @@ from .density import (
 )
 from .economics import CostReport, cost_per_bit
 from .errors import ZeroTrafficError
-from .ingest import CellRecord, Cells, IngestReport, filter_records
+from .ingest import Cells, IngestReport, filter_records
 
 log = logging.getLogger(__name__)
 
@@ -45,15 +44,18 @@ class DimensionOutcome:
     sites_lonlat: list[tuple[float, float]]
 
 
-def run_dimension(
-    cfg: RunConfig, records: Cells | Sequence[CellRecord]
-) -> DimensionOutcome:
-    """Run the full pipeline over already-parsed records."""
+def locate_area(cfg: RunConfig, records: Cells) -> tuple[DensityGrid, DeploymentArea]:
+    """Filter the records, bin them and find the deployment area."""
     kept = filter_records(records, radio=cfg.radio, plmn=cfg.plmn, bbox=cfg.bbox)
     grid = bin_records(kept, cfg.grid)
     if grid.n_outside:
         log.info("%d records fall outside the grid", grid.n_outside)
-    area = find_5gda(grid, cfg.w_cols, cfg.h_rows)
+    return grid, find_5gda(grid, cfg.w_cols, cfg.h_rows)
+
+
+def run_dimension(cfg: RunConfig, records: Cells) -> DimensionOutcome:
+    """Run the full pipeline over already-parsed records."""
+    grid, area = locate_area(cfg, records)
     rho = subscriber_density(area, cfg.subs_per_weight)
     log.info(
         "deployment area at (col %d, row %d), weight %.0f, density %.1f subs/km2",

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import copy
 
+import numpy as np
 import pytest
 
 from gnbdim.config import load_config_dict
 from gnbdim.density import GridSpec, unproject
-from gnbdim.identifiers import Tac, parse_plmn
-from gnbdim.ingest import CellRecord, Radio
+from gnbdim.ingest import RADIOS, Cells, Radio
 
 # Reference urban scenario: 7x7 km2, FR1 at 3.5 GHz with a single 100 MHz
 # eMBB bandwidth part, deep-indoor margins. Chosen so the converged plan is
@@ -86,51 +86,58 @@ def base_config(base_config_dict):
     return load_config_dict(base_config_dict)
 
 
-def tile_center_records(spec: GridSpec, samples: int) -> list[CellRecord]:
-    """One LTE tower at the center of every tile, ``samples`` each."""
-    plmn = parse_plmn("310260")
-    records = []
-    cell = 0
-    for row in range(spec.n_rows):
-        for col in range(spec.n_cols):
-            lon, lat = unproject((col + 0.5) * spec.tile_km, (row + 0.5) * spec.tile_km, spec)
-            records.append(
-                CellRecord(
-                    radio=Radio.LTE,
-                    plmn=plmn,
-                    area=Tac(100),
-                    cell=cell,
-                    lon=lon,
-                    lat=lat,
-                    range_m=500.0,
-                    samples=samples,
-                    created=1_600_000_000,
-                    updated=1_700_000_000,
-                )
-            )
-            cell += 1
-    return records
+def towers(lon, lat, samples) -> Cells:
+    """LTE towers of PLMN 310260 at the given coordinates and sample counts."""
+    n = len(samples)
+    return Cells(
+        radio=np.full(n, RADIOS.index(Radio.LTE), dtype=np.int8),
+        plmn=["310260"] * n,
+        area=[100] * n,
+        cell=list(range(n)),
+        lon=np.array(lon, dtype=np.float64),
+        lat=np.array(lat, dtype=np.float64),
+        range_m=np.full(n, 500.0),
+        samples=list(samples),
+        created=[1_600_000_000] * n,
+        updated=[1_700_000_000] * n,
+        avg_signal=np.full(n, np.nan),  # absent
+    )
 
 
-def records_to_csv_text(records: list[CellRecord]) -> str:
+def tile_center_records(spec: GridSpec, samples: int) -> Cells:
+    """One LTE tower at the center of every tile, ``samples`` each, row-major."""
+    centers = [
+        unproject((col + 0.5) * spec.tile_km, (row + 0.5) * spec.tile_km, spec)
+        for row in range(spec.n_rows)
+        for col in range(spec.n_cols)
+    ]
+    return towers([c[0] for c in centers], [c[1] for c in centers], [samples] * len(centers))
+
+
+def records_to_csv_text(records: Cells) -> str:
     """Render records in the 14-column ingest layout."""
     lines = [
         "radio,mcc,net,area,cell,unit,lon,lat,range,samples,changeable,created,updated,averageSignal"
     ]
-    for r in records:
-        signal = "" if r.avg_signal is None else repr(r.avg_signal)
+    rows = zip(
+        records.radio.tolist(), records.plmn, records.area, records.cell,
+        records.lon.tolist(), records.lat.tolist(), records.range_m.tolist(),
+        records.samples, records.created, records.updated, records.avg_signal.tolist(),
+    )
+    for code, plmn, area, cell, lon, lat, range_m, samples, created, updated, signal in rows:
+        signal = "" if signal != signal else repr(signal)
         lines.append(
-            f"{r.radio.value},{r.plmn.mcc},{r.plmn.mnc},{r.area.code},{r.cell},,"
-            f"{r.lon!r},{r.lat!r},{r.range_m!r},{r.samples},1,{r.created},{r.updated},{signal}"
+            f"{RADIOS[code].value},{plmn[:3]},{plmn[3:]},{area},{cell},,"
+            f"{lon!r},{lat!r},{range_m!r},{samples},1,{created},{updated},{signal}"
         )
     return "\n".join(lines) + "\n"
 
 
 @pytest.fixture
-def dense_records(base_config) -> list[CellRecord]:
+def dense_records(base_config) -> Cells:
     return tile_center_records(base_config.grid, samples=100)
 
 
 @pytest.fixture
-def sparse_records(base_config) -> list[CellRecord]:
+def sparse_records(base_config) -> Cells:
     return tile_center_records(base_config.grid, samples=10)

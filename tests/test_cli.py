@@ -1,6 +1,7 @@
 import gzip
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -152,9 +153,10 @@ class TestDensity:
         assert doc["properties"]["total_weight"] == 4900.0
 
     def test_single_tower_window_contains_it(self, runner, tmp_path, base_config_dict, base_config):
-        record = tile_center_records(base_config.grid, samples=9)[10]  # tile (3, 1)
+        records = tile_center_records(base_config.grid, samples=9)
+        record = records.take(np.arange(len(records)) == 10)  # tile (3, 1)
         src = tmp_path / "one.csv"
-        src.write_text(records_to_csv_text([record]), encoding="utf-8")
+        src.write_text(records_to_csv_text(record), encoding="utf-8")
         base_config_dict["input"] = str(src)
         base_config_dict["out"] = str(tmp_path / "out")
         base_config_dict["window"] = {"w_cols": 2, "h_rows": 2}
@@ -221,11 +223,7 @@ class TestDimension:
         assert strip(first) == strip(second)
 
     def test_zero_traffic_is_coverage_only(self, runner, tmp_path, base_config_dict, base_config):
-        import dataclasses
-        records = [
-            dataclasses.replace(r, samples=0)
-            for r in tile_center_records(base_config.grid, samples=0)
-        ]
+        records = tile_center_records(base_config.grid, samples=0)
         src = tmp_path / "silent.csv"
         src.write_text(records_to_csv_text(records), encoding="utf-8")
         base_config_dict["input"] = str(src)
@@ -323,6 +321,27 @@ def test_samples_beyond_float_range_is_bad_numeric(runner, tmp_path, base_config
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["ingest"]["reject_reasons"] == {"BadNumeric": 1}
     assert summary["ingest"]["rows_kept"] == 49
+
+
+@pytest.mark.parametrize("command", ["dimension", "density"])
+def test_overflowing_tile_weights_exit_2(runner, tmp_path, base_config_dict, towers_csv, command):
+    # Each count is finite, so both rows are kept; their sum is not.
+    rows = towers_csv.read_text(encoding="utf-8").rstrip("\n").split("\n")
+    for i in (1, 2):
+        fields = rows[i].split(",")
+        fields[9] = str(10**308)
+        rows.append(",".join(fields))
+    towers_csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    base_config_dict["input"] = str(towers_csv)
+    base_config_dict["out"] = str(tmp_path / "out")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base_config_dict), encoding="utf-8")
+    result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().split("\n")
+    assert len(lines) == 1
+    assert lines[0].startswith("error: binned samples overflow")
+    assert not (tmp_path / "out").exists()
 
 
 def test_filter_flags_are_written_into_the_echo(runner, tmp_path, config_file):

@@ -12,14 +12,13 @@ from gnbdim.density import (
     bin_records,
     find_5gda,
     grid_to_csv,
-    grid_to_geojson,
     project,
     subscriber_density,
     unproject,
 )
 from gnbdim.errors import NonPositiveScaleError, WindowTooLargeError
 
-from conftest import tile_center_records
+from conftest import tile_center_records, towers
 
 
 def spec_at(lon=0.0, lat=0.0, cols=7, rows=7, tile=1.0) -> GridSpec:
@@ -72,7 +71,8 @@ class TestProject:
 class TestBinRecords:
     def test_single_record_lands_in_its_tile(self):
         spec = spec_at(lon=-87.7, lat=41.8)
-        records = [r for r in tile_center_records(spec, samples=57)][:1]
+        centers = tile_center_records(spec, samples=57)
+        records = towers(centers.lon[:1], centers.lat[:1], [57])
         # conftest places the first tower at tile (0, 0).
         grid = bin_records(records, spec)
         assert grid.weight[0, 0] == 57.0
@@ -81,17 +81,15 @@ class TestBinRecords:
         assert grid.n_outside == 0
 
     def test_empty_input(self):
-        grid = bin_records([], spec_at())
+        grid = bin_records(towers([], [], []), spec_at())
         assert grid.weight.sum() == 0.0
         assert grid.towers.sum() == 0
         assert grid.weight.dtype == np.float64
 
     def test_same_tile_accumulates(self):
         spec = spec_at(lon=-87.7, lat=41.8)
-        base = tile_center_records(spec, samples=10)[3]
-        import dataclasses
-        other = dataclasses.replace(base, samples=20, cell=base.cell + 1)
-        grid = bin_records([base, other], spec)
+        centers = tile_center_records(spec, samples=10)
+        grid = bin_records(towers(centers.lon[[3, 3]], centers.lat[[3, 3]], [10, 20]), spec)
         assert grid.weight.max() == 30.0
         assert grid.towers.max() == 2
 
@@ -105,30 +103,30 @@ class TestBinRecords:
     def test_matches_sequential_loop(self):
         # Samples up to 1e17 are not all exact in float64, so sums depend on
         # the order of addition: the reference adds row by row, in input order.
-        import dataclasses
         rng = np.random.default_rng(11)
         spec = spec_at(lon=-87.7, lat=41.8, cols=9, rows=6, tile=0.5)
         wider = spec_at(lon=-87.75, lat=41.75, cols=14, rows=12, tile=0.5)
-        records = [
-            dataclasses.replace(r, samples=int(rng.integers(0, 10**17)))
-            for r in tile_center_records(wider, samples=1)
-            for _ in range(3)
-        ]
-        rng.shuffle(records)
+        centers = tile_center_records(wider, samples=1)
+        # Three towers per tile center, in shuffled order.
+        at = np.repeat(np.arange(len(centers)), 3)
+        rng.shuffle(at)
+        records = towers(
+            centers.lon[at], centers.lat[at], [int(rng.integers(0, 10**17)) for _ in at]
+        )
         weight = np.zeros((spec.n_rows, spec.n_cols))
-        towers = np.zeros((spec.n_rows, spec.n_cols), dtype=np.int64)
+        count = np.zeros((spec.n_rows, spec.n_cols), dtype=np.int64)
         outside = 0
-        for r in records:
-            x, y = project(r.lon, r.lat, spec)
+        for lon, lat, n in zip(records.lon.tolist(), records.lat.tolist(), records.samples):
+            x, y = project(lon, lat, spec)
             col, row = math.floor(x / spec.tile_km), math.floor(y / spec.tile_km)
             if 0 <= col < spec.n_cols and 0 <= row < spec.n_rows:
-                weight[row, col] += float(r.samples)
-                towers[row, col] += 1
+                weight[row, col] += float(n)
+                count[row, col] += 1
             else:
                 outside += 1
         grid = bin_records(records, spec)
         assert np.array_equal(grid.weight, weight)
-        assert np.array_equal(grid.towers, towers)
+        assert np.array_equal(grid.towers, count)
         assert grid.n_outside == outside > 0
 
     def test_mass_conservation_exact(self):
@@ -136,11 +134,11 @@ class TestBinRecords:
         spec = spec_at(lon=-87.7, lat=41.8, cols=9, rows=6)
         records = tile_center_records(spec, samples=1)
         import dataclasses
-        records = [
-            dataclasses.replace(r, samples=int(rng.integers(0, 10_000))) for r in records
-        ]
+        records = dataclasses.replace(
+            records, samples=[int(rng.integers(0, 10_000)) for _ in range(len(records))]
+        )
         grid = bin_records(records, spec)
-        assert grid.weight.sum() == float(sum(r.samples for r in records))
+        assert grid.weight.sum() == float(sum(records.samples))
 
 
 class TestFind5gda:
@@ -233,15 +231,6 @@ class TestExports:
         assert len(lines) == 1 + 4
         assert lines[1] == "0,0,1.0,1"
 
-    def test_geojson_tiles(self):
-        grid = grid_from([[1, 2], [3, 4]])
-        doc = grid_to_geojson(grid)
-        assert doc["type"] == "FeatureCollection"
-        assert len(doc["features"]) == 4
-        ring = doc["features"][0]["geometry"]["coordinates"][0]
-        assert ring[0] == ring[-1]
-        assert len(ring) == 5
-
     def test_area_geojson_properties(self):
         grid = grid_from([[1, 2, 0], [0, 3, 0], [4, 0, 0]])
         area = find_5gda(grid, 2, 2)
@@ -249,3 +238,6 @@ class TestExports:
         assert doc["geometry"]["type"] == "Polygon"
         assert doc["properties"]["total_weight"] == 7.0
         assert doc["properties"]["area_km2"] == 4.0
+        ring = doc["geometry"]["coordinates"][0]
+        assert ring[0] == ring[-1]
+        assert len(ring) == 5

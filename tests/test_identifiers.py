@@ -1,24 +1,22 @@
 import pytest
 
-from gnbdim.errors import BadLengthError, NonDigitError, OutOfRangeError
+from gnbdim.errors import BadLengthError, NonDigitError
 from gnbdim.identifiers import (
-    Mcc,
-    Mnc,
-    Tac,
     parse_plmn,
+    plmn_digits,
 )
 
 
 class TestParsePlmn:
     def test_six_digit(self):
         p = parse_plmn("310260")
-        assert p.mcc.digits == "310"
-        assert p.mnc.digits == "260"
+        assert p[:3] == "310"
+        assert p[3:] == "260"
 
     def test_five_digit_keeps_leading_zero(self):
         p = parse_plmn("20801")
-        assert p.mcc.digits == "208"
-        assert p.mnc.digits == "01"
+        assert p[:3] == "208"
+        assert p[3:] == "01"
 
     def test_non_digit_rejected(self):
         with pytest.raises(NonDigitError):
@@ -42,22 +40,14 @@ class TestParsePlmn:
 class TestComponents:
     def test_mcc_must_be_three_digits(self):
         with pytest.raises(BadLengthError):
-            Mcc("31")
+            plmn_digits("31", "260")
         with pytest.raises(BadLengthError):
-            Mcc("3100")
+            plmn_digits("3100", "260")
         with pytest.raises(NonDigitError):
-            Mcc("3a0")
+            plmn_digits("3a0", "260")
 
     def test_mnc_two_or_three_digits(self):
-        assert Mnc("01").digits == "01"
-        assert Mnc("260").digits == "260"
+        assert plmn_digits("310", "01") == "31001"
+        assert plmn_digits("310", "260") == "310260"
         with pytest.raises(BadLengthError):
-            Mnc("1")
-
-    def test_tac_range(self):
-        assert Tac(0).code == 0
-        assert Tac(65535).code == 65535
-        with pytest.raises(OutOfRangeError):
-            Tac(65536)
-        with pytest.raises(OutOfRangeError):
-            Tac(-1)
+            plmn_digits("310", "1")

@@ -1,9 +1,10 @@
 """Differential test: the columnar parse loop against a per-row reference.
 
 ``reference_parse`` is the row-at-a-time parser the columnar loop in
-``gnbdim.ingest`` replaced: it builds one validated :class:`CellRecord`
-per row and names the first failing field, left to right. Over fuzzed
-exports both must keep the same rows, field for field, and give the same
+``gnbdim.ingest`` replaced: it checks every field itself, with no
+validator of the package, returns each kept row as a plain tuple and
+names the first failing field, left to right. Over fuzzed exports both
+must keep the same rows, field for field, and give the same
 reject-reason histogram.
 """
 
@@ -15,11 +16,10 @@ import math
 import sys
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnbdim.errors import GnbdimError
-from gnbdim.identifiers import Mcc, Mnc, PlmnId, Tac
 from gnbdim.ingest import (
     BAD_COORDINATE,
     BAD_NUMERIC,
@@ -27,10 +27,14 @@ from gnbdim.ingest import (
     BAD_SHAPE,
     EXPECTED_HEADER,
     LTE_CELL_LIMIT,
-    CellRecord,
+    RADIOS,
     Radio,
     parse_csv,
 )
+
+# A kept row: radio name, MCC+MNC, area, cell, lon, lat, range, samples,
+# created, updated, averageSignal (NaN when absent).
+Row = tuple[str, str, int, int, float, float, float, int, int, int, float]
 
 
 class _RowError(GnbdimError):
@@ -59,17 +63,22 @@ def _parse_float(value: str, what: str, reason: str = BAD_NUMERIC) -> float:
     return x
 
 
-def _parse_mnc(value: str) -> Mnc:
+def _parse_digits(text: str, what: str, lengths: tuple[int, ...]) -> str:
+    if len(text) not in lengths:
+        raise _RowError(BAD_NUMERIC, f"{what}: {text!r} is not {lengths} digits long")
+    if not all("0" <= ch <= "9" for ch in text):
+        raise _RowError(BAD_NUMERIC, f"{what}: {text!r} is not ASCII digits")
+    return text
+
+
+def _parse_mnc(value: str) -> str:
     text = value.strip()
     if len(text) == 1 and text.isdigit():
         text = "0" + text
-    try:
-        return Mnc(text)
-    except GnbdimError as exc:
-        raise _RowError(BAD_NUMERIC, f"net: {exc}") from None
+    return _parse_digits(text, "net", (2, 3))
 
 
-def _parse_row(row: list[str]) -> CellRecord:
+def _parse_row(row: list[str]) -> Row:
     if len(row) != len(EXPECTED_HEADER):
         raise _RowError(BAD_SHAPE, f"expected {len(EXPECTED_HEADER)} fields, got {len(row)}")
 
@@ -79,10 +88,7 @@ def _parse_row(row: list[str]) -> CellRecord:
     except ValueError:
         raise _RowError(BAD_RADIO, f"unknown radio {radio_text!r}") from None
 
-    try:
-        mcc = Mcc(row[1].strip())
-    except GnbdimError as exc:
-        raise _RowError(BAD_NUMERIC, f"mcc: {exc}") from None
+    mcc = _parse_digits(row[1].strip(), "mcc", (3,))
     mnc = _parse_mnc(row[2])
 
     area = _parse_int(row[3].strip(), "area")
@@ -109,24 +115,13 @@ def _parse_row(row: list[str]) -> CellRecord:
     updated = _parse_int(row[12].strip(), "updated")
 
     signal_text = row[13].strip()
-    avg_signal = None if signal_text == "" else _parse_float(signal_text, "averageSignal")
+    avg_signal = math.nan if signal_text == "" else _parse_float(signal_text, "averageSignal")
 
-    return CellRecord(
-        radio=radio,
-        plmn=PlmnId(mcc, mnc),
-        area=Tac(area),
-        cell=cell,
-        lon=lon,
-        lat=lat,
-        range_m=range_m,
-        samples=samples,
-        created=created,
-        updated=updated,
-        avg_signal=avg_signal,
-    )
+    return (radio.value, mcc + mnc, area, cell, lon, lat, range_m, samples, created,
+            updated, avg_signal)
 
 
-def reference_parse(text: str) -> tuple[list[CellRecord], Counter]:
+def reference_parse(text: str) -> tuple[list[Row], Counter]:
     """Row-at-a-time parse of an export with a valid header row."""
     records, reasons = [], Counter()
     reader = csv.reader(io.StringIO(text))
@@ -202,6 +197,15 @@ def export_rows(draw):
     return (row + ["extra"])[:width]
 
 
+GOOD_ROW = ["LTE", "310", "260", "6699", "12345678", "", "-87.6", "41.8", "1000", "57", "1",
+            "1600000000", "1700000000", "-95"]
+
+
+def edited(i: int, value: str) -> list[str]:
+    """GOOD_ROW with field ``i`` set to ``value``."""
+    return GOOD_ROW[:i] + [value] + GOOD_ROW[i + 1:]
+
+
 def render(rows: list[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -212,12 +216,22 @@ def render(rows: list[list[str]]) -> str:
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(export_rows(), max_size=12))
+# Each identifier field at and one past its limits; the fuzz draws these rarely.
+@example([
+    GOOD_ROW, edited(1, "31"), edited(1, "3100"), edited(2, "1"), edited(2, "001"),
+    edited(2, "2600"), edited(3, "65535"), edited(3, "65536"),
+])
 def test_columnar_parse_matches_reference(rows):
     text = render(rows)
     want_records, want_reasons = reference_parse(text)
     cells, report = parse_csv(io.StringIO(text))
 
-    assert [repr(r) for r in cells] == [repr(r) for r in want_records]
+    rows = zip(
+        [RADIOS[code].value for code in cells.radio], cells.plmn, cells.area, cells.cell,
+        cells.lon.tolist(), cells.lat.tolist(), cells.range_m.tolist(), cells.samples,
+        cells.created, cells.updated, cells.avg_signal.tolist(),
+    )
+    assert [repr(r) for r in rows] == [repr(r) for r in want_records]
     assert report.reject_reasons == dict(want_reasons)
     assert report.rows_kept == len(cells) == len(want_records)
     assert report.rows_read == len(want_records) + sum(want_reasons.values())

@@ -6,7 +6,6 @@ from gnbdim.nr import (
     FrequencyRange,
     NrConfig,
     bandwidth_part,
-    latency_feasible,
     prb_count,
     scs_khz,
     slot_ms,
@@ -105,25 +104,6 @@ class TestPrbCount:
                     usable = (1 - guard) * bw * 1e6
                     # Allowance matches the float nudge inside prb_count.
                     assert occupied <= usable + 1e-9 * 12 * scs_khz(mu) * 1e3
-
-
-class TestLatency:
-    def test_slow_numerology_misses_budget(self):
-        bwp = bandwidth_part(mu=0, bw_mhz=20)
-        assert latency_feasible(bwp, 0.5) is False
-
-    def test_fast_numerology_fits(self):
-        bwp = bandwidth_part(mu=2, bw_mhz=20)
-        assert latency_feasible(bwp, 0.5) is True
-
-    def test_boundary_inclusive(self):
-        for mu in range(5):
-            bwp = bandwidth_part(mu=mu, bw_mhz=50)
-            assert latency_feasible(bwp, slot_ms(mu)) is True
-
-    def test_bad_budget(self):
-        with pytest.raises(ValueError):
-            latency_feasible(bandwidth_part(mu=0, bw_mhz=20), 0.0)
 
 
 class TestTypes:
