@@ -8,7 +8,7 @@ its timestamp field.
 from __future__ import annotations
 
 import hashlib
-import json
+import json.encoder
 import logging
 import math
 from dataclasses import dataclass
@@ -28,10 +28,12 @@ from .density import (
     unproject,
 )
 from .economics import CostReport, cost_per_bit
-from .errors import ZeroTrafficError
+from .errors import GnbdimError, ZeroTrafficError
 from .ingest import Cells, IngestReport, filter_records
 
 log = logging.getLogger(__name__)
+
+MAX_SITES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,8 @@ def site_lattice(
     Pitch is sqrt(3) * R between neighbors in a row, rows are 1.5 * R
     apart with every other row offset by half a pitch; the lattice is
     anchored at the area's south-west corner so output is diffable.
+    Raises :class:`GnbdimError` when the lattice would hold more than
+    ``MAX_SITES`` sites.
     """
     if not math.isfinite(radius_km) or radius_km <= 0:
         return []
@@ -108,17 +112,28 @@ def site_lattice(
     x1 = x0 + area.w_cols * spec.tile_km
     y1 = y0 + area.h_rows * spec.tile_km
 
-    centers = []
+    n_rows = (y1 - y0 + 1e-9) // (1.5 * radius_km) + 1
+    n_cols = (x1 - x0 + 1e-9) // pitch + 1
+    if n_rows * n_cols > MAX_SITES:
+        raise GnbdimError(
+            f"the site lattice at deployment radius {radius_km:g} km would hold "
+            f"{n_rows * n_cols:.0f} sites ({n_rows:.0f} rows of {n_cols:.0f}), "
+            f"over the {MAX_SITES}-site guard"
+        )
+
+    xs, ys = [], []
     j = 0
     y = y0
     while y <= y1 + 1e-9:
         x = x0 + (pitch / 2.0 if j % 2 else 0.0)
         while x <= x1 + 1e-9:
-            centers.append(unproject(x, y, spec))
+            xs.append(x)
+            ys.append(y)
             x += pitch
         y += 1.5 * radius_km
         j += 1
-    return centers
+    lon, lat = unproject(xs, ys, spec)
+    return list(zip(lon.tolist(), lat.tolist()))
 
 
 def sites_to_geojson(sites: list[tuple[float, float]], radius_km: float) -> dict:
@@ -189,8 +204,93 @@ def build_summary(
     return summary
 
 
-def dump_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def dump_json(obj) -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2) + "\n"`` writes it.
+
+    Byte for byte the same text, including json's ``NaN``/``Infinity``
+    spellings, its ASCII escapes and its ``TypeError`` for values it
+    cannot encode. With an indent, ``json.dumps`` runs its pure-Python
+    generator encoder on CPython < 3.13; this writes every piece into one
+    list and joins it once. Circular references are not detected.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(o, nl: str, out: list[str]) -> None:
+    """Append ``o`` as JSON; ``nl`` is a newline plus the indent of o's line."""
+    kind = _KINDS.get(type(o)) or _kind(o)
+    if kind is float:
+        text = float.__repr__(o)
+        out.append(_FLOAT_SPECIALS.get(text, text))
+    elif kind is str:
+        out.append(_encode_ascii(o))
+    elif kind is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            out.append(sep)
+            out.append(_encode_ascii(k if type(k) is str else _key(k)))
+            out.append(": ")
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif kind is list:
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif kind is int:
+        out.append(int.__repr__(o))
+    elif kind is bool:
+        out.append("true" if o else "false")
+    else:
+        out.append("null")
+
+
+def _kind(o) -> type:
+    """The JSON kind of a type outside ``_KINDS``, tested in json's order."""
+    for kind in (str, int, float, list, tuple, dict):
+        if isinstance(o, kind):
+            return list if kind is tuple else kind
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    """A non-str dict key as json converts it to a string."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        text = float.__repr__(k)
+        return _FLOAT_SPECIALS.get(text, text)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+_encode_ascii = json.encoder.encode_basestring_ascii
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_KINDS = {
+    str: str, int: int, float: float, bool: bool, type(None): type(None),
+    list: list, tuple: list, dict: dict,
+}
 
 
 def sha256_of(path: str | Path) -> str:

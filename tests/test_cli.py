@@ -1,13 +1,20 @@
 import gzip
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import gnbdim
 from gnbdim.cli import main
+from gnbdim.density import GridSpec, unproject
 
-from conftest import records_to_csv_text, set_key, tile_center_records
+from conftest import records_to_csv_text, set_key, tile_center_records, towers
 
 GOOD_ROW = "LTE,310,260,6699,12345678,,-87.6,41.8,1000,57,1,1600000000,1700000000,-95"
 HEADER = "radio,mcc,net,area,cell,unit,lon,lat,range,samples,changeable,created,updated,averageSignal"
@@ -353,3 +360,33 @@ def test_filter_flags_are_written_into_the_echo(runner, tmp_path, config_file):
     echo = json.loads((tmp_path / "out" / "summary.json").read_text())["config"]
     assert echo["filters"] == {"radio": "LTE", "plmn": "310260", "bbox": [-88.0, 41.0, -87.0, 42.0]}
     assert echo["window"] == {"w_cols": 3, "h_rows": 3}
+
+
+def test_oversized_site_lattice_exits_2_without_output(tmp_path, base_config_dict):
+    # 1000 km tiles make the 7x7 window about 4.9e7 km2; at the reference
+    # radius of about 1.4 km that is some 9e6 sites. It runs in a child
+    # process with a timeout, so a missing guard fails instead of hanging.
+    base_config_dict["grid"]["tile_km"] = 1000.0
+    lon, lat = unproject(500.0, 500.0, GridSpec(**base_config_dict["grid"]))
+    towers_csv = tmp_path / "towers.csv"
+    towers_csv.write_text(records_to_csv_text(towers([lon], [lat], [100])), encoding="utf-8")
+    base_config_dict["input"] = str(towers_csv)
+    base_config_dict["out"] = str(tmp_path / "out")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base_config_dict), encoding="utf-8")
+
+    src = str(Path(gnbdim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gnbdim.cli", "dimension", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.strip().split("\n")
+    assert len(lines) == 1
+    assert re.fullmatch(
+        r"error: the site lattice at deployment radius 1\.4\d* km would hold \d{7} sites "
+        r"\(\d+ rows of \d+\), over the 1000000-site guard",
+        lines[0],
+    )
+    assert not (tmp_path / "out").exists()
