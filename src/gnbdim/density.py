@@ -38,8 +38,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not -180 <= self.origin_lon <= 180:
             raise ValueError(f"origin_lon must be in [-180, 180], got {self.origin_lon}")
-        if not -90 <= self.origin_lat <= 90:
-            raise ValueError(f"origin_lat must be in [-90, 90], got {self.origin_lat}")
+        if not -90 < self.origin_lat < 90:  # project() divides by cos(origin_lat)
+            raise ValueError(f"origin_lat must be in (-90, 90), got {self.origin_lat}")
         if self.tile_km <= 0:
             raise ValueError("tile_km must be > 0")
         if self.n_cols < 1 or self.n_rows < 1:
@@ -50,6 +50,12 @@ class GridSpec:
             raise ValueError(
                 f"tile_km * max(n_cols, n_rows) exceeds {MAX_EXTENT_KM:.0f} km, "
                 "once around the Earth"
+            )
+        north_lat = self.origin_lat + self.extent_y_km / (EARTH_RADIUS_KM * _DEG)
+        if north_lat >= 90:
+            raise ValueError(
+                f"n_rows * tile_km puts the grid's north edge at latitude {north_lat:g}, "
+                "at or past the pole"
             )
 
     @property

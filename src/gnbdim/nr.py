@@ -28,7 +28,6 @@ FR1_BANDWIDTHS_MHZ = (5, 10, 15, 20, 25, 30, 40, 50, 60, 70, 80, 90, 100)
 FR2_BANDWIDTHS_MHZ = (50, 100, 200, 400)
 
 SUBCARRIERS_PER_PRB = 12
-SYMBOLS_PER_SLOT = 14  # normal cyclic prefix
 DEFAULT_GUARD_FRACTION = 0.1
 
 
@@ -159,7 +158,6 @@ class NrConfig:
     fr: FrequencyRange
     bwps: tuple[BandwidthPart, ...]
     channel_bw_mhz: float = 0.0  # 0 means "use the widest allowed channel"
-    symbols_per_slot: int = SYMBOLS_PER_SLOT
     allowed: dict[str, tuple[float, ...]] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:

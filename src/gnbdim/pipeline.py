@@ -8,6 +8,7 @@ its timestamp field.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json.encoder
 import logging
 import math
@@ -136,16 +137,22 @@ def site_lattice(
     return list(zip(lon.tolist(), lat.tolist()))
 
 
-def sites_to_geojson(sites: list[tuple[float, float]], radius_km: float) -> dict:
-    features = [
-        {
-            "type": "Feature",
-            "geometry": {"type": "Point", "coordinates": [lon, lat]},
-            "properties": {"site": i, "radius_km": radius_km},
-        }
-        for i, (lon, lat) in enumerate(sites)
-    ]
-    return {"type": "FeatureCollection", "features": features}
+@dataclass(frozen=True)
+class SiteCollection:
+    """Site centers (lon, lat floats) with their common radius, for
+    :func:`dump_json` to write.
+
+    The document is a GeoJSON FeatureCollection with one Point feature
+    per site; its properties are ``site`` (the index) and ``radius_km``.
+    """
+
+    sites: list[tuple[float, float]]
+    radius_km: float
+
+
+def sites_to_geojson(sites: list[tuple[float, float]], radius_km: float) -> SiteCollection:
+    """The ``sites.geojson`` document of a plan, as :func:`dump_json` takes it."""
+    return SiteCollection(sites, radius_km)
 
 
 def _float_or_none(x: float) -> float | None:
@@ -211,12 +218,60 @@ def dump_json(obj) -> str:
     spellings, its ASCII escapes and its ``TypeError`` for values it
     cannot encode. With an indent, ``json.dumps`` runs its pure-Python
     generator encoder on CPython < 3.13; this writes every piece into one
-    list and joins it once. Circular references are not detected.
+    list and joins it once. Circular references are not detected. A
+    :class:`SiteCollection` is written as the FeatureCollection it stands
+    for, one feature per site from a fixed template.
     """
+    if type(obj) is SiteCollection:
+        return _sites_text(obj)
     out: list[str] = []
     _write(obj, "\n", out)
     out.append("\n")
     return "".join(out)
+
+
+# One feature of sites.geojson at its depth in the document: lon, lat,
+# radius and site index, keys in sorted order.
+_SITE = """
+    {
+      "geometry": {
+        "coordinates": [
+          %s,
+          %s
+        ],
+        "type": "Point"
+      },
+      "properties": {
+        "radius_km": %s,
+        "site": %d
+      },
+      "type": "Feature"
+    }"""
+_SITES_HEAD = '{\n  "features": ['
+_SITES_TAIL = '\n  ],\n  "type": "FeatureCollection"\n}\n'
+_NO_SITES = '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
+
+
+def _sites_text(c: SiteCollection) -> str:
+    if not c.sites:
+        return _NO_SITES
+    lons, lats = zip(*c.sites, strict=True)
+    features = zip(
+        _floats_text(lons),
+        _floats_text(lats),
+        itertools.repeat(_floats_text((c.radius_km,))[0]),
+        range(len(lons)),
+    )
+    return _SITES_HEAD + ",".join(map(_SITE.__mod__, features)) + _SITES_TAIL
+
+
+def _floats_text(values) -> list[str]:
+    """Each float as json writes it; json's spellings are looked up only
+    when a value is not finite."""
+    texts = list(map(float.__repr__, values))
+    if not math.isfinite(sum(values)):
+        texts = [_FLOAT_SPECIALS.get(text, text) for text in texts]
+    return texts
 
 
 def _write(o, nl: str, out: list[str]) -> None:

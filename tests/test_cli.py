@@ -1,4 +1,6 @@
+import ast
 import gzip
+import importlib
 import json
 import os
 import re
@@ -291,9 +293,11 @@ class TestConfigErrors:
         ("grid.n_cols", 7.9, []),
         ("link_budget.tx_power_dbm", "43", []),
         ("grid.origin_lat", 95, []),
+        ("grid.origin_lat", 90, []),
+        ("grid.n_rows", 6000, []),  # 6000 km north of 41.8°
         ("filters.bbox[0]", None, ["--bbox", "nan,0,1,1"]),
     ], ids=["unknown-key", "non-finite", "bool", "fractional-int", "wrong-type",
-            "lat-range", "bbox-nan-flag"])
+            "lat-range", "lat-pole", "north-edge-past-pole", "bbox-nan-flag"])
     def test_exits_2_with_one_error_line(
         self, runner, tmp_path, base_config_dict, towers_csv, dotted, value, flags
     ):
@@ -366,7 +370,9 @@ def test_oversized_site_lattice_exits_2_without_output(tmp_path, base_config_dic
     # 1000 km tiles make the 7x7 window about 4.9e7 km2; at the reference
     # radius of about 1.4 km that is some 9e6 sites. It runs in a child
     # process with a timeout, so a missing guard fails instead of hanging.
+    # The grid starts at 30°S, so its 7000 km of rows end short of the pole.
     base_config_dict["grid"]["tile_km"] = 1000.0
+    base_config_dict["grid"]["origin_lat"] = -30.0
     lon, lat = unproject(500.0, 500.0, GridSpec(**base_config_dict["grid"]))
     towers_csv = tmp_path / "towers.csv"
     towers_csv.write_text(records_to_csv_text(towers([lon], [lat], [100])), encoding="utf-8")
@@ -390,3 +396,18 @@ def test_oversized_site_lattice_exits_2_without_output(tmp_path, base_config_dic
         lines[0],
     )
     assert not (tmp_path / "out").exists()
+
+
+def test_traced_functions_exist():
+    # bench/tracer.py rebinds each function in TRACED with a bare getattr,
+    # so a renamed or deleted one breaks every traced run.
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED"
+    )
+    assert traced
+    for span, (module, attr) in traced.items():
+        assert module.startswith("gnbdim."), span
+        assert callable(getattr(importlib.import_module(module), attr, None)), span

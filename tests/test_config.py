@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnbdim.config import load_config, load_config_dict
+from gnbdim.density import EARTH_RADIUS_KM
 from gnbdim.errors import ConfigError
 from gnbdim.ingest import Radio
 
@@ -142,6 +143,9 @@ DEFECTS = [
     ("grid.tile_km", float("inf"), "grid.tile_km"),
     ("grid.tile_km", 1e200, "grid.tile_km"),
     ("grid.origin_lat", 95, "grid.origin_lat"),
+    ("grid.origin_lat", 90, "grid.origin_lat"),  # project() divides by cos(90°)
+    ("grid.origin_lat", -90.0, "grid.origin_lat"),
+    ("grid.origin_lat", 89.99, "grid.n_rows"),  # 7 rows of 1 km end past the pole
     ("grid.origin_lon", -180.5, "grid.origin_lon"),
     ("grid.n_cols", 7.9, "grid.n_cols"),
     ("input", 5, "input"),
@@ -227,9 +231,16 @@ def documents(draw) -> dict:
     doc["cost"]["duty_fraction"] = draw(st.floats(0.01, 1))
     doc["cost"]["cost_multiplier"] = draw(st.floats(0.01, 100).filter(lambda x: x != 1))
     n_cols, n_rows = draw(st.integers(1, 50)), draw(st.integers(1, 50))
+    tile_km = draw(_num(0.1, 5))
+    # The grid's north edge stays short of the pole, also when tile_km is
+    # left out below and defaults to 1 km.
+    span_deg = n_rows * max(tile_km, 1.0) / (EARTH_RADIUS_KM * (math.pi / 180.0))
+    origin_lat = draw(
+        _num(-90, 90 - span_deg).filter(lambda lat: -90 < lat and lat + span_deg < 90)
+    )
     doc["grid"] = {
-        "origin_lon": draw(_num(-180, 180)), "origin_lat": draw(_num(-90, 90)),
-        "n_cols": n_cols, "n_rows": n_rows, "tile_km": draw(_num(0.1, 5)),
+        "origin_lon": draw(_num(-180, 180)), "origin_lat": origin_lat,
+        "n_cols": n_cols, "n_rows": n_rows, "tile_km": tile_km,
     }
     doc["window"] = {"w_cols": draw(st.integers(1, n_cols)),
                      "h_rows": draw(st.integers(1, n_rows))}

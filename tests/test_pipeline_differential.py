@@ -1,9 +1,12 @@
 """Differential tests of the serializer and the site lattice.
 
 ``dump_json`` must write exactly what ``json.dumps(obj, sort_keys=True,
-indent=2) + "\\n"`` writes, and raise what it raises. ``site_lattice``
-must give exactly the sites of the per-point loop it replaced, kept here
-as ``reference_lattice``: one ``unproject`` call per site.
+indent=2) + "\\n"`` writes, and raise what it raises. For the sites
+document it must write what ``json.dumps`` writes for the dict that
+``reference_sites_dict`` builds, the writer its template replaced.
+``site_lattice`` must give exactly the sites of the per-point loop it
+replaced, kept here as ``reference_lattice``: one ``unproject`` call per
+site.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnbdim import pipeline
-from gnbdim.density import DeploymentArea, GridSpec, unproject
+from gnbdim.density import EARTH_RADIUS_KM, DeploymentArea, GridSpec, unproject
 from gnbdim.errors import GnbdimError
-from gnbdim.pipeline import dump_json, site_lattice
+from gnbdim.pipeline import dump_json, site_lattice, sites_to_geojson
 
 
 def _outcome(encode, value):
@@ -82,6 +85,50 @@ def test_dump_json_matches_json_dumps(value):
     assert _outcome(dump_json, value) == _outcome(_reference_dump, value)
 
 
+def reference_sites_dict(sites: list[tuple[float, float]], radius_km: float) -> dict:
+    """The sites document as a dict, one feature per site."""
+    features = [
+        {
+            "type": "Feature",
+            "geometry": {"type": "Point", "coordinates": [lon, lat]},
+            "properties": {"site": i, "radius_km": radius_km},
+        }
+        for i, (lon, lat) in enumerate(sites)
+    ]
+    return {"type": "FeatureCollection", "features": features}
+
+
+# NaN, +-inf, -0.0, subnormals and magnitudes whose repr has an exponent.
+coordinates = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, -1.5e16, 1e-7]),
+)
+site_lists = st.one_of(
+    st.just([]),
+    st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=1),
+    st.lists(st.tuples(coordinates, coordinates), min_size=2, max_size=40),
+    # Finite lattices, the common case, which the fast path writes.
+    st.lists(st.tuples(st.floats(-180, 180), st.floats(-90, 90)), min_size=2, max_size=40),
+)
+radii = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(site_lists, radii)
+@example([], 1.0)
+@example([(-87.7, 41.8)], np.float64(1.0050813319922964))
+@example([(0.5, 1.0), (math.nan, 2.0), (3.0, -math.inf)], math.inf)  # one NaN among finite
+@example([(1e308, 1e308), (1e308, 1e308)], 1.0)  # finite, but they sum to inf
+@example([(np.float64(0.1), np.float64(-0.0))], np.float64(math.nan))
+def test_sites_writer_matches_the_dict_reference(sites, radius_km):
+    expected = _reference_dump(reference_sites_dict(sites, radius_km))
+    assert dump_json(sites_to_geojson(sites, radius_km)) == expected
+
+
 def reference_lattice(
     area: DeploymentArea, spec: GridSpec, radius_km: float
 ) -> list[tuple[float, float]]:
@@ -119,9 +166,14 @@ def lattices(draw):
     tile_km = draw(st.floats(min_value=0.01, max_value=50.0))
     col0, row0 = draw(st.integers(0, 20)), draw(st.integers(0, 20))
     w_cols, h_rows = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    # GridSpec rejects a grid whose north edge reaches the pole.
+    span_deg = (row0 + h_rows) * tile_km / (EARTH_RADIUS_KM * (math.pi / 180.0))
     spec = GridSpec(
         origin_lon=draw(st.floats(min_value=-180.0, max_value=180.0)),
-        origin_lat=draw(st.floats(min_value=-90.0, max_value=90.0)),
+        origin_lat=draw(
+            st.floats(min_value=-90.0, max_value=90.0 - span_deg, exclude_min=True)
+            .filter(lambda lat: lat + span_deg < 90.0)
+        ),
         n_cols=col0 + w_cols,
         n_rows=row0 + h_rows,
         tile_km=tile_km,
