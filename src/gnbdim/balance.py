@@ -157,7 +157,8 @@ def iterate_balance(
 
     The cell-edge sensitivity bandwidth is ``sensitivity_prbs`` PRBs of the
     first bandwidth part (the cell-edge service reference). Non-convergence
-    within ``max_iter`` comes back as ``converged=False``, never an error.
+    within ``max_iter`` comes back as ``converged=False``, never an error,
+    with the last load evaluated and the results computed at it.
     """
     th = thresholds or BalanceThresholds()
     capacity = cap.cell_capacity_mbps(cfg, traffic)
@@ -178,13 +179,14 @@ def iterate_balance(
         r_cov = cov.invert_to_radius(model, f_mhz, mapl)
         iterations, converged = 0, True
     else:
-        assumed = traffic.target_load
-        actual = assumed
+        load = traffic.target_load
+        assumed = actual = load
         mapl = 0.0
         r_cov = 0.0
         converged = False
         iterations = 0
         for iterations in range(1, th.max_iter + 1):
+            assumed = load  # reported with what is computed from it, not the next update
             margin = interference_margin_db(assumed, th.eta)
             mapl = cov.mapl_db(replace(link, interference_margin_db=margin), bw_hz)
             r_cov = cov.invert_to_radius(model, f_mhz, mapl)
@@ -192,7 +194,7 @@ def iterate_balance(
             if abs(actual - assumed) <= th.eps_load:
                 converged = True
                 break
-            assumed += th.damping * (_clamp_load(actual, th.eta) - assumed)
+            load = assumed + th.damping * (_clamp_load(actual, th.eta) - assumed)
 
     plan = final_plan(r_cov, r_cap, area_km2, rho_subs_per_km2, traffic, capacity)
     return DimensioningResult(

@@ -4,8 +4,11 @@ Tower records are projected onto a local kilometer grid (equirectangular
 around the grid origin; error is well under link-budget margins for
 regions below ~100 km) and binned into tiles by their sample counts.
 The deployment area is the fixed-size window of maximum total weight,
-found exactly with 2-D prefix sums; ties resolve to the south-west
-(smallest row, then smallest column) so runs are reproducible.
+found exactly with 2-D prefix sums (a summed-area table; Crow, SIGGRAPH
+1984); ties resolve to the south-west (smallest row, then smallest
+column) so runs are reproducible. The search makes the prefix rows one
+band at a time, so beyond the grid it holds O((band + h) * n_cols)
+floats, not two full-grid tables.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .ingest import Cells
 EARTH_RADIUS_KM = 6371.0088
 MAX_TILES = 100_000_000
 MAX_EXTENT_KM = 2.0 * math.pi * EARTH_RADIUS_KM  # once around the Earth
+_BAND_BYTES = 2 << 20  # bytes of prefix rows per band of the window search
 
 _DEG = math.pi / 180.0
 
@@ -100,10 +104,6 @@ class DensityGrid:
     towers: np.ndarray  # (n_rows, n_cols) int64
     n_outside: int = 0
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weight.sum())
-
 
 @dataclass(frozen=True)
 class DeploymentArea:
@@ -148,34 +148,69 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
     maximum in row-major order wins, which is the south-west tie-break.
     Weights are sample counts, never negative, so the grid total is the
     largest prefix sum and bounds every window sum.
+
+    The prefix table is never held whole: its rows are made one band of
+    window anchors at a time in a buffer of ``band + h_rows`` rows that
+    slides north, so the search holds O((band + h_rows) * n_cols) floats.
+    A window sum needs only the two prefix rows ``h_rows`` apart, and every
+    sum is added in the same order as over the full table.
     """
-    rows, cols = grid.weight.shape
+    weight = grid.weight
+    rows, cols = weight.shape
     if not (1 <= w_cols <= cols and 1 <= h_rows <= rows):
         raise WindowTooLargeError(
             f"window {w_cols}x{h_rows} does not fit the {cols}x{rows} grid"
         )
-    prefix = np.zeros((rows + 1, cols + 1), dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflow shows in the total, checked next
-        np.cumsum(grid.weight, axis=0, out=prefix[1:, 1:])
-        np.cumsum(prefix[1:, 1:], axis=1, out=prefix[1:, 1:])
-    total = float(prefix[-1, -1])
+    n_anchors = rows - h_rows + 1
+    band = min(n_anchors, max(h_rows, _BAND_BYTES // ((cols + 1) * 8)))
+    # Row j holds prefix row a0 + j of the band anchored at row a0; column 0
+    # and, for the first band, row 0 stay zero.
+    prefix = np.zeros((band + h_rows, cols + 1), dtype=np.float64)
+    sums = np.empty((band, cols - w_cols + 1), dtype=np.float64)
+    carry = None  # column sums of the weight rows below the band's new rows
+    top = 1
+    best = None
+    # An overflow shows in the total, checked after the last band.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a0 in range(0, n_anchors, band):
+            n = min(band, n_anchors - a0)
+            new = prefix[top : n + h_rows, 1:]
+            src = weight[a0 + top - 1 : a0 + n + h_rows - 1]
+            if carry is None:
+                np.cumsum(src, axis=0, out=new)
+            else:  # carry + W[r] is the full table's out[r-1] + W[r]
+                np.add(carry, src[0], out=new[0])
+                new[1:] = src[1:]
+                np.cumsum(new, axis=0, out=new)
+            last = a0 + n == n_anchors
+            if not last:
+                carry = new[-1].copy()
+            np.cumsum(new, axis=1, out=new)
+            # In the order (a - b) - c + d, as over the full table.
+            s = sums[:n]
+            np.subtract(prefix[h_rows : n + h_rows, w_cols:], prefix[:n, w_cols:], out=s)
+            s -= prefix[h_rows : n + h_rows, :-w_cols]
+            s += prefix[:n, :-w_cols]
+            flat = int(np.argmax(s))  # row-major: smallest row0 first, then col0
+            value = s.flat[flat]
+            if best is None or value > best[0]:  # an equal later band loses the tie
+                best = (value, a0 * s.shape[1] + flat)
+            if not last:
+                prefix[:h_rows] = prefix[n : n + h_rows]
+                top = h_rows
+    total = float(prefix[n + h_rows - 1, -1])
     if not math.isfinite(total):
         raise GnbdimError(
             f"binned samples overflow: the grid's total weight is {total}, "
             "beyond the float range"
         )
-    # In place, in the order (a - b) - c + d, with no further full-grid temporary.
-    sums = prefix[h_rows:, w_cols:] - prefix[:-h_rows, w_cols:]
-    sums -= prefix[h_rows:, :-w_cols]
-    sums += prefix[:-h_rows, :-w_cols]
-    flat = int(np.argmax(sums))  # row-major: smallest row0 first, then col0
-    row0, col0 = divmod(flat, sums.shape[1])
+    row0, col0 = divmod(best[1], sums.shape[1])
     return DeploymentArea(
         col0=col0,
         row0=row0,
         w_cols=w_cols,
         h_rows=h_rows,
-        total_weight=float(sums[row0, col0]),
+        total_weight=float(best[0]),
         area_km2=w_cols * h_rows * grid.spec.tile_km**2,
     )
 

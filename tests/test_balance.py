@@ -198,6 +198,22 @@ class TestIterateBalance:
         assert not result.converged
         assert result.iterations == 2
 
+    def test_non_converged_report_is_the_evaluated_load(self):
+        # Undamped with eta=0.99 the map flips between two loads for good; the
+        # reported assumed_load must be the one mapl_db and actual_load came from.
+        link, cfg, traffic = make_link(), make_nr(), make_traffic()
+        th = BalanceThresholds(damping=1.0, eta=0.99)
+        result = iterate_balance(link, free_space(), 3500, cfg, traffic, 100.0, 49.0, th)
+        assert not result.converged
+        margin = interference_margin_db(result.assumed_load, th.eta)
+        mapl = mapl_db(replace(link, interference_margin_db=margin), 360e3)
+        r_cov = invert_to_radius(free_space(), 3500, mapl)
+        actual = offered_load(
+            min(r_cov, result.r_cap_km), 100.0, traffic, cell_capacity_mbps(cfg, traffic)
+        )
+        assert (result.mapl_db, result.r_cov_km, result.actual_load) == (mapl, r_cov, actual)
+        assert result.actual_load != result.assumed_load
+
     def test_more_subscribers_never_fewer_sites(self):
         counts = []
         for rho in (5.0, 20.0, 50.0, 100.0, 200.0, 400.0):
