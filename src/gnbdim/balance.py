@@ -58,7 +58,10 @@ class BalanceThresholds:
 @dataclass(frozen=True)
 class FinalPlan:
     deployment_radius_km: float
+    n_sites_coverage: int
+    n_sites_capacity: int  # 0 without subscribers
     n_sites_final: int
+    max_subs_per_cell: int  # 0 without subscribers
     utilization: float
 
 
@@ -126,13 +129,16 @@ def final_plan(
         n_subs = cap.max_subs_per_cell(capacity_mbps, traffic)
         n_capy = cap.sites_for_capacity(area_km2, rho_subs_per_km2, n_subs)
     else:
-        n_capy = 0
+        n_subs = n_capy = 0
     n_final = max(n_cov, n_capy)
     offered_total = area_km2 * rho_subs_per_km2 * traffic.demand_per_sub_mbps
     utilization = offered_total / (n_final * capacity_mbps)
     return FinalPlan(
         deployment_radius_km=min(r_cov_km, r_cap_km),
+        n_sites_coverage=n_cov,
+        n_sites_capacity=n_capy,
         n_sites_final=n_final,
+        max_subs_per_cell=n_subs,
         utilization=utilization,
     )
 
@@ -166,25 +172,9 @@ def iterate_balance(
 
     if rho_subs_per_km2 > 0:
         r_cap = cap.capacity_radius(capacity, traffic, rho_subs_per_km2)
-        n_subs = cap.max_subs_per_cell(capacity, traffic)
-    else:
-        # No subscribers: the capacity leg puts no constraint on the plan.
-        r_cap = math.inf
-        n_subs = 0
-
-    if rho_subs_per_km2 <= 0:
-        # Offered load is identically zero, so the fixed point is exact.
-        assumed = actual = 0.0
-        mapl = cov.mapl_db(replace(link, interference_margin_db=0.0), bw_hz)
-        r_cov = cov.invert_to_radius(model, f_mhz, mapl)
-        iterations, converged = 0, True
-    else:
         load = traffic.target_load
-        assumed = actual = load
-        mapl = 0.0
-        r_cov = 0.0
         converged = False
-        iterations = 0
+        # max_iter >= 1, so the loop binds every name the result reads.
         for iterations in range(1, th.max_iter + 1):
             assumed = load  # reported with what is computed from it, not the next update
             margin = interference_margin_db(assumed, th.eta)
@@ -195,6 +185,14 @@ def iterate_balance(
                 converged = True
                 break
             load = assumed + th.damping * (_clamp_load(actual, th.eta) - assumed)
+    else:
+        # No subscribers: the capacity leg puts no constraint on the plan, and
+        # the offered load is identically zero, so the fixed point is exact.
+        r_cap = math.inf
+        assumed = actual = 0.0
+        mapl = cov.mapl_db(replace(link, interference_margin_db=0.0), bw_hz)
+        r_cov = cov.invert_to_radius(model, f_mhz, mapl)
+        iterations, converged = 0, True
 
     plan = final_plan(r_cov, r_cap, area_km2, rho_subs_per_km2, traffic, capacity)
     return DimensioningResult(
@@ -203,16 +201,14 @@ def iterate_balance(
         assumed_load=assumed,
         actual_load=actual,
         classification=classify(r_cov, r_cap, th),
-        n_sites_coverage=cov.sites_for_coverage(area_km2, r_cov),
-        n_sites_capacity=0 if rho_subs_per_km2 <= 0 else cap.sites_for_capacity(
-            area_km2, rho_subs_per_km2, n_subs
-        ),
+        n_sites_coverage=plan.n_sites_coverage,
+        n_sites_capacity=plan.n_sites_capacity,
         n_sites_final=plan.n_sites_final,
         iterations=iterations,
         converged=converged,
         mapl_db=mapl,
         cell_capacity_mbps=capacity,
-        max_subs_per_cell=n_subs,
+        max_subs_per_cell=plan.max_subs_per_cell,
         deployment_radius_km=plan.deployment_radius_km,
         utilization=plan.utilization,
     )

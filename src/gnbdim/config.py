@@ -141,7 +141,11 @@ def _walk(rows: dict[str, tuple[Kind, Any]], value: Any, key: str) -> dict:
 FILTERS = {
     "radio": (optional(one_of(*(radio.value for radio in ingest.Radio))), None),
     "plmn": (optional(text), None),
-    "bbox": (optional(list_of(real, 4)), None),  # [min_lon, min_lat, max_lon, max_lat]
+    "bbox": (optional(checked(
+        list_of(real, 4),
+        lambda box: box[0] <= box[2] and box[1] <= box[3],
+        "[min_lon, min_lat, max_lon, max_lat] with min <= max",
+    )), None),
 }
 
 # The whole schema. Numbers typed `number` are echoed as given, `real`
@@ -338,7 +342,7 @@ def load_config_dict(doc: dict) -> RunConfig:
     cost = resolved["cost"]
     multiplier = cost["cost_multiplier"]
     radio, plmn, bbox = _filters(resolved["filters"])
-    return RunConfig(
+    cfg = RunConfig(
         nr_config=_nr_config(resolved["nr"]),
         link=_model(coverage.LinkBudget, resolved, "link_budget"),
         sensitivity_prbs=resolved["link_budget"]["sensitivity_prbs"],
@@ -362,6 +366,11 @@ def load_config_dict(doc: dict) -> RunConfig:
         out_dir=resolved["out"],
         resolved=resolved,
     )
+    for key, limit in (("w_cols", "n_cols"), ("h_rows", "n_rows")):
+        size, n_tiles = getattr(cfg, key), getattr(cfg.grid, limit)
+        if not 1 <= size <= n_tiles:
+            raise _bad(f"window.{key}", f"in [1, grid.{limit}] = [1, {n_tiles}]", size)
+    return cfg
 
 
 def read_document(path: str | Path) -> Any:

@@ -1,9 +1,10 @@
 """Link budget analysis: MAPL, propagation models, coverage site count.
 
 The budget is direction-agnostic (one worst-link budget, no UL/DL split).
-Both propagation models are strictly increasing in distance and therefore
-closed-form invertible; inversion is done by bisection anyway so the two
-models share one code path.
+Both propagation models are linear in log-distance: free space is the
+alpha-beta-gamma (ABG) model with alpha 20, beta 32.45 dB and gamma 2
+(Sun et al., VTC 2016-Spring). So path loss is one ABG expression, and
+its inversion to a cell radius is one exponent, in closed form.
 """
 
 from __future__ import annotations
@@ -11,22 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    NegativeMaplError,
-    NonPositiveBandwidthError,
-    NonPositiveDistanceError,
-    OutOfBracketError,
-)
+from .errors import GnbdimError, NegativeMaplError
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
 # Regular hexagon with circumradius R has area (3*sqrt(3)/2) * R^2.
 HEX_AREA_FACTOR = 3.0 * math.sqrt(3.0) / 2.0
 
-# Bisection bracket for radius inversion; covers any plausible macro cell.
+# Radii a MAPL may invert to; covers any plausible macro cell.
 BRACKET_MIN_KM = 0.01
 BRACKET_MAX_KM = 100.0
-BISECTION_REL_TOL = 1e-9
+
+# Free space as ABG: (alpha, beta_db, gamma).
+FREE_SPACE_ABG = (20.0, 32.45, 2.0)
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ def abg(alpha: float, beta_db: float, gamma: float) -> PropagationModel:
 def noise_floor_dbm(bw_hz: float, noise_figure_db: float) -> float:
     """Thermal noise power over ``bw_hz`` plus receiver noise figure."""
     if bw_hz <= 0:
-        raise NonPositiveBandwidthError(f"bandwidth must be positive, got {bw_hz}")
+        raise GnbdimError(f"bandwidth must be positive, got {bw_hz}")
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bw_hz) + noise_figure_db
 
 
@@ -121,42 +119,40 @@ def mapl_db(link: LinkBudget, bw_hz: float) -> float:
     return mapl
 
 
-def path_loss_db(model: PropagationModel, f_mhz: float, d_km: float) -> float:
-    """Path loss of ``model`` at frequency ``f_mhz`` and distance ``d_km``."""
-    if f_mhz <= 0:
-        raise NonPositiveDistanceError(f"frequency must be positive, got {f_mhz}")
-    if d_km <= 0:
-        raise NonPositiveDistanceError(f"distance must be positive, got {d_km}")
+def _abg_params(model: PropagationModel) -> tuple[float, float, float]:
+    """``(alpha, beta_db, gamma)`` of ``model``."""
     if model.kind == "free_space":
-        return 32.45 + 20.0 * math.log10(f_mhz) + 20.0 * math.log10(d_km)
-    # ABG referenced to d0 = 1 m and 1 GHz.
+        return FREE_SPACE_ABG
+    return model.alpha, model.beta_db, model.gamma
+
+
+def path_loss_db(model: PropagationModel, f_mhz: float, d_km: float) -> float:
+    """Path loss of ``model`` at frequency ``f_mhz`` and distance ``d_km``.
+
+    ABG referenced to d0 = 1 m and 1 GHz.
+    """
+    if f_mhz <= 0:
+        raise GnbdimError(f"frequency must be positive, got {f_mhz}")
+    if d_km <= 0:
+        raise GnbdimError(f"distance must be positive, got {d_km}")
+    alpha, beta_db, gamma = _abg_params(model)
     return (
-        model.beta_db
-        + model.alpha * math.log10(d_km * 1000.0)
-        + model.gamma * 10.0 * math.log10(f_mhz / 1000.0)
+        beta_db + alpha * math.log10(d_km * 1000.0) + 10.0 * gamma * math.log10(f_mhz / 1000.0)
     )
 
 
 def invert_to_radius(model: PropagationModel, f_mhz: float, mapl_db: float) -> float:
-    """Distance at which ``model`` reaches ``mapl_db``, by bisection.
+    """Distance in km at which ``model`` reaches ``mapl_db``, in closed form.
 
-    Path loss is strictly increasing in distance for both models, so the
-    root in [BRACKET_MIN_KM, BRACKET_MAX_KM] is unique when it exists.
+    The MAPL must map into [BRACKET_MIN_KM, BRACKET_MAX_KM]; that is checked
+    first, so a NaN or huge MAPL raises here and never reaches the exponent.
     """
     lo, hi = BRACKET_MIN_KM, BRACKET_MAX_KM
     if not path_loss_db(model, f_mhz, lo) <= mapl_db <= path_loss_db(model, f_mhz, hi):
-        raise OutOfBracketError(
-            f"MAPL {mapl_db:.2f} dB maps outside [{lo}, {hi}] km at {f_mhz} MHz"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if path_loss_db(model, f_mhz, mid) < mapl_db:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= BISECTION_REL_TOL * mid:
-            break
-    return 0.5 * (lo + hi)
+        raise GnbdimError(f"MAPL {mapl_db:.2f} dB maps outside [{lo}, {hi}] km at {f_mhz} MHz")
+    alpha, beta_db, gamma = _abg_params(model)
+    d_m = 10.0 ** ((mapl_db - beta_db - 10.0 * gamma * math.log10(f_mhz / 1000.0)) / alpha)
+    return d_m / 1000.0
 
 
 def hexagon_area_km2(radius_km: float) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GnbdimError, NonPositiveScaleError, WindowTooLargeError
+from .errors import GnbdimError
 from .ingest import Cells
 
 EARTH_RADIUS_KM = 6371.0088
@@ -61,10 +61,6 @@ class GridSpec:
                 f"n_rows * tile_km puts the grid's north edge at latitude {north_lat:g}, "
                 "at or past the pole"
             )
-
-    @property
-    def extent_x_km(self) -> float:
-        return self.n_cols * self.tile_km
 
     @property
     def extent_y_km(self) -> float:
@@ -158,9 +154,7 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
     weight = grid.weight
     rows, cols = weight.shape
     if not (1 <= w_cols <= cols and 1 <= h_rows <= rows):
-        raise WindowTooLargeError(
-            f"window {w_cols}x{h_rows} does not fit the {cols}x{rows} grid"
-        )
+        raise GnbdimError(f"window {w_cols}x{h_rows} does not fit the {cols}x{rows} grid")
     n_anchors = rows - h_rows + 1
     band = min(n_anchors, max(h_rows, _BAND_BYTES // ((cols + 1) * 8)))
     # Row j holds prefix row a0 + j of the band anchored at row a0; column 0
@@ -218,7 +212,7 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
 def subscriber_density(area: DeploymentArea, subs_per_weight: float) -> float:
     """Subscribers per km2 inside the deployment area."""
     if subs_per_weight <= 0:
-        raise NonPositiveScaleError(f"subs_per_weight must be > 0, got {subs_per_weight}")
+        raise GnbdimError(f"subs_per_weight must be > 0, got {subs_per_weight}")
     if area.area_km2 <= 0:
         raise ValueError("deployment area must have positive extent")
     return area.total_weight * subs_per_weight / area.area_km2

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .balance import DimensioningResult
-from .errors import UndefinedCostError, ZeroTrafficError
+from .errors import GnbdimError, ZeroTrafficError
 
 SECONDS_PER_YEAR = 31_536_000  # 365 days
 DEFAULT_DUTY_FRACTION = 0.35
@@ -85,7 +85,7 @@ class AreaComparison:
 def compare_areas(dense: CostReport, sparse: CostReport) -> AreaComparison:
     """Which area carries bits cheaper, and by what factor."""
     if dense.cost_per_bit is None or sparse.cost_per_bit is None:
-        raise UndefinedCostError("both reports need a defined cost per bit")
+        raise GnbdimError("both reports need a defined cost per bit")
     ratio = sparse.cost_per_bit / dense.cost_per_bit
     if ratio > 1.0:
         cheaper = "dense"

@@ -33,7 +33,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import BadBboxError, GnbdimError, MissingHeaderError
+from .errors import GnbdimError, MissingHeaderError
 from .identifiers import plmn_digits
 
 EXPECTED_HEADER = (
@@ -329,7 +329,7 @@ def filter_records(
     if bbox is not None:
         min_lon, min_lat, max_lon, max_lat = bbox
         if min_lon > max_lon or min_lat > max_lat:
-            raise BadBboxError(f"bbox min exceeds max: {bbox}")
+            raise GnbdimError(f"bbox min exceeds max: {bbox}")
         keep &= (min_lon <= records.lon) & (records.lon <= max_lon)
         keep &= (min_lat <= records.lat) & (records.lat <= max_lat)
     if radio is not None:

@@ -12,11 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    BadMuError,
-    NoPrbFitsError,
-    UnsupportedBandwidthError,
-)
+from .errors import GnbdimError
 
 MU_MIN = 0
 MU_MAX = 4
@@ -33,7 +29,7 @@ DEFAULT_GUARD_FRACTION = 0.1
 
 def _check_mu(mu: int) -> None:
     if not isinstance(mu, int) or not MU_MIN <= mu <= MU_MAX:
-        raise BadMuError(f"numerology mu must be an integer in [{MU_MIN}, {MU_MAX}], got {mu!r}")
+        raise GnbdimError(f"numerology mu must be an integer in [{MU_MIN}, {MU_MAX}], got {mu!r}")
 
 
 def scs_khz(mu: int) -> int:
@@ -58,7 +54,7 @@ def allowed_bandwidths_mhz(
         return FR1_BANDWIDTHS_MHZ
     if fr_band == "FR2":
         return FR2_BANDWIDTHS_MHZ
-    raise UnsupportedBandwidthError(f"unknown frequency range {fr_band!r}")
+    raise GnbdimError(f"unknown frequency range {fr_band!r}")
 
 
 def validate_bandwidth(
@@ -69,7 +65,7 @@ def validate_bandwidth(
     """Raise unless ``bw_mhz`` is an allowed channel bandwidth for the range."""
     table = allowed_bandwidths_mhz(fr_band, allowed)
     if bw_mhz not in table:
-        raise UnsupportedBandwidthError(
+        raise GnbdimError(
             f"{bw_mhz} MHz is not an allowed {fr_band} channel bandwidth {sorted(table)}"
         )
 
@@ -86,9 +82,7 @@ def prb_count(bw_mhz: float, mu: int, guard_fraction: float = DEFAULT_GUARD_FRAC
     prb_hz = SUBCARRIERS_PER_PRB * scs_khz(mu) * 1e3
     n = math.floor(usable_hz / prb_hz + 1e-9)
     if n < 1:
-        raise NoPrbFitsError(
-            f"no PRB fits: {bw_mhz} MHz at mu={mu} with guard {guard_fraction}"
-        )
+        raise GnbdimError(f"no PRB fits: {bw_mhz} MHz at mu={mu} with guard {guard_fraction}")
     return n
 
 
@@ -127,7 +121,7 @@ class BandwidthPart:
     def __post_init__(self) -> None:
         _check_mu(self.mu)
         if self.n_prb < 1:
-            raise NoPrbFitsError("bandwidth part must hold at least one PRB")
+            raise GnbdimError("bandwidth part must hold at least one PRB")
         if SUBCARRIERS_PER_PRB * scs_khz(self.mu) * 1e3 * self.n_prb > self.bw_mhz * 1e6:
             raise ValueError(
                 f"{self.n_prb} PRBs at mu={self.mu} exceed {self.bw_mhz} MHz"

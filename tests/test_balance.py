@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gnbdim.balance import (
     BalanceThresholds,
@@ -16,6 +18,7 @@ from gnbdim.capacity import (
     TrafficModel,
     capacity_radius,
     cell_capacity_mbps,
+    max_subs_per_cell,
     offered_load,
 )
 from gnbdim.coverage import (
@@ -232,6 +235,67 @@ class TestIterateBalance:
             capacity_short = short * r.max_subs_per_cell < 49.0 * rho
             coverage_short = short * hexagon_area_km2(r.r_cov_km) < 49.0
             assert capacity_short or coverage_short
+
+
+def _free_space_coverage_radius(link: LinkBudget, load: float, eta: float) -> float:
+    margin = interference_margin_db(load, eta)
+    mapl = mapl_db(replace(link, interference_margin_db=margin), 360e3)
+    return invert_to_radius(free_space(), 3500, mapl)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    penetration_db=st.floats(0.0, 40.0),
+    rho_share=st.floats(0.01, 1.0),
+    target_load=st.floats(0.3, 1.0),
+    eta=st.floats(0.05, 0.95),
+    eps_load=st.floats(-9.0, -2.0).map(lambda k: 10.0**k),
+    damping_share=st.floats(0.05, 0.95),
+)
+def test_free_space_coverage_root_is_exact(
+    penetration_db, rho_share, target_load, eta, eps_load, damping_share
+):
+    # In free space the coverage radius goes as r0 * sqrt(1 - eta*L), so where
+    # coverage sets the radius the offered load is A*(1 - eta*L), A its value
+    # at L = 0, and the root is L* = A / (1 + A*eta). Then offered - L is
+    # (1 + A*eta) * (L* - L), so a converged load lies within
+    # eps_load / (1 + A*eta) of L*.
+    link = make_link(penetration_margin_db=penetration_db)
+    cfg, traffic = make_nr(), make_traffic(target_load=target_load)
+    capacity = cell_capacity_mbps(cfg, traffic)
+    n_subs = max_subs_per_cell(capacity, traffic)
+    r0 = _free_space_coverage_radius(link, 0.0, eta)
+    # r_cov(L*)^2 = r0^2 / (1 + A*eta) <= r_cap^2 = n_subs / (rho * HEX_AREA_FACTOR)
+    # holds up to this density, as A grows with rho.
+    rho_max = n_subs / (
+        hexagon_area_km2(r0) * (1.0 - eta * n_subs * traffic.demand_per_sub_mbps / capacity)
+    )
+    rho = rho_share * rho_max
+    r_cap = capacity_radius(capacity, traffic, rho)
+    a = offered_load(r0, rho, traffic, capacity)
+    root = a / (1.0 + a * eta)
+    damping = min(1.0, damping_share * 2.0 / (1.0 + a * eta))  # the damped step contracts
+    assume(root < 0.999 / eta)  # the load clamp leaves the root alone
+    assume(_free_space_coverage_radius(link, root, eta) <= r_cap)  # rounding at rho_max
+    th = BalanceThresholds(eps_load=eps_load, damping=damping, eta=eta, max_iter=1000)
+    result = iterate_balance(link, free_space(), 3500, cfg, traffic, rho, 49.0, th)
+    assert result.converged
+    # Below the root the capacity radius may still bind, and offered(L) is
+    # then not A*(1 - eta*L).
+    assume(result.r_cov_km <= r_cap)
+    bound = eps_load / (1.0 + a * eta)
+    assert abs(result.assumed_load - root) <= bound + 1e-12
+
+
+def test_reference_scenario_root_is_exact():
+    link, cfg, traffic = make_link(), make_nr(), make_traffic()
+    capacity = cell_capacity_mbps(cfg, traffic)
+    a = offered_load(_free_space_coverage_radius(link, 0.0, 0.6), 100.0, traffic, capacity)
+    root = a / (1.0 + a * 0.6)
+    th = BalanceThresholds(eps_load=1e-6, eta=0.6)
+    result = iterate_balance(link, free_space(), 3500, cfg, traffic, 100.0, 49.0, th)
+    assert result.converged and result.r_cov_km <= result.r_cap_km
+    assert abs(result.assumed_load - root) <= th.eps_load / (1.0 + a * 0.6) + 1e-12
 
 
 class TestFinalPlan:

@@ -296,8 +296,14 @@ class TestConfigErrors:
         ("grid.origin_lat", 90, []),
         ("grid.n_rows", 6000, []),  # 6000 km north of 41.8°
         ("filters.bbox[0]", None, ["--bbox", "nan,0,1,1"]),
+        ("filters.bbox", [1, 0, 0, 1], []),
+        ("filters.bbox", None, ["--bbox", "1,0,0,1"]),
+        ("window.h_rows", 8, []),
+        ("window.w_cols", None, ["--window", "8x2"]),
     ], ids=["unknown-key", "non-finite", "bool", "fractional-int", "wrong-type",
-            "lat-range", "lat-pole", "north-edge-past-pole", "bbox-nan-flag"])
+            "lat-range", "lat-pole", "north-edge-past-pole", "bbox-nan-flag",
+            "bbox-reversed", "bbox-reversed-flag", "window-taller-than-grid",
+            "window-flag-wider-than-grid"])
     def test_exits_2_with_one_error_line(
         self, runner, tmp_path, base_config_dict, towers_csv, dotted, value, flags
     ):
@@ -315,6 +321,25 @@ class TestConfigErrors:
         assert dotted in lines[0]
         assert "Traceback" not in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flags, named", [
+        ("ingest", ["--bbox", "1,0,0,1"], "filters.bbox"),
+        ("density", ["--window", "8x2"], "window.w_cols"),
+        ("dimension", ["--window", "2x8"], "window.h_rows"),
+    ])
+    def test_bad_filter_or_window_wins_over_a_missing_input(
+        self, runner, tmp_path, config_file, command, flags, named
+    ):
+        missing = str(tmp_path / "absent.csv")
+        args = ["--input", missing, "--out", str(tmp_path / "o"), *flags]
+        if command != "ingest":
+            args = ["--config", str(config_file), *args]
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 2, result.output
+        lines = result.output.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {named} must be ")
+        assert not (tmp_path / "o").exists()
 
 
 def test_samples_beyond_float_range_is_bad_numeric(runner, tmp_path, base_config_dict, towers_csv):

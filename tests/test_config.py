@@ -150,6 +150,11 @@ DEFECTS = [
     ("grid.n_cols", 7.9, "grid.n_cols"),
     ("input", 5, "input"),
     ("filters.bbox", [float("nan"), 0, 1, 1], "filters.bbox[0]"),
+    ("filters.bbox", [1, 0, 0, 1], "filters.bbox"),  # min_lon > max_lon
+    ("filters.bbox", [0, 1, 1, 0], "filters.bbox"),  # min_lat > max_lat
+    ("window.w_cols", 8, "window.w_cols"),  # wider than the 7-column grid
+    ("window.h_rows", 8, "window.h_rows"),
+    ("window.w_cols", 0, "window.w_cols"),
     ("filters.radio", "lte", "filters.radio"),
     ("nr.bwps", "x", "nr.bwps must be a list"),  # not "missing nr.bwps[0].mu"
     ("nr.carrier_ghz", 10**400, "nr.carrier_ghz"),

@@ -17,12 +17,7 @@ from gnbdim.coverage import (
     path_loss_db,
     sites_for_coverage,
 )
-from gnbdim.errors import (
-    NegativeMaplError,
-    NonPositiveBandwidthError,
-    NonPositiveDistanceError,
-    OutOfBracketError,
-)
+from gnbdim.errors import GnbdimError, NegativeMaplError
 
 
 def make_link(**overrides) -> LinkBudget:
@@ -55,7 +50,7 @@ class TestNoiseFloor:
         assert noise_floor_dbm(1e7, 5.0) - base == pytest.approx(10.0)
 
     def test_rejects_non_positive_bandwidth(self):
-        with pytest.raises(NonPositiveBandwidthError):
+        with pytest.raises(GnbdimError, match="bandwidth must be positive"):
             noise_floor_dbm(0.0, 7.0)
 
 
@@ -101,9 +96,9 @@ class TestPathLoss:
         assert path_loss_db(m, 3500, 1.5) == pytest.approx(expected)
 
     def test_rejects_non_positive_inputs(self):
-        with pytest.raises(NonPositiveDistanceError):
+        with pytest.raises(GnbdimError, match="distance must be positive"):
             path_loss_db(free_space(), 3500, 0.0)
-        with pytest.raises(NonPositiveDistanceError):
+        with pytest.raises(GnbdimError, match="frequency must be positive"):
             path_loss_db(free_space(), 0.0, 1.0)
 
     @pytest.mark.parametrize("model", [free_space(), abg(34.0, 20.0, 2.0)])
@@ -129,11 +124,11 @@ class TestInversion:
             assert abs(r - d) / d < 1e-6
 
     def test_unreachable_low(self):
-        with pytest.raises(OutOfBracketError):
+        with pytest.raises(GnbdimError, match=r"maps outside \[0\.01, 100\.0\] km"):
             invert_to_radius(free_space(), 3500, 10.0)
 
     def test_unreachable_high(self):
-        with pytest.raises(OutOfBracketError):
+        with pytest.raises(GnbdimError, match=r"maps outside \[0\.01, 100\.0\] km"):
             invert_to_radius(free_space(), 3500, 250.0)
 
     def test_bracket_endpoints_are_invertible(self):

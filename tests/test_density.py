@@ -16,7 +16,7 @@ from gnbdim.density import (
     subscriber_density,
     unproject,
 )
-from gnbdim.errors import NonPositiveScaleError, WindowTooLargeError
+from gnbdim.errors import GnbdimError
 
 from conftest import tile_center_records, towers
 
@@ -161,9 +161,9 @@ class TestFind5gda:
 
     def test_window_too_large(self):
         grid = grid_from(np.ones((3, 3)))
-        with pytest.raises(WindowTooLargeError):
+        with pytest.raises(GnbdimError, match="window 4x1 does not fit the 3x3 grid"):
             find_5gda(grid, 4, 1)
-        with pytest.raises(WindowTooLargeError):
+        with pytest.raises(GnbdimError, match="window 1x0 does not fit the 3x3 grid"):
             find_5gda(grid, 1, 0)
 
     def test_matches_brute_force_on_random_grids(self):
@@ -218,7 +218,7 @@ class TestSubscriberDensity:
         assert subscriber_density(self.area(4900.0), 2.0) == 200.0
 
     def test_rejects_non_positive_scale(self):
-        with pytest.raises(NonPositiveScaleError):
+        with pytest.raises(GnbdimError, match="subs_per_weight must be > 0"):
             subscriber_density(self.area(4900.0), 0.0)
 
 

@@ -19,14 +19,14 @@ from hypothesis import strategies as st
 
 from gnbdim import density
 from gnbdim.density import DensityGrid, DeploymentArea, GridSpec, find_5gda
-from gnbdim.errors import GnbdimError, WindowTooLargeError
+from gnbdim.errors import GnbdimError
 
 
 def reference_find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
     """The full-table search: both prefix and window-sum tables at once."""
     rows, cols = grid.weight.shape
     if not (1 <= w_cols <= cols and 1 <= h_rows <= rows):
-        raise WindowTooLargeError(
+        raise GnbdimError(
             f"window {w_cols}x{h_rows} does not fit the {cols}x{rows} grid"
         )
     prefix = np.zeros((rows + 1, cols + 1), dtype=np.float64)

@@ -8,7 +8,7 @@ from gnbdim.economics import (
     compare_areas,
     cost_per_bit,
 )
-from gnbdim.errors import UndefinedCostError, ZeroTrafficError
+from gnbdim.errors import GnbdimError, ZeroTrafficError
 
 
 def make_result(n_sites: int, utilization: float) -> DimensioningResult:
@@ -104,7 +104,7 @@ class TestCompareAreas:
         undefined = CostReport(
             annual_cost=1000.0, annual_bits=0.0, cost_per_bit=None, mean_utilization=0.0
         )
-        with pytest.raises(UndefinedCostError):
+        with pytest.raises(GnbdimError, match="both reports need a defined cost per bit"):
             compare_areas(defined, undefined)
 
     def test_antisymmetry(self):

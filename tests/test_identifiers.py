@@ -1,6 +1,6 @@
 import pytest
 
-from gnbdim.errors import BadLengthError, NonDigitError
+from gnbdim.errors import GnbdimError
 from gnbdim.identifiers import (
     parse_plmn,
     plmn_digits,
@@ -19,16 +19,16 @@ class TestParsePlmn:
         assert p[3:] == "01"
 
     def test_non_digit_rejected(self):
-        with pytest.raises(NonDigitError):
+        with pytest.raises(GnbdimError, match="PLMN must be decimal digits"):
             parse_plmn("31A26")
 
     @pytest.mark.parametrize("text", ["1234", "1234567", ""])
     def test_bad_length_rejected(self, text):
-        with pytest.raises(BadLengthError):
+        with pytest.raises(GnbdimError, match="PLMN must be 5 or 6 characters"):
             parse_plmn(text)
 
     def test_unicode_digits_rejected(self):
-        with pytest.raises(NonDigitError):
+        with pytest.raises(GnbdimError, match="PLMN must be decimal digits"):
             parse_plmn("١٢٣٤٥")
 
     def test_round_trip(self):
@@ -39,15 +39,15 @@ class TestParsePlmn:
 
 class TestComponents:
     def test_mcc_must_be_three_digits(self):
-        with pytest.raises(BadLengthError):
+        with pytest.raises(GnbdimError, match="MCC must be 3 digits"):
             plmn_digits("31", "260")
-        with pytest.raises(BadLengthError):
+        with pytest.raises(GnbdimError, match="MCC must be 3 digits"):
             plmn_digits("3100", "260")
-        with pytest.raises(NonDigitError):
+        with pytest.raises(GnbdimError, match="MCC must be decimal digits"):
             plmn_digits("3a0", "260")
 
     def test_mnc_two_or_three_digits(self):
         assert plmn_digits("310", "01") == "31001"
         assert plmn_digits("310", "260") == "310260"
-        with pytest.raises(BadLengthError):
+        with pytest.raises(GnbdimError, match="MNC must be 2 or 3 digits"):
             plmn_digits("310", "1")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gnbdim.errors import BadBboxError, MissingHeaderError
+from gnbdim.errors import GnbdimError, MissingHeaderError
 from gnbdim.identifiers import parse_plmn
 from gnbdim.ingest import (
     BAD_COORDINATE,
@@ -211,7 +211,7 @@ class TestFilterRecords:
         assert kept.lon[0] == 2.0
 
     def test_bad_bbox(self, mixed):
-        with pytest.raises(BadBboxError):
+        with pytest.raises(GnbdimError, match=r"bbox min exceeds max: \(1\.0, 0\.0, 0\.0, 3\.0\)"):
             filter_records(mixed, bbox=(1.0, 0.0, 0.0, 3.0))
 
     def test_idempotent(self, mixed):
