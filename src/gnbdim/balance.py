@@ -57,6 +57,8 @@ class BalanceThresholds:
 
 @dataclass(frozen=True)
 class FinalPlan:
+    """The site plan; each field is also a :class:`DimensioningResult` field."""
+
     deployment_radius_km: float
     n_sites_coverage: int
     n_sites_capacity: int  # 0 without subscribers
@@ -201,14 +203,9 @@ def iterate_balance(
         assumed_load=assumed,
         actual_load=actual,
         classification=classify(r_cov, r_cap, th),
-        n_sites_coverage=plan.n_sites_coverage,
-        n_sites_capacity=plan.n_sites_capacity,
-        n_sites_final=plan.n_sites_final,
         iterations=iterations,
         converged=converged,
         mapl_db=mapl,
         cell_capacity_mbps=capacity,
-        max_subs_per_cell=plan.max_subs_per_cell,
-        deployment_radius_km=plan.deployment_radius_km,
-        utilization=plan.utilization,
+        **vars(plan),
     )

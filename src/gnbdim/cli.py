@@ -12,6 +12,7 @@ import logging
 import os
 import sys
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -23,7 +24,6 @@ from .ingest import filter_records, read_cells, write_cells
 
 log = logging.getLogger("gnbdim")
 
-EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_INFEASIBLE = 3
 
@@ -39,6 +39,27 @@ def _setup_logging() -> None:
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+@contextmanager
+def _exit_codes():
+    """Exit 3 on model infeasibility, naming its class, and 2 on any other
+    :class:`GnbdimError`."""
+    try:
+        yield
+    except InfeasibleError as exc:
+        _fail(EXIT_INFEASIBLE, f"{type(exc).__name__}: {exc}")
+    except GnbdimError as exc:
+        _fail(EXIT_BAD_INPUT, str(exc))
+
+
+def _write_outputs(out_dir: str | None, texts: dict[str, str]) -> None:
+    """Write each named text into ``out_dir`` (made if missing) and say where."""
+    out = Path(out_dir or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
+    click.echo("wrote " + " and ".join(str(out / name) for name in texts))
 
 
 def _number(text: str):
@@ -118,7 +139,7 @@ def main() -> None:
 @click.option("--bbox", default=None, help="minlon,minlat,maxlon,maxlat")
 def ingest(input_path, out_dir, radio, plmn, bbox) -> None:
     """Validate and filter records; write canonical CSV, report to stdout."""
-    try:
+    with _exit_codes():
         radio, plmn, bbox = load_filters(_filter_flags(radio, plmn, bbox))
         records, report = _read_input(input_path)
         records = filter_records(records, radio=radio, plmn=plmn, bbox=bbox)
@@ -126,8 +147,6 @@ def ingest(input_path, out_dir, radio, plmn, bbox) -> None:
         out.mkdir(parents=True, exist_ok=True)
         write_cells(out / "records.csv", records)
         click.echo(pipeline.dump_json(report.to_dict()), nl=False)
-    except GnbdimError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
 
 
 @main.command("density")
@@ -137,22 +156,16 @@ def ingest(input_path, out_dir, radio, plmn, bbox) -> None:
 @click.option("--window", default=None, help="Search window as WxH tiles.")
 def density_cmd(config_path, input_path, out_dir, window) -> None:
     """Rasterize records and locate the deployment area."""
-    try:
+    with _exit_codes():
         cfg = _load_config(
             config_path, {"input": input_path, "out": out_dir, "window": _window(window)}
         )
         records, _report = _read_input(cfg.input_path)
         grid, area = pipeline.locate_area(cfg, records)
-
-        out = Path(cfg.out_dir or ".")
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "grid.csv").write_text(density.grid_to_csv(grid), encoding="utf-8")
-        (out / "fivegda.geojson").write_text(
-            pipeline.dump_json(density.area_to_geojson(area, cfg.grid)), encoding="utf-8"
-        )
-        click.echo(f"wrote {out / 'grid.csv'} and {out / 'fivegda.geojson'}")
-    except GnbdimError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
+        _write_outputs(cfg.out_dir, {
+            "grid.csv": density.grid_to_csv(grid),
+            "fivegda.geojson": pipeline.dump_json(density.area_to_geojson(area, cfg.grid)),
+        })
 
 
 @main.command()
@@ -165,7 +178,7 @@ def density_cmd(config_path, input_path, out_dir, window) -> None:
 @click.option("--bbox", default=None, help="Filter override.")
 def dimension(config_path, input_path, out_dir, window, radio, plmn, bbox) -> None:
     """Run the full pipeline and write summary.json plus sites.geojson."""
-    try:
+    with _exit_codes():
         cfg = _load_config(config_path, {
             "input": input_path,
             "out": out_dir,
@@ -174,28 +187,18 @@ def dimension(config_path, input_path, out_dir, window, radio, plmn, bbox) -> No
         })
         records, report = _read_input(cfg.input_path)
         outcome = pipeline.run_dimension(cfg, records)
-
-        out = Path(cfg.out_dir or ".")
-        out.mkdir(parents=True, exist_ok=True)
         summary = pipeline.build_summary(
             cfg, report, outcome, pipeline.sha256_of(cfg.input_path)
         )
-        (out / "summary.json").write_text(pipeline.dump_json(summary), encoding="utf-8")
-        (out / "sites.geojson").write_text(
-            pipeline.dump_json(
-                pipeline.sites_to_geojson(
-                    outcome.sites_lonlat, outcome.result.deployment_radius_km
-                )
-            ),
-            encoding="utf-8",
+        sites = pipeline.sites_to_geojson(
+            outcome.sites_lonlat, outcome.result.deployment_radius_km
         )
-        click.echo(f"wrote {out / 'summary.json'} and {out / 'sites.geojson'}")
+        _write_outputs(cfg.out_dir, {
+            "summary.json": pipeline.dump_json(summary),
+            "sites.geojson": pipeline.dump_json(sites),
+        })
         if not outcome.result.converged:
             click.echo("warning: load fixed point did not converge", err=True)
-    except InfeasibleError as exc:
-        _fail(EXIT_INFEASIBLE, f"{type(exc).__name__}: {exc}")
-    except GnbdimError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
 
 
 if __name__ == "__main__":

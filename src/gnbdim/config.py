@@ -99,17 +99,6 @@ def list_of(kind: Kind, length: int | None = None) -> Kind:
     return check
 
 
-def mapping(kind: Kind) -> Kind:
-    """A JSON object with free keys and ``kind`` values."""
-
-    def check(value: Any, key: str) -> dict:
-        if not isinstance(value, dict):
-            raise _bad(key, "an object", value)
-        return {name: kind(item, f"{key}.{name}") for name, item in value.items()}
-
-    return check
-
-
 def section(rows: dict[str, tuple[Kind, Any]]) -> Kind:
     """A JSON object with the keys of ``rows``: name -> (kind, default)."""
     return lambda value, key: _walk(rows, value, key)
@@ -157,7 +146,10 @@ SCHEMA = {
         "carrier_ghz": (number, REQUIRED),
         "channel_bw_mhz": (real, 0.0),  # 0: the widest allowed channel
         "guard_fraction": (number, nr.DEFAULT_GUARD_FRACTION),
-        "allowed_bandwidths": (mapping(list_of(number)), ABSENT),
+        "allowed_bandwidths": (section({
+            "FR1": (list_of(number), ABSENT),
+            "FR2": (list_of(number), ABSENT),
+        }), ABSENT),
         "prb_overrides": (list_of(section({
             "bw_mhz": (number, REQUIRED),
             "mu": (integer, REQUIRED),
@@ -193,7 +185,7 @@ SCHEMA = {
         "target_load": (number, 1.0),
         "se_bps_per_hz": (number, REQUIRED),
         "overhead_fraction": (number, capacity.DEFAULT_OVERHEAD_FRACTION),
-        "subs_per_weight": (real, 1.0),
+        "subs_per_weight": (checked(real, lambda x: x > 0, "> 0"), 1.0),
     }), {}),
     "balance": (section({
         "eps_radius": (number, 0.10),

@@ -72,11 +72,15 @@ class PropagationModel:
     def __post_init__(self) -> None:
         if self.kind not in ("free_space", "abg"):
             raise ValueError(f"kind must be 'free_space' or 'abg', got {self.kind!r}")
-        if self.kind == "abg":
-            if self.alpha <= 0:
-                raise ValueError("alpha must be > 0 for abg")
-            if self.gamma < 0:
-                raise ValueError("gamma must be >= 0 for abg")
+        if self.kind == "free_space":  # its parameters are FREE_SPACE_ABG
+            for name in ("alpha", "beta_db", "gamma"):
+                value = getattr(self, name)
+                if value != 0:
+                    raise ValueError(f"{name} must be 0 or left out for free_space, got {value}")
+        elif self.alpha <= 0:
+            raise ValueError("alpha must be > 0 for abg")
+        elif self.gamma < 0:
+            raise ValueError("gamma must be >= 0 for abg")
 
 
 def free_space() -> PropagationModel:

@@ -231,29 +231,20 @@ def grid_to_csv(grid: DensityGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tile_polygon(spec: GridSpec, col: int, row: int, d_cols: int, d_rows: int) -> list:
-    x0, y0 = col * spec.tile_km, row * spec.tile_km
-    x1, y1 = (col + d_cols) * spec.tile_km, (row + d_rows) * spec.tile_km
+def _area_ring(area: DeploymentArea, spec: GridSpec) -> list:
+    """The area's outline as a closed ring of [lon, lat] corners."""
+    x0, y0 = area.col0 * spec.tile_km, area.row0 * spec.tile_km
+    x1 = (area.col0 + area.w_cols) * spec.tile_km
+    y1 = (area.row0 + area.h_rows) * spec.tile_km
     corners_km = [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]
     return [list(unproject(x, y, spec)) for x, y in corners_km]
 
 
 def area_to_geojson(area: DeploymentArea, spec: GridSpec) -> dict:
-    """The deployment area as a single GeoJSON polygon feature."""
+    """The deployment area as a single GeoJSON polygon feature; its
+    properties are the area's fields."""
     return {
         "type": "Feature",
-        "geometry": {
-            "type": "Polygon",
-            "coordinates": [
-                _tile_polygon(spec, area.col0, area.row0, area.w_cols, area.h_rows)
-            ],
-        },
-        "properties": {
-            "col0": area.col0,
-            "row0": area.row0,
-            "w_cols": area.w_cols,
-            "h_rows": area.h_rows,
-            "total_weight": area.total_weight,
-            "area_km2": area.area_km2,
-        },
+        "geometry": {"type": "Polygon", "coordinates": [_area_ring(area, spec)]},
+        "properties": dict(vars(area)),
     }

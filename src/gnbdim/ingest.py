@@ -112,19 +112,10 @@ class Cells:
     def take(self, keep: np.ndarray) -> Cells:
         """The rows where the boolean mask ``keep`` is true, in order."""
         flags = keep.tolist()
-        return Cells(
-            radio=self.radio[keep],
-            plmn=list(compress(self.plmn, flags)),
-            area=list(compress(self.area, flags)),
-            cell=list(compress(self.cell, flags)),
-            lon=self.lon[keep],
-            lat=self.lat[keep],
-            range_m=self.range_m[keep],
-            samples=list(compress(self.samples, flags)),
-            created=list(compress(self.created, flags)),
-            updated=list(compress(self.updated, flags)),
-            avg_signal=self.avg_signal[keep],
-        )
+        return Cells(**{
+            name: column[keep] if isinstance(column, np.ndarray) else list(compress(column, flags))
+            for name, column in vars(self).items()
+        })
 
 
 @dataclass(frozen=True)
@@ -135,12 +126,8 @@ class IngestReport:
     reject_reasons: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "rows_read": self.rows_read,
-            "rows_kept": self.rows_kept,
-            "rows_rejected": self.rows_rejected,
-            "reject_reasons": dict(sorted(self.reject_reasons.items())),
-        }
+        """The report's fields, reject reasons sorted by name."""
+        return {**vars(self), "reject_reasons": dict(sorted(self.reject_reasons.items()))}
 
 
 # Exports repeat a handful of raw (mcc, net) spellings over many rows, so

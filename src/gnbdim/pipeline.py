@@ -165,50 +165,28 @@ def build_summary(
     outcome: DimensionOutcome,
     input_sha256: str,
 ) -> dict:
+    """The ``summary.json`` document of a run; its area, dimensioning and
+    cost sections are new dicts of the fields of the outcome's records."""
     r = outcome.result
-    summary = {
+    return {
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "input_sha256": input_sha256,
         "config": cfg.to_dict(),
         "ingest": ingest_report.to_dict(),
         "deployment_area": {
-            "col0": outcome.area.col0,
-            "row0": outcome.area.row0,
-            "w_cols": outcome.area.w_cols,
-            "h_rows": outcome.area.h_rows,
-            "total_weight": outcome.area.total_weight,
-            "area_km2": outcome.area.area_km2,
+            **vars(outcome.area),
             "subscriber_density_per_km2": outcome.rho,
             "records_outside_grid": outcome.grid.n_outside,
         },
         "dimensioning": {
-            "r_cov_km": r.r_cov_km,
-            "r_cap_km": _float_or_none(r.r_cap_km),
-            "mapl_db": r.mapl_db,
-            "assumed_load": r.assumed_load,
-            "actual_load": r.actual_load,
+            **vars(r),
             "classification": r.classification.value,
-            "n_sites_coverage": r.n_sites_coverage,
-            "n_sites_capacity": r.n_sites_capacity,
-            "n_sites_final": r.n_sites_final,
-            "iterations": r.iterations,
-            "converged": r.converged,
-            "cell_capacity_mbps": r.cell_capacity_mbps,
-            "max_subs_per_cell": r.max_subs_per_cell,
+            "r_cap_km": _float_or_none(r.r_cap_km),
             "deployment_radius_km": _float_or_none(r.deployment_radius_km),
-            "utilization": r.utilization,
         },
-        "cost": None
-        if outcome.cost is None
-        else {
-            "annual_cost": outcome.cost.annual_cost,
-            "annual_bits": outcome.cost.annual_bits,
-            "cost_per_bit": outcome.cost.cost_per_bit,
-            "mean_utilization": outcome.cost.mean_utilization,
-        },
+        "cost": None if outcome.cost is None else dict(vars(outcome.cost)),
     }
-    return summary
 
 
 def dump_json(obj) -> str:

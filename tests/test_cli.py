@@ -300,10 +300,14 @@ class TestConfigErrors:
         ("filters.bbox", None, ["--bbox", "1,0,0,1"]),
         ("window.h_rows", 8, []),
         ("window.w_cols", None, ["--window", "8x2"]),
+        ("propagation.gamma", 3, []),
+        ("traffic.subs_per_weight", -1, []),
+        ("nr.allowed_bandwidths", {"FR1": [100], "fr2": [50]}, []),
     ], ids=["unknown-key", "non-finite", "bool", "fractional-int", "wrong-type",
             "lat-range", "lat-pole", "north-edge-past-pole", "bbox-nan-flag",
             "bbox-reversed", "bbox-reversed-flag", "window-taller-than-grid",
-            "window-flag-wider-than-grid"])
+            "window-flag-wider-than-grid", "free-space-abg-term", "subs-per-weight",
+            "bandwidth-range-typo"])
     def test_exits_2_with_one_error_line(
         self, runner, tmp_path, base_config_dict, towers_csv, dotted, value, flags
     ):
@@ -339,6 +343,27 @@ class TestConfigErrors:
         lines = result.output.strip().split("\n")
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {named} must be ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("dotted, value, error", [
+        ("propagation.alpha", 35, "propagation.alpha must be 0"),
+        ("traffic.subs_per_weight", 0, "traffic.subs_per_weight must be > 0"),
+        ("nr.allowed_bandwidths", {"fr1": [37, 100]},
+         "unknown config key nr.allowed_bandwidths.fr1"),
+    ])
+    def test_bad_model_key_wins_over_a_missing_input(
+        self, runner, tmp_path, base_config_dict, dotted, value, error
+    ):
+        base_config_dict["input"] = str(tmp_path / "absent.csv")
+        base_config_dict["out"] = str(tmp_path / "o")
+        set_key(base_config_dict, dotted, value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config_dict), encoding="utf-8")
+        result = runner.invoke(main, ["dimension", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        lines = result.output.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {error}")
         assert not (tmp_path / "o").exists()
 
 

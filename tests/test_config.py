@@ -163,6 +163,11 @@ DEFECTS = [
     ("cost.cost_multiplier", 0, "cost.cost_multiplier"),
     ("cost.duty_fraction", 1.5, "cost.duty_fraction"),
     ("traffic.target_load", 0, "traffic.target_load"),
+    ("propagation.alpha", 35, "propagation.alpha"),  # free_space takes no ABG terms
+    ("propagation.beta_db", 10, "propagation.beta_db"),
+    ("propagation.gamma", 3, "propagation.gamma"),
+    ("traffic.subs_per_weight", 0, "traffic.subs_per_weight"),
+    ("nr.allowed_bandwidths", {"fr1": [37, 100]}, "nr.allowed_bandwidths.fr1"),
 ]
 
 
