@@ -137,6 +137,13 @@ FILTERS = {
     )), None),
 }
 
+# A table of allowed channel bandwidths in MHz.
+BANDWIDTHS = checked(
+    list_of(checked(number, lambda bw: bw > 0, "> 0")),
+    lambda bws: len(bws) > 0,
+    "a non-empty list",
+)
+
 # The whole schema. Numbers typed `number` are echoed as given, `real`
 # ones as floats. Value ranges are checked by the model dataclasses,
 # except for keys that exist only in the config.
@@ -147,8 +154,8 @@ SCHEMA = {
         "channel_bw_mhz": (real, 0.0),  # 0: the widest allowed channel
         "guard_fraction": (number, nr.DEFAULT_GUARD_FRACTION),
         "allowed_bandwidths": (section({
-            "FR1": (list_of(number), ABSENT),
-            "FR2": (list_of(number), ABSENT),
+            "FR1": (BANDWIDTHS, ABSENT),
+            "FR2": (BANDWIDTHS, ABSENT),
         }), ABSENT),
         "prb_overrides": (list_of(section({
             "bw_mhz": (number, REQUIRED),

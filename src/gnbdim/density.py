@@ -61,6 +61,14 @@ class GridSpec:
                 f"n_rows * tile_km puts the grid's north edge at latitude {north_lat:g}, "
                 "at or past the pole"
             )
+        span_lon = self.n_cols * self.tile_km / (
+            EARTH_RADIUS_KM * _DEG * math.cos(self.origin_lat * _DEG)
+        )
+        if span_lon > 360:
+            raise ValueError(
+                f"n_cols * tile_km spans {span_lon:g} degrees of longitude at latitude "
+                f"{self.origin_lat:g}, more than 360"
+            )
 
     @property
     def extent_y_km(self) -> float:

@@ -8,7 +8,6 @@ its timestamp field.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json.encoder
 import logging
 import math
@@ -208,8 +207,8 @@ def dump_json(obj) -> str:
     return "".join(out)
 
 
-# One feature of sites.geojson at its depth in the document: lon, lat,
-# radius and site index, keys in sorted order.
+# One feature of sites.geojson at its depth in the document, keys in
+# sorted order; its lon, lat, radius and site index go where %s stands.
 _SITE = """
     {
       "geometry": {
@@ -221,33 +220,51 @@ _SITE = """
       },
       "properties": {
         "radius_km": %s,
-        "site": %d
+        "site": %s
       },
       "type": "Feature"
     }"""
+_SITE_OPEN, _LON_TO_LAT, _LAT_TO_RADIUS, _RADIUS_TO_SITE, _SITE_CLOSE = _SITE.split("%s")
 _SITES_HEAD = '{\n  "features": ['
 _SITES_TAIL = '\n  ],\n  "type": "FeatureCollection"\n}\n'
 _NO_SITES = '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
 
 
 def _sites_text(c: SiteCollection) -> str:
+    """The document from the template's fixed pieces, with each site's lon,
+    lat and index text between them; the radius is written once."""
     if not c.sites:
         return _NO_SITES
     lons, lats = zip(*c.sites, strict=True)
-    features = zip(
-        _floats_text(lons),
-        _floats_text(lats),
-        itertools.repeat(_floats_text((c.radius_km,))[0]),
-        range(len(lons)),
-    )
-    return _SITES_HEAD + ",".join(map(_SITE.__mod__, features)) + _SITES_TAIL
+    radius = _floats_text((c.radius_km,))[0]
+    # Six pieces a site, starting with the previous site's close and comma.
+    pieces = [
+        _SITE_CLOSE + "," + _SITE_OPEN, None, _LON_TO_LAT, None,
+        _LAT_TO_RADIUS + radius + _RADIUS_TO_SITE, None,
+    ] * len(lons)
+    pieces[0] = _SITES_HEAD + _SITE_OPEN
+    pieces[1::6] = _floats_text(lons)
+    pieces[3::6] = _floats_text(lats)
+    pieces[5::6] = map(str, range(len(lons)))
+    return "".join(pieces) + _SITE_CLOSE + _SITES_TAIL
 
 
 def _floats_text(values) -> list[str]:
-    """Each float as json writes it; json's spellings are looked up only
-    when a value is not finite."""
-    texts = list(map(float.__repr__, values))
-    if not math.isfinite(sum(values)):
+    """Each float as json writes it, each distinct value formatted once.
+
+    Equal values share one text, except 0.0 and -0.0, which are equal but
+    written apart: when the values hold a zero of either sign, every value
+    is formatted on its own. A NaN equals nothing, so the lookup finds it
+    by identity: each NaN object gets its own text. json's spellings are
+    looked up only when a value is not finite.
+    """
+    distinct = set(values)
+    if 0.0 in distinct:
+        texts = list(map(float.__repr__, values))
+    else:
+        text_of = dict(zip(distinct, map(float.__repr__, distinct)))
+        texts = list(map(text_of.__getitem__, values))
+    if not all(map(math.isfinite, distinct)):
         texts = [_FLOAT_SPECIALS.get(text, text) for text in texts]
     return texts
 

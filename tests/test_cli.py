@@ -303,11 +303,15 @@ class TestConfigErrors:
         ("propagation.gamma", 3, []),
         ("traffic.subs_per_weight", -1, []),
         ("nr.allowed_bandwidths", {"FR1": [100], "fr2": [50]}, []),
+        ("nr.allowed_bandwidths.FR1", [], []),
+        ("nr.allowed_bandwidths.FR1", [-5, 100], []),
+        ("grid.n_cols", 40000, []),  # 40000 km of longitude at 41.8°: over 360°
     ], ids=["unknown-key", "non-finite", "bool", "fractional-int", "wrong-type",
             "lat-range", "lat-pole", "north-edge-past-pole", "bbox-nan-flag",
             "bbox-reversed", "bbox-reversed-flag", "window-taller-than-grid",
             "window-flag-wider-than-grid", "free-space-abg-term", "subs-per-weight",
-            "bandwidth-range-typo"])
+            "bandwidth-range-typo", "empty-bandwidth-table", "non-positive-bandwidth",
+            "longitude-span-over-360"])
     def test_exits_2_with_one_error_line(
         self, runner, tmp_path, base_config_dict, towers_csv, dotted, value, flags
     ):

@@ -88,6 +88,14 @@ class TestLoadConfig:
         assert echo["nr"]["allowed_bandwidths"] == {"FR1": [37, 100]}
         assert load_config_dict(echo).nr_config.bwps[0].bw_mhz == 37
 
+    def test_grid_rows_span_at_most_360_degrees_of_longitude(self, base_config_dict):
+        # At 60° a degree of longitude is 55.6 km, so 20000 km span 359.7°.
+        base_config_dict["grid"].update(origin_lat=60.0, n_cols=20000)
+        assert load_config_dict(base_config_dict).grid.n_cols == 20000
+        base_config_dict["grid"]["n_cols"] = 20100
+        with pytest.raises(ConfigError, match=r"^grid\.n_cols \* tile_km spans 361\.5"):
+            load_config_dict(base_config_dict)
+
     def test_filters_parsed(self, base_config_dict):
         base_config_dict["filters"] = {
             "radio": "LTE",
@@ -147,6 +155,9 @@ DEFECTS = [
     ("grid.origin_lat", -90.0, "grid.origin_lat"),
     ("grid.origin_lat", 89.99, "grid.n_rows"),  # 7 rows of 1 km end past the pole
     ("grid.origin_lon", -180.5, "grid.origin_lon"),
+    ("grid.n_cols", 40000, "grid.n_cols"),  # 40000 km of longitude at 41.8°: 482.6°
+    ("grid", {"origin_lon": 0, "origin_lat": 60, "n_cols": 40000, "n_rows": 1},
+     "grid.n_cols"),  # the row would end at longitude 719.5
     ("grid.n_cols", 7.9, "grid.n_cols"),
     ("input", 5, "input"),
     ("filters.bbox", [float("nan"), 0, 1, 1], "filters.bbox[0]"),
@@ -168,6 +179,13 @@ DEFECTS = [
     ("propagation.gamma", 3, "propagation.gamma"),
     ("traffic.subs_per_weight", 0, "traffic.subs_per_weight"),
     ("nr.allowed_bandwidths", {"fr1": [37, 100]}, "nr.allowed_bandwidths.fr1"),
+    ("nr.allowed_bandwidths.FR1", [], "nr.allowed_bandwidths.FR1 must be a non-empty list"),
+    ("nr.allowed_bandwidths.FR2", [], "nr.allowed_bandwidths.FR2 must be a non-empty list"),
+    # channel_bw_mhz 0 takes the widest channel of the table: max() of nothing.
+    ("nr", {**BASE_CONFIG["nr"], "channel_bw_mhz": 0, "allowed_bandwidths": {"FR1": []}},
+     "nr.allowed_bandwidths.FR1 must be a non-empty list"),
+    ("nr.allowed_bandwidths.FR1", [-5, 100], "nr.allowed_bandwidths.FR1[0] must be > 0"),
+    ("nr.allowed_bandwidths.FR1", [100, 0], "nr.allowed_bandwidths.FR1[1] must be > 0"),
 ]
 
 
@@ -242,11 +260,17 @@ def documents(draw) -> dict:
     doc["cost"]["cost_multiplier"] = draw(st.floats(0.01, 100).filter(lambda x: x != 1))
     n_cols, n_rows = draw(st.integers(1, 50)), draw(st.integers(1, 50))
     tile_km = draw(_num(0.1, 5))
-    # The grid's north edge stays short of the pole, also when tile_km is
-    # left out below and defaults to 1 km.
-    span_deg = n_rows * max(tile_km, 1.0) / (EARTH_RADIUS_KM * (math.pi / 180.0))
+    # The grid's north edge stays short of the pole, and its rows span at
+    # most 360 degrees of longitude (within widest_lat), also when tile_km
+    # is left out below and defaults to 1 km.
+    km_per_deg = EARTH_RADIUS_KM * (math.pi / 180.0)
+    span_deg = n_rows * max(tile_km, 1.0) / km_per_deg
+    width_km = n_cols * max(tile_km, 1.0)
+    widest_lat = math.degrees(math.acos(width_km / (360 * km_per_deg)))
     origin_lat = draw(
-        _num(-90, 90 - span_deg).filter(lambda lat: -90 < lat and lat + span_deg < 90)
+        _num(-widest_lat, min(widest_lat, 90 - span_deg))
+        .filter(lambda lat: lat + span_deg < 90)
+        .filter(lambda lat: width_km / (km_per_deg * math.cos(lat * (math.pi / 180.0))) <= 360)
     )
     doc["grid"] = {
         "origin_lon": draw(_num(-180, 180)), "origin_lat": origin_lat,

@@ -85,6 +85,10 @@ def test_dump_json_matches_json_dumps(value):
     assert _outcome(dump_json, value) == _outcome(_reference_dump, value)
 
 
+_UNIT = GridSpec(origin_lon=-87.7, origin_lat=41.8, n_cols=4, n_rows=4, tile_km=1.0)
+_AREA = DeploymentArea(0, 0, 3, 3, total_weight=1.0, area_km2=9.0)
+
+
 def reference_sites_dict(sites: list[tuple[float, float]], radius_km: float) -> dict:
     """The sites document as a dict, one feature per site."""
     features = [
@@ -103,12 +107,21 @@ coordinates = st.one_of(
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, -1.5e16, 1e-7]),
 )
+# A small pool, so values repeat as on a lattice: both zeros, which are
+# equal but written apart; one NaN object drawn again and again, and NaN
+# objects of their own; +-inf; and a numpy float equal to a float here.
+_SHARED_NAN = float("nan")
+pooled = st.sampled_from([
+    0.0, -0.0, _SHARED_NAN, float("nan"), float("nan"), math.inf, -math.inf,
+    -87.7, 41.8, 1e16, np.float64(-87.7), 5e-324,
+])
 site_lists = st.one_of(
     st.just([]),
     st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=1),
     st.lists(st.tuples(coordinates, coordinates), min_size=2, max_size=40),
     # Finite lattices, the common case, which the fast path writes.
     st.lists(st.tuples(st.floats(-180, 180), st.floats(-90, 90)), min_size=2, max_size=40),
+    st.lists(st.tuples(pooled, pooled), min_size=2, max_size=40),
 )
 radii = st.one_of(
     st.floats(),
@@ -124,6 +137,9 @@ radii = st.one_of(
 @example([(0.5, 1.0), (math.nan, 2.0), (3.0, -math.inf)], math.inf)  # one NaN among finite
 @example([(1e308, 1e308), (1e308, 1e308)], 1.0)  # finite, but they sum to inf
 @example([(np.float64(0.1), np.float64(-0.0))], np.float64(math.nan))
+@example([(0.0, 1.0), (-0.0, 1.0), (-0.0, -0.0)], 1.0)  # equal zeros, written apart
+@example([(-math.inf, 1.0), (np.float64(-87.7), 1.0), (math.inf, 1.0)], 1.0)  # no numpy warning
+@example(site_lattice(_AREA, _UNIT, 0.4), 0.4)  # rows share a lat, every other row its lons
 def test_sites_writer_matches_the_dict_reference(sites, radius_km):
     expected = _reference_dump(reference_sites_dict(sites, radius_km))
     assert dump_json(sites_to_geojson(sites, radius_km)) == expected
@@ -166,13 +182,18 @@ def lattices(draw):
     tile_km = draw(st.floats(min_value=0.01, max_value=50.0))
     col0, row0 = draw(st.integers(0, 20)), draw(st.integers(0, 20))
     w_cols, h_rows = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    # GridSpec rejects a grid whose north edge reaches the pole.
-    span_deg = (row0 + h_rows) * tile_km / (EARTH_RADIUS_KM * (math.pi / 180.0))
+    # GridSpec rejects a grid whose north edge reaches the pole, or whose
+    # rows span more than 360 degrees of longitude (beyond widest_lat).
+    km_per_deg = EARTH_RADIUS_KM * (math.pi / 180.0)
+    span_deg = (row0 + h_rows) * tile_km / km_per_deg
+    width_km = (col0 + w_cols) * tile_km
+    widest_lat = math.degrees(math.acos(width_km / (360.0 * km_per_deg)))
     spec = GridSpec(
         origin_lon=draw(st.floats(min_value=-180.0, max_value=180.0)),
         origin_lat=draw(
-            st.floats(min_value=-90.0, max_value=90.0 - span_deg, exclude_min=True)
+            st.floats(min_value=-widest_lat, max_value=min(widest_lat, 90.0 - span_deg))
             .filter(lambda lat: lat + span_deg < 90.0)
+            .filter(lambda lat: width_km / (km_per_deg * math.cos(lat * (math.pi / 180.0))) <= 360)
         ),
         n_cols=col0 + w_cols,
         n_rows=row0 + h_rows,
@@ -189,10 +210,6 @@ def lattices(draw):
     else:
         radius = draw(st.floats(min_value=0.05, max_value=2.0)) * tile_km
     return area, spec, radius
-
-
-_UNIT = GridSpec(origin_lon=-87.7, origin_lat=41.8, n_cols=4, n_rows=4, tile_km=1.0)
-_AREA = DeploymentArea(0, 0, 3, 3, total_weight=1.0, area_km2=9.0)
 
 
 @settings(max_examples=200, deadline=None)
