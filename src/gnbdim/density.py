@@ -6,9 +6,12 @@ regions below ~100 km) and binned into tiles by their sample counts.
 The deployment area is the fixed-size window of maximum total weight,
 found exactly with 2-D prefix sums (a summed-area table; Crow, SIGGRAPH
 1984); ties resolve to the south-west (smallest row, then smallest
-column) so runs are reproducible. The search makes the prefix rows one
-band at a time, so beyond the grid it holds O((band + h) * n_cols)
-floats, not two full-grid tables.
+column) so runs are reproducible. The search makes one pass over the
+grid to find the occupied tile rows, then works in O(occupied rows *
+n_cols): a row whose weights are all +0.0 adds nothing to a prefix sum.
+If any weight is negative, -0.0 included, every row is treated as
+occupied. It makes the prefix rows one band at a time, so beyond the
+grid it holds O((band + h) * n_cols) floats, not two full-grid tables.
 """
 
 from __future__ import annotations
@@ -148,68 +151,105 @@ def bin_records(records: Cells, spec: GridSpec) -> DensityGrid:
 def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
     """Maximum-weight w x h window, exact via 2-D prefix sums.
 
-    All window placements are scored in O(n_rows * n_cols); the first
-    maximum in row-major order wins, which is the south-west tie-break.
-    Weights are sample counts, never negative, so the grid total is the
-    largest prefix sum and bounds every window sum.
+    The first maximum in row-major order wins, which is the south-west
+    tie-break. Weights are sample counts, never negative, so the grid
+    total is the largest prefix sum and bounds every window sum.
+
+    The work is one pass over the grid to find the occupied rows, then
+    O(occupied rows * n_cols). A row is empty when every weight in it is
+    +0.0: adding it to the running prefix changes no value, so prefix
+    row r equals prefix row k(r), made from the first k(r) occupied rows
+    only. The sum of the window anchored at row a then depends only on
+    (k(a), k(a + h_rows)), and of each run of anchors sharing that pair
+    only the first, which wins the tie, is scored. A negative weight,
+    -0.0 included, turns this off and every row is made: -0.0 + 0.0 is
+    +0.0, so skipping rows could flip the sign of a zero prefix sum.
 
     The prefix table is never held whole: its rows are made one band of
-    window anchors at a time in a buffer of ``band + h_rows`` rows that
-    slides north, so the search holds O((band + h_rows) * n_cols) floats.
-    A window sum needs only the two prefix rows ``h_rows`` apart, and every
-    sum is added in the same order as over the full table.
+    scored anchors at a time in a buffer that slides north, so the search
+    holds O((band + h_rows) * n_cols) floats. Every sum is added in the
+    same order as over the full table, so the answer is the same to the
+    bit.
     """
     weight = grid.weight
     rows, cols = weight.shape
     if not (1 <= w_cols <= cols and 1 <= h_rows <= rows):
         raise GnbdimError(f"window {w_cols}x{h_rows} does not fit the {cols}x{rows} grid")
     n_anchors = rows - h_rows + 1
-    band = min(n_anchors, max(h_rows, _BAND_BYTES // ((cols + 1) * 8)))
-    # Row j holds prefix row a0 + j of the band anchored at row a0; column 0
-    # and, for the first band, row 0 stay zero.
-    prefix = np.zeros((band + h_rows, cols + 1), dtype=np.float64)
+    # A row's largest bit pattern is 0 only if every weight in it is +0.0,
+    # and has the sign bit set if some weight in it is negative.
+    row_bits = weight.view(np.uint64).max(axis=1)
+    if np.count_nonzero(row_bits) == rows or row_bits.max() >= np.uint64(1 << 63):
+        occupied = None  # scored anchor i is row i, between prefix rows i and i + h_rows
+        n_scored, span = n_anchors, h_rows
+    else:
+        occupied = np.flatnonzero(row_bits)
+        is_occupied = row_bits != 0
+        k = np.zeros(rows + 1, dtype=np.int64)  # k[r]: occupied rows below row r
+        np.cumsum(is_occupied, out=k[1:])
+        # An anchor starts a run when a row enters or leaves its window.
+        first = np.ones(n_anchors, dtype=bool)
+        first[1:] = is_occupied[: n_anchors - 1] | is_occupied[h_rows:]
+        anchor = np.flatnonzero(first)
+        k0, k1 = k[anchor], k[anchor + h_rows]
+        n_scored, span = len(anchor), min(h_rows, len(occupied))
+    # On an all-empty grid span is 0 and one anchor is scored.
+    band = min(n_scored, max(span, 1, _BAND_BYTES // ((cols + 1) * 8)))
+    # Row j holds prefix row base + j; column 0 and prefix row 0 stay zero.
+    # A band's anchors need prefix rows k0 of its first to k1 of its last,
+    # at most band + span rows.
+    prefix = np.zeros((band + span, cols + 1), dtype=np.float64)
     sums = np.empty((band, cols - w_cols + 1), dtype=np.float64)
-    carry = None  # column sums of the weight rows below the band's new rows
-    top = 1
+    base = made = 0  # prefix rows base..made are in the buffer
+    carry = None  # column sums of the weight rows up to prefix row `made`
     best = None
     # An overflow shows in the total, checked after the last band.
     with np.errstate(over="ignore", invalid="ignore"):
-        for a0 in range(0, n_anchors, band):
-            n = min(band, n_anchors - a0)
-            new = prefix[top : n + h_rows, 1:]
-            src = weight[a0 + top - 1 : a0 + n + h_rows - 1]
-            if carry is None:
-                np.cumsum(src, axis=0, out=new)
-            else:  # carry + W[r] is the full table's out[r-1] + W[r]
-                np.add(carry, src[0], out=new[0])
-                new[1:] = src[1:]
-                np.cumsum(new, axis=0, out=new)
-            last = a0 + n == n_anchors
-            if not last:
-                carry = new[-1].copy()
-            np.cumsum(new, axis=1, out=new)
+        for i0 in range(0, n_scored, band):
+            n = min(band, n_scored - i0)
+            if occupied is None:
+                q0, q1 = i0, i0 + n - 1 + h_rows
+                lo, hi = slice(0, n), slice(h_rows, n + h_rows)
+                src = weight[made:q1]
+            else:
+                q0, q1 = int(k0[i0]), int(k1[i0 + n - 1])
+                lo, hi = k0[i0 : i0 + n] - q0, k1[i0 : i0 + n] - q0
+                src = weight[occupied[made:q1]]
+            if q0 > base:  # slide the rows still needed to the front
+                prefix[: made - q0 + 1] = prefix[q0 - base : made - base + 1]
+                base = q0
+            if q1 > made:  # a band may only move k0 on and need no new row
+                new = prefix[made - base + 1 : q1 - base + 1, 1:]
+                if carry is None:
+                    np.add.accumulate(src, axis=0, out=new)
+                else:  # carry + W[r] is the full table's out[r-1] + W[r]
+                    np.add(carry, src[0], out=new[0])
+                    new[1:] = src[1:]
+                    np.add.accumulate(new, axis=0, out=new)
+                if i0 + n < n_scored:
+                    carry = new[-1].copy()
+                np.add.accumulate(new, axis=1, out=new)
+                made = q1
             # In the order (a - b) - c + d, as over the full table.
+            top, bottom = prefix[hi], prefix[lo]
             s = sums[:n]
-            np.subtract(prefix[h_rows : n + h_rows, w_cols:], prefix[:n, w_cols:], out=s)
-            s -= prefix[h_rows : n + h_rows, :-w_cols]
-            s += prefix[:n, :-w_cols]
-            flat = int(np.argmax(s))  # row-major: smallest row0 first, then col0
-            value = s.flat[flat]
+            np.subtract(top[:, w_cols:], bottom[:, w_cols:], out=s)
+            s -= top[:, :-w_cols]
+            s += bottom[:, :-w_cols]
+            flat = int(s.argmax())  # row-major: smallest row0 first, then col0
+            value = s.item(flat)
             if best is None or value > best[0]:  # an equal later band loses the tie
-                best = (value, a0 * s.shape[1] + flat)
-            if not last:
-                prefix[:h_rows] = prefix[n : n + h_rows]
-                top = h_rows
-    total = float(prefix[n + h_rows - 1, -1])
+                best = (value, i0 * s.shape[1] + flat)
+    total = float(prefix[made - base, -1])
     if not math.isfinite(total):
         raise GnbdimError(
             f"binned samples overflow: the grid's total weight is {total}, "
             "beyond the float range"
         )
-    row0, col0 = divmod(best[1], sums.shape[1])
+    scored, col0 = divmod(best[1], sums.shape[1])
     return DeploymentArea(
         col0=col0,
-        row0=row0,
+        row0=scored if occupied is None else int(anchor[scored]),
         w_cols=w_cols,
         h_rows=h_rows,
         total_weight=float(best[0]),
@@ -230,12 +270,22 @@ def subscriber_density(area: DeploymentArea, subs_per_weight: float) -> float:
 
 
 def grid_to_csv(grid: DensityGrid) -> str:
-    """Row-major CSV dump of the raster: row,col,weight,towers."""
+    """Row-major CSV of the tiles that hold a tower: row,col,weight,towers.
+
+    Every other tile holds no weight, so the raster reads back from the
+    listed tiles alone.
+    """
+    rows, cols = np.nonzero(grid.towers > 0)
     lines = ["row,col,weight,towers"]
-    weight, towers = grid.weight, grid.towers
-    for row in range(grid.spec.n_rows):
-        for col in range(grid.spec.n_cols):
-            lines.append(f"{row},{col},{float(weight[row, col])!r},{int(towers[row, col])}")
+    lines += [
+        f"{row},{col},{weight!r},{towers}"
+        for row, col, weight, towers in zip(
+            rows.tolist(),
+            cols.tolist(),
+            grid.weight[rows, cols].tolist(),
+            grid.towers[rows, cols].tolist(),
+        )
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gnbdim.density import (
     EARTH_RADIUS_KM,
@@ -231,6 +233,11 @@ class TestExports:
         assert len(lines) == 1 + 4
         assert lines[1] == "0,0,1.0,1"
 
+    def test_csv_lists_only_tiles_with_towers(self):
+        grid = grid_from([[0, 2], [0, 0]])
+        grid.towers[1, 0] = 3  # towers whose samples are all zero
+        assert grid_to_csv(grid) == "row,col,weight,towers\n0,1,2.0,1\n1,0,0.0,3\n"
+
     def test_area_geojson_properties(self):
         grid = grid_from([[1, 2, 0], [0, 3, 0], [4, 0, 0]])
         area = find_5gda(grid, 2, 2)
@@ -241,3 +248,40 @@ class TestExports:
         ring = doc["geometry"]["coordinates"][0]
         assert ring[0] == ring[-1]
         assert len(ring) == 5
+
+
+@st.composite
+def rasters(draw):
+    """A binned raster: a tile without towers holds weight +0.0."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = rows * cols
+    towers = np.array(draw(st.lists(st.sampled_from([0, 0, 1, 2, 7]), min_size=n, max_size=n)))
+    samples = st.just(0.0) | st.integers(0, 10**20).map(float) | st.floats(1e-300, 1e300)
+    weight = np.array(draw(st.lists(samples, min_size=n, max_size=n))) * (towers > 0)
+    return DensityGrid(
+        spec=spec_at(cols=cols, rows=rows),
+        weight=weight.reshape(rows, cols),
+        towers=towers.reshape(rows, cols).astype(np.int64),
+    )
+
+
+def _empty_raster(rows, cols):
+    zeros = np.zeros((rows, cols))
+    spec = spec_at(cols=cols, rows=rows)
+    return DensityGrid(spec=spec, weight=zeros, towers=zeros.astype(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rasters())
+@example(_empty_raster(3, 4))  # header only
+def test_csv_reads_back_onto_a_zero_raster(grid):
+    weight = np.zeros(grid.weight.shape)
+    towers = np.zeros(grid.towers.shape, dtype=np.int64)
+    header, *lines = grid_to_csv(grid).splitlines()
+    assert header == "row,col,weight,towers"
+    for line in lines:
+        row, col, w, t = line.split(",")
+        weight[int(row), int(col)] = float(w)
+        towers[int(row), int(col)] = int(t)
+    assert weight.tobytes() == grid.weight.tobytes()
+    assert np.array_equal(towers, grid.towers)
