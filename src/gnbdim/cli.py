@@ -29,9 +29,10 @@ EXIT_INFEASIBLE = 3
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("GNBDIM_LOG", "WARNING").upper()
+    # A level name maps to its number; any other text to a "Level ..." string.
+    level = logging.getLevelName(os.environ.get("GNBDIM_LOG", "WARNING").upper())
     logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
+        level=level if isinstance(level, int) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
 
@@ -53,12 +54,21 @@ def _exit_codes():
         _fail(EXIT_BAD_INPUT, str(exc))
 
 
+@contextmanager
+def _output_dir(out: Path):
+    """``out``, made if missing; exit 2 if it or a file written in it fails."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except OSError as exc:
+        _fail(EXIT_BAD_INPUT, f"cannot write output {out}: {exc}")
+
+
 def _write_outputs(out_dir: str | None, texts: dict[str, str]) -> None:
-    """Write each named text into ``out_dir`` (made if missing) and say where."""
-    out = Path(out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out / name).write_text(text, encoding="utf-8")
+    """Write each named text into ``out_dir`` and say where."""
+    with _output_dir(Path(out_dir or ".")) as out:
+        for name, text in texts.items():
+            (out / name).write_text(text, encoding="utf-8")
     click.echo("wrote " + " and ".join(str(out / name) for name in texts))
 
 
@@ -143,9 +153,8 @@ def ingest(input_path, out_dir, radio, plmn, bbox) -> None:
         radio, plmn, bbox = load_filters(_filter_flags(radio, plmn, bbox))
         records, report = _read_input(input_path)
         records = filter_records(records, radio=radio, plmn=plmn, bbox=bbox)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_cells(out / "records.csv", records)
+        with _output_dir(Path(out_dir)) as out:
+            write_cells(out / "records.csv", records)
         click.echo(pipeline.dump_json(report.to_dict()), nl=False)
 
 

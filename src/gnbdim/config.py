@@ -21,7 +21,6 @@ from typing import Any, Callable
 
 from . import balance, capacity, coverage, density, economics, ingest, nr
 from .errors import ConfigError, GnbdimError
-from .identifiers import parse_plmn
 
 REQUIRED = object()  # default of a key that must be given
 ABSENT = object()  # default of a key left out, of the echo too, unless given
@@ -129,7 +128,7 @@ def _walk(rows: dict[str, tuple[Kind, Any]], value: Any, key: str) -> dict:
 
 FILTERS = {
     "radio": (optional(one_of(*(radio.value for radio in ingest.Radio))), None),
-    "plmn": (optional(text), None),
+    "plmn": (optional(checked(text, ingest.is_plmn, "5 or 6 decimal digits")), None),
     "bbox": (optional(checked(
         list_of(real, 4),
         lambda box: box[0] <= box[2] and box[1] <= box[3],
@@ -321,13 +320,12 @@ def _nr_config(values: dict) -> nr.NrConfig:
 
 
 def _filters(values: dict) -> Filters:
-    radio, plmn, bbox = values["radio"], values["plmn"], values["bbox"]
-    with _named("filters", values):
-        return (
-            None if radio is None else ingest.Radio(radio),
-            None if plmn is None else parse_plmn(plmn),
-            None if bbox is None else tuple(bbox),
-        )
+    radio, bbox = values["radio"], values["bbox"]
+    return (
+        None if radio is None else ingest.Radio(radio),
+        values["plmn"],
+        None if bbox is None else tuple(bbox),
+    )
 
 
 def load_filters(values: dict) -> Filters:

@@ -9,8 +9,12 @@ nature, so a bad row is counted and skipped, never fatal; only a missing
 or garbled header aborts the ingest. Fields are checked left to right in
 column order and the first failure decides the reject reason.
 
-A single-digit ``net`` column is zero-padded to the 2-digit minimum MNC
-width (exports strip leading zeros); wider values are kept verbatim.
+A row's operator is its PLMN: the 3-digit MCC followed by the 2- or
+3-digit MNC, kept as that digit string. Digits stay strings throughout:
+"01" and "1" are distinct network codes, and an integer round-trip would
+lose the leading zero. A single-digit ``net`` column is zero-padded to the
+2-digit minimum MNC width (exports strip leading zeros); wider values are
+kept verbatim.
 
 Kept rows land in a columnar :class:`Cells` table, built in one pass over
 the rows with no per-row object. It is the one representation of tower
@@ -22,19 +26,17 @@ from __future__ import annotations
 import csv
 import functools
 import gzip
-import io
 import sys
 from array import array
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import compress
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .errors import GnbdimError, MissingHeaderError
-from .identifiers import plmn_digits
 
 EXPECTED_HEADER = (
     "radio", "mcc", "net", "area", "cell", "unit", "lon", "lat",
@@ -130,31 +132,28 @@ class IngestReport:
         return {**vars(self), "reject_reasons": dict(sorted(self.reject_reasons.items()))}
 
 
+def is_plmn(text: str) -> bool:
+    """Whether ``text`` is a PLMN: 5 or 6 ASCII digits, the first 3 the MCC."""
+    return len(text) in (5, 6) and text.isascii() and text.isdigit()
+
+
 # Exports repeat a handful of raw (mcc, net) spellings over many rows, so
 # each distinct spelling is validated once.
 @functools.lru_cache(maxsize=1 << 16)
 def _plmn_digits(mcc_text: str, net_text: str) -> str | None:
     """MCC+MNC digit string of a row's raw fields, None if either is invalid."""
+    mcc = mcc_text.strip()
     mnc = net_text.strip()
-    if len(mnc) == 1 and mnc.isdigit():
+    if len(mnc) == 1:
         mnc = "0" + mnc
-    try:
-        return plmn_digits(mcc_text.strip(), mnc)
-    except GnbdimError:
-        return None
+    plmn = mcc + mnc
+    return plmn if len(mcc) == 3 and is_plmn(plmn) else None
 
 
-def _as_text_stream(stream: IO | bytes) -> Iterable[str]:
-    if isinstance(stream, (bytes, bytearray)):
-        return io.StringIO(stream.decode("utf-8-sig"))
-    if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
-        return io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
-    return stream
-
-
-def parse_csv(stream: IO | bytes) -> tuple[Cells, IngestReport]:
-    """Parse tower records from a CSV stream; bad rows are counted, not fatal."""
-    reader = csv.reader(_as_text_stream(stream))
+def parse_csv(lines: Iterable[str]) -> tuple[Cells, IngestReport]:
+    """Parse tower records from CSV text lines, such as a file opened by
+    :func:`read_cells`; bad rows are counted, not fatal."""
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except (StopIteration, csv.Error):

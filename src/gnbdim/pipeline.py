@@ -191,13 +191,15 @@ def build_summary(
 def dump_json(obj) -> str:
     """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2) + "\n"`` writes it.
 
-    Byte for byte the same text, including json's ``NaN``/``Infinity``
-    spellings, its ASCII escapes and its ``TypeError`` for values it
-    cannot encode. With an indent, ``json.dumps`` runs its pure-Python
-    generator encoder on CPython < 3.13; this writes every piece into one
-    list and joins it once. Circular references are not detected. A
-    :class:`SiteCollection` is written as the FeatureCollection it stands
-    for, one feature per site from a fixed template.
+    ``obj`` is built of dicts with ``str`` keys, lists, strs, ints, floats,
+    bools and None; for those the text is byte for byte json's, including
+    its ``NaN``/``Infinity`` spellings and its ASCII escapes. Any other type,
+    subclasses included, raises ``TypeError``. With an indent, ``json.dumps``
+    runs its pure-Python generator encoder on CPython < 3.13; this writes
+    every piece into one list and joins it once. Circular references are
+    not detected. A :class:`SiteCollection` is written as the
+    FeatureCollection it stands for, one feature per site from a fixed
+    template.
     """
     if type(obj) is SiteCollection:
         return _sites_text(obj)
@@ -271,7 +273,7 @@ def _floats_text(values) -> list[str]:
 
 def _write(o, nl: str, out: list[str]) -> None:
     """Append ``o`` as JSON; ``nl`` is a newline plus the indent of o's line."""
-    kind = _KINDS.get(type(o)) or _kind(o)
+    kind = type(o)
     if kind is float:
         text = float.__repr__(o)
         out.append(_FLOAT_SPECIALS.get(text, text))
@@ -284,8 +286,10 @@ def _write(o, nl: str, out: list[str]) -> None:
         inner = nl + "  "
         sep = "{" + inner
         for k, v in sorted(o.items()):
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
             out.append(sep)
-            out.append(_encode_ascii(k if type(k) is str else _key(k)))
+            out.append(_encode_ascii(k))
             out.append(": ")
             _write(v, inner, out)
             sep = "," + inner
@@ -305,42 +309,14 @@ def _write(o, nl: str, out: list[str]) -> None:
         out.append(int.__repr__(o))
     elif kind is bool:
         out.append("true" if o else "false")
-    else:
+    elif o is None:
         out.append("null")
-
-
-def _kind(o) -> type:
-    """The JSON kind of a type outside ``_KINDS``, tested in json's order."""
-    for kind in (str, int, float, list, tuple, dict):
-        if isinstance(o, kind):
-            return list if kind is tuple else kind
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _key(k) -> str:
-    """A non-str dict key as json converts it to a string."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        text = float.__repr__(k)
-        return _FLOAT_SPECIALS.get(text, text)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 _encode_ascii = json.encoder.encode_basestring_ascii
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_KINDS = {
-    str: str, int: int, float: float, bool: bool, type(None): type(None),
-    list: list, tuple: list, dict: dict,
-}
 
 
 def sha256_of(path: str | Path) -> str:

@@ -150,6 +150,31 @@ class TestUnreadableInput:
         assert str(bad_input) in lines[0]
 
 
+class TestUnwritableOutput:
+    @pytest.fixture(params=["file", "directory"])
+    def taken(self, request, tmp_path):
+        """An --out that names a regular file, or whose output file name a
+        directory has taken."""
+        out = tmp_path / "o"
+        if request.param == "file":
+            out.write_text("", encoding="utf-8")
+        else:
+            for name in ("records.csv", "grid.csv", "summary.json"):
+                (out / name).mkdir(parents=True)
+        return out
+
+    @pytest.mark.parametrize("command", ["ingest", "density", "dimension"])
+    def test_exits_2_with_one_error_line(self, runner, towers_csv, config_file, taken, command):
+        args = ["--input", str(towers_csv), "--out", str(taken)]
+        if command != "ingest":
+            args += ["--config", str(config_file)]
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 2, result.output
+        lines = result.output.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot write output {taken}: ")
+
+
 class TestDensity:
     def test_writes_grid_and_area(self, runner, tmp_path, config_file):
         result = runner.invoke(main, ["density", "--config", str(config_file)])
@@ -295,6 +320,7 @@ class TestConfigErrors:
         ("grid.origin_lat", 95, []),
         ("grid.origin_lat", 90, []),
         ("grid.n_rows", 6000, []),  # 6000 km north of 41.8°
+        ("filters.plmn", None, ["--plmn", "1234"]),
         ("filters.bbox[0]", None, ["--bbox", "nan,0,1,1"]),
         ("filters.bbox", [1, 0, 0, 1], []),
         ("filters.bbox", None, ["--bbox", "1,0,0,1"]),
@@ -307,7 +333,7 @@ class TestConfigErrors:
         ("nr.allowed_bandwidths.FR1", [-5, 100], []),
         ("grid.n_cols", 40000, []),  # 40000 km of longitude at 41.8°: over 360°
     ], ids=["unknown-key", "non-finite", "bool", "fractional-int", "wrong-type",
-            "lat-range", "lat-pole", "north-edge-past-pole", "bbox-nan-flag",
+            "lat-range", "lat-pole", "north-edge-past-pole", "plmn-flag", "bbox-nan-flag",
             "bbox-reversed", "bbox-reversed-flag", "window-taller-than-grid",
             "window-flag-wider-than-grid", "free-space-abg-term", "subs-per-weight",
             "bandwidth-range-typo", "empty-bandwidth-table", "non-positive-bandwidth",
@@ -450,6 +476,24 @@ def test_oversized_site_lattice_exits_2_without_output(tmp_path, base_config_dic
         lines[0],
     )
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("level, logs_info", [("basic_format", False), ("info", True)])
+def test_log_level_from_environment(config_file, level, logs_info):
+    # Only a level name sets the level; other text, even the name of another
+    # logging constant, leaves it at WARNING.
+    src = str(Path(gnbdim.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "GNBDIM_LOG": level,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "gnbdim.cli", "dimension", "--config", str(config_file)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ("INFO gnbdim" in proc.stderr) is logs_info, proc.stderr
 
 
 def test_traced_functions_exist():

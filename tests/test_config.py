@@ -107,6 +107,13 @@ class TestLoadConfig:
         assert str(cfg.plmn) == "310260"
         assert cfg.bbox == (-88.0, 41.0, -87.0, 42.0)
 
+    @pytest.mark.parametrize("plmn", ["310260", "20801", "00000", "999999", "001001"])
+    def test_plmn_kept_as_given(self, base_config_dict, plmn):
+        # Digits stay a string: a 2-digit MNC keeps its leading zero.
+        cfg = load_config_dict(set_key(base_config_dict, "filters.plmn", plmn))
+        assert cfg.plmn == plmn
+        assert load_config_dict(cfg.to_dict()).plmn == plmn
+
     def test_cost_multiplier_applied(self, base_config_dict):
         base_config_dict["cost"]["cost_multiplier"] = 2.0
         cfg = load_config_dict(base_config_dict)
@@ -167,6 +174,12 @@ DEFECTS = [
     ("window.h_rows", 8, "window.h_rows"),
     ("window.w_cols", 0, "window.w_cols"),
     ("filters.radio", "lte", "filters.radio"),
+    ("filters.plmn", "31A26", "filters.plmn"),
+    ("filters.plmn", "1234", "filters.plmn"),
+    ("filters.plmn", "1234567", "filters.plmn"),
+    ("filters.plmn", "", "filters.plmn"),
+    ("filters.plmn", "١٢٣٤٥", "filters.plmn"),  # Arabic-Indic digits
+    ("filters.plmn", 310260, "filters.plmn"),
     ("nr.bwps", "x", "nr.bwps must be a list"),  # not "missing nr.bwps[0].mu"
     ("nr.carrier_ghz", 10**400, "nr.carrier_ghz"),
     ("nr.bwps", [{"mu": 1, "bw_mhz": 1e305}], "nr: "),  # PRB count overflows

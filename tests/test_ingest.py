@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gnbdim.errors import GnbdimError, MissingHeaderError
-from gnbdim.identifiers import parse_plmn
 from gnbdim.ingest import (
     BAD_COORDINATE,
     BAD_NUMERIC,
@@ -119,6 +118,17 @@ class TestParseCsv:
         assert math.isnan(records.avg_signal[0])  # NaN is the absent signal
         assert records.avg_signal[1] == 0.0
 
+    @pytest.mark.parametrize("mcc, net", [
+        ("31", "260"), ("3100", "260"), ("3a0", "260"),  # MCC: 3 ASCII digits
+        ("310", "2601"), ("310", "2a"),  # MNC: 2 or 3 ASCII digits
+        ("٣١٠", "260"), ("310", "٢٦"), ("310", "٢"),  # Arabic-Indic digits
+    ])
+    def test_bad_plmn_is_bad_numeric(self, mcc, net):
+        row = GOOD_ROW.replace(",310,260,", f",{mcc},{net},")
+        records, report = parse_text(HEADER + "\n" + row + "\n")
+        assert len(records) == 0
+        assert report.reject_reasons == {BAD_NUMERIC: 1}
+
     def test_single_digit_network_code_padded(self):
         row = GOOD_ROW.replace(",260,", ",1,")
         records, _ = parse_text(HEADER + "\n" + row + "\n")
@@ -135,10 +145,6 @@ class TestParseCsv:
         second = parse_text(text)
         assert first[0] == second[0]
         assert first[1] == second[1]
-
-    def test_accepts_bytes(self):
-        records, report = parse_csv((HEADER + "\n" + GOOD_ROW + "\n").encode())
-        assert len(records) == 1
 
 
 class TestFiles:
@@ -201,7 +207,7 @@ class TestFilterRecords:
         assert kept == mixed.take(np.array([True, False, True, True]))
 
     def test_plmn_filter(self, mixed):
-        kept = filter_records(mixed, plmn=parse_plmn("20801"))
+        kept = filter_records(mixed, plmn="20801")
         assert len(kept) == 1
         assert kept.plmn[0] == "20801"
 
