@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from . import capacity as cap
 from . import coverage as cov
 from .errors import LoadTooHighError
-from .nr import SUBCARRIERS_PER_PRB, NrConfig, scs_khz
+from .nr import NrConfig, prb_hz
 
 DEFAULT_ETA = 0.6  # neighbor-coupling factor of the noise-rise margin
 _POLE_GUARD = 1e-9
@@ -170,7 +170,7 @@ def iterate_balance(
     """
     th = thresholds or BalanceThresholds()
     capacity = cap.cell_capacity_mbps(cfg, traffic)
-    bw_hz = sensitivity_prbs * SUBCARRIERS_PER_PRB * scs_khz(cfg.bwps[0].mu) * 1e3
+    bw_hz = sensitivity_prbs * prb_hz(cfg.bwps[0].mu)
 
     if rho_subs_per_km2 > 0:
         r_cap = cap.capacity_radius(capacity, traffic, rho_subs_per_km2)

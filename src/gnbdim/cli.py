@@ -7,22 +7,17 @@ infeasibility (no path-loss budget or no subscriber fits a cell).
 
 from __future__ import annotations
 
-import csv
 import logging
 import os
 import sys
-import zlib
 from contextlib import contextmanager
-from pathlib import Path
 
 import click
 
 from . import __version__, density, pipeline
-from .config import RunConfig, load_config_dict, load_filters, read_document
-from .errors import ConfigError, GnbdimError, InfeasibleError, MissingHeaderError
+from .config import RunConfig, flag_number, load_config_dict, load_filters, read_document
+from .errors import ConfigError, GnbdimError, InfeasibleError
 from .ingest import filter_records, read_cells, write_cells
-
-log = logging.getLogger("gnbdim")
 
 EXIT_BAD_INPUT = 2
 EXIT_INFEASIBLE = 3
@@ -37,47 +32,25 @@ def _setup_logging() -> None:
     )
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
 @contextmanager
 def _exit_codes():
     """Exit 3 on model infeasibility, naming its class, and 2 on any other
-    :class:`GnbdimError`."""
+    :class:`GnbdimError`, with one ``error:`` line: the one place that
+    picks an exit code."""
     try:
         yield
     except InfeasibleError as exc:
-        _fail(EXIT_INFEASIBLE, f"{type(exc).__name__}: {exc}")
+        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(EXIT_INFEASIBLE)
     except GnbdimError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
-
-
-@contextmanager
-def _output_dir(out: Path):
-    """``out``, made if missing; exit 2 if it or a file written in it fails."""
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        yield out
-    except OSError as exc:
-        _fail(EXIT_BAD_INPUT, f"cannot write output {out}: {exc}")
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_BAD_INPUT)
 
 
 def _write_outputs(out_dir: str | None, texts: dict[str, str]) -> None:
-    """Write each named text into ``out_dir`` and say where."""
-    with _output_dir(Path(out_dir or ".")) as out:
-        for name, text in texts.items():
-            (out / name).write_text(text, encoding="utf-8")
-    click.echo("wrote " + " and ".join(str(out / name) for name in texts))
-
-
-def _number(text: str):
-    """A flag's number; other text is passed on for the config check to reject."""
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    """Write the named texts into ``out_dir``, all or none, and say where."""
+    paths = pipeline.write_outputs(out_dir or ".", texts)
+    click.echo("wrote " + " and ".join(map(str, paths)))
 
 
 def _window(text: str | None) -> dict:
@@ -87,7 +60,7 @@ def _window(text: str | None) -> dict:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise ConfigError(f"--window expects WxH, got {text}")
-    return {"w_cols": _number(parts[0]), "h_rows": _number(parts[1])}
+    return {"w_cols": flag_number(parts[0]), "h_rows": flag_number(parts[1])}
 
 
 def _filter_flags(radio: str | None, plmn: str | None, bbox: str | None) -> dict:
@@ -95,7 +68,7 @@ def _filter_flags(radio: str | None, plmn: str | None, bbox: str | None) -> dict
     return {
         "radio": None if radio is None else radio.upper(),
         "plmn": plmn,
-        "bbox": None if bbox is None else [_number(p) for p in bbox.split(",")],
+        "bbox": None if bbox is None else [flag_number(p) for p in bbox.split(",")],
     }
 
 
@@ -121,19 +94,6 @@ def _load_config(path: str, flags: dict) -> RunConfig:
     return cfg
 
 
-def _read_input(path: str):
-    try:
-        return read_cells(path)
-    except FileNotFoundError:
-        _fail(EXIT_BAD_INPUT, f"input file not found: {path}")
-    except MissingHeaderError as exc:
-        _fail(EXIT_BAD_INPUT, f"{path}: {exc}")
-    except (OSError, EOFError, UnicodeDecodeError, zlib.error, csv.Error) as exc:
-        # Undecodable text, a corrupt or truncated .gz, or a path that is
-        # not a readable file.
-        _fail(EXIT_BAD_INPUT, f"cannot read input {path}: {exc}")
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="gnbdim")
 def main() -> None:
@@ -151,10 +111,9 @@ def ingest(input_path, out_dir, radio, plmn, bbox) -> None:
     """Validate and filter records; write canonical CSV, report to stdout."""
     with _exit_codes():
         radio, plmn, bbox = load_filters(_filter_flags(radio, plmn, bbox))
-        records, report = _read_input(input_path)
+        records, report = read_cells(input_path)
         records = filter_records(records, radio=radio, plmn=plmn, bbox=bbox)
-        with _output_dir(Path(out_dir)) as out:
-            write_cells(out / "records.csv", records)
+        pipeline.write_outputs(out_dir, {"records.csv": lambda path: write_cells(path, records)})
         click.echo(pipeline.dump_json(report.to_dict()), nl=False)
 
 
@@ -169,7 +128,7 @@ def density_cmd(config_path, input_path, out_dir, window) -> None:
         cfg = _load_config(
             config_path, {"input": input_path, "out": out_dir, "window": _window(window)}
         )
-        records, _report = _read_input(cfg.input_path)
+        records, _report = read_cells(cfg.input_path)
         grid, area = pipeline.locate_area(cfg, records)
         _write_outputs(cfg.out_dir, {
             "grid.csv": density.grid_to_csv(grid),
@@ -194,7 +153,7 @@ def dimension(config_path, input_path, out_dir, window, radio, plmn, bbox) -> No
             "window": _window(window),
             "filters": _filter_flags(radio, plmn, bbox),
         })
-        records, report = _read_input(cfg.input_path)
+        records, report = read_cells(cfg.input_path)
         outcome = pipeline.run_dimension(cfg, records)
         summary = pipeline.build_summary(
             cfg, report, outcome, pipeline.sha256_of(cfg.input_path)

@@ -127,7 +127,7 @@ def _walk(rows: dict[str, tuple[Kind, Any]], value: Any, key: str) -> dict:
 
 
 FILTERS = {
-    "radio": (optional(one_of(*(radio.value for radio in ingest.Radio))), None),
+    "radio": (optional(one_of(*ingest.RADIOS)), None),
     "plmn": (optional(checked(text, ingest.is_plmn, "5 or 6 decimal digits")), None),
     "bbox": (optional(checked(
         list_of(real, 4),
@@ -227,7 +227,7 @@ SCHEMA = {
 }
 
 
-Filters = tuple[ingest.Radio | None, str | None, ingest.Bbox | None]
+Filters = tuple[str | None, str | None, ingest.Bbox | None]
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ class RunConfig:
     grid: density.GridSpec
     w_cols: int
     h_rows: int
-    radio: ingest.Radio | None
+    radio: str | None  # a name in ingest.RADIOS
     plmn: str | None  # MCC+MNC digits
     bbox: ingest.Bbox | None
     input_path: str | None
@@ -320,12 +320,17 @@ def _nr_config(values: dict) -> nr.NrConfig:
 
 
 def _filters(values: dict) -> Filters:
-    radio, bbox = values["radio"], values["bbox"]
-    return (
-        None if radio is None else ingest.Radio(radio),
-        values["plmn"],
-        None if bbox is None else tuple(bbox),
-    )
+    bbox = values["bbox"]
+    return values["radio"], values["plmn"], None if bbox is None else tuple(bbox)
+
+
+def flag_number(flag: str) -> float | str:
+    """A number given as command-line text, as a float; other text is kept
+    as it is, for the schema check to reject with its key."""
+    try:
+        return float(flag)
+    except ValueError:
+        return flag
 
 
 def load_filters(values: dict) -> Filters:
@@ -367,6 +372,20 @@ def load_config_dict(doc: dict) -> RunConfig:
         size, n_tiles = getattr(cfg, key), getattr(cfg.grid, limit)
         if not 1 <= size <= n_tiles:
             raise _bad(f"window.{key}", f"in [1, grid.{limit}] = [1, {n_tiles}]", size)
+    n_prb = cfg.nr_config.bwps[0].n_prb  # the sensitivity is taken in this part
+    if cfg.sensitivity_prbs > n_prb:
+        what = f"in [1, nr.bwps[0].n_prb] = [1, {n_prb}]"
+        raise _bad("link_budget.sensitivity_prbs", what, cfg.sensitivity_prbs)
+    # The capacity leg floors a cell's subscriber count, so it and the cell
+    # capacity must be finite.
+    traffic = cfg.traffic
+    cell_mbps = capacity.cell_capacity_mbps(cfg.nr_config, traffic)
+    if not cell_mbps <= _FLOAT_MAX:
+        what = "small enough for a finite cell capacity"
+        raise _bad("traffic.se_bps_per_hz", what, traffic.se_bps_per_hz)
+    if not traffic.target_load * cell_mbps / traffic.demand_per_sub_mbps <= _FLOAT_MAX:
+        what = "large enough for a finite number of subscribers per cell"
+        raise _bad("traffic.demand_per_sub_mbps", what, traffic.demand_per_sub_mbps)
     return cfg
 
 

@@ -27,9 +27,12 @@ from .ingest import Cells
 EARTH_RADIUS_KM = 6371.0088
 MAX_TILES = 100_000_000
 MAX_EXTENT_KM = 2.0 * math.pi * EARTH_RADIUS_KM  # once around the Earth
+# Above this size, tile indices over MAX_EXTENT_KM are exact integers.
+MIN_TILE_KM = MAX_EXTENT_KM / 2**53
 _BAND_BYTES = 2 << 20  # bytes of prefix rows per band of the window search
 
 _DEG = math.pi / 180.0
+KM_PER_DEG = EARTH_RADIUS_KM * _DEG  # along a meridian
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,8 @@ class GridSpec:
             raise ValueError(f"origin_lon must be in [-180, 180], got {self.origin_lon}")
         if not -90 < self.origin_lat < 90:  # project() divides by cos(origin_lat)
             raise ValueError(f"origin_lat must be in (-90, 90), got {self.origin_lat}")
-        if self.tile_km <= 0:
-            raise ValueError("tile_km must be > 0")
+        if not self.tile_km > MIN_TILE_KM:
+            raise ValueError(f"tile_km must be > {MIN_TILE_KM:.3g}, got {self.tile_km!r}")
         if self.n_cols < 1 or self.n_rows < 1:
             raise ValueError("n_cols and n_rows must be >= 1")
         if self.n_cols * self.n_rows > MAX_TILES:
@@ -58,15 +61,13 @@ class GridSpec:
                 f"tile_km * max(n_cols, n_rows) exceeds {MAX_EXTENT_KM:.0f} km, "
                 "once around the Earth"
             )
-        north_lat = self.origin_lat + self.extent_y_km / (EARTH_RADIUS_KM * _DEG)
+        north_lat = self.origin_lat + self.extent_y_km / KM_PER_DEG
         if north_lat >= 90:
             raise ValueError(
                 f"n_rows * tile_km puts the grid's north edge at latitude {north_lat:g}, "
                 "at or past the pole"
             )
-        span_lon = self.n_cols * self.tile_km / (
-            EARTH_RADIUS_KM * _DEG * math.cos(self.origin_lat * _DEG)
-        )
+        span_lon = self.n_cols * self.tile_km / (KM_PER_DEG * math.cos(self.origin_lat * _DEG))
         if span_lon > 360:
             raise ValueError(
                 f"n_cols * tile_km spans {span_lon:g} degrees of longitude at latitude "
@@ -84,9 +85,8 @@ def project(lon, lat, spec: GridSpec):
     Equirectangular: one degree of longitude is scaled by the cosine of
     the origin latitude. Accepts scalars or numpy arrays.
     """
-    k = EARTH_RADIUS_KM * _DEG
-    x = k * (np.asarray(lon) - spec.origin_lon) * math.cos(spec.origin_lat * _DEG)
-    y = k * (np.asarray(lat) - spec.origin_lat)
+    x = KM_PER_DEG * (np.asarray(lon) - spec.origin_lon) * math.cos(spec.origin_lat * _DEG)
+    y = KM_PER_DEG * (np.asarray(lat) - spec.origin_lat)
     if np.ndim(x) == 0:
         return float(x), float(y)
     return x, y
@@ -94,9 +94,8 @@ def project(lon, lat, spec: GridSpec):
 
 def unproject(x_km, y_km, spec: GridSpec):
     """Inverse of :func:`project`, for exporting grid geometry."""
-    k = EARTH_RADIUS_KM * _DEG
-    lon = spec.origin_lon + np.asarray(x_km) / (k * math.cos(spec.origin_lat * _DEG))
-    lat = spec.origin_lat + np.asarray(y_km) / k
+    lon = spec.origin_lon + np.asarray(x_km) / (KM_PER_DEG * math.cos(spec.origin_lat * _DEG))
+    lat = spec.origin_lat + np.asarray(y_km) / KM_PER_DEG
     if np.ndim(lon) == 0:
         return float(lon), float(lat)
     return lon, lat

@@ -1,13 +1,13 @@
-"""Exception hierarchy shared across the dimensioning toolkit.
+"""Exception hierarchy shared across the dimensioning toolkit: 7 classes.
 
 A class exists only where a caller tells it apart from its parent; every
 other failure raises :class:`GnbdimError` with a message that says what
 went wrong. The CLI maps :class:`InfeasibleError` (the model has no
 solution for valid inputs) to exit code 3 and prints its class name, so
-its three subclasses stay; :class:`MissingHeaderError` gets its own
-``error:`` line; the pipeline catches :class:`ZeroTrafficError` to report
-an undefined cost; any other :class:`GnbdimError`, :class:`ConfigError`
-included, means bad input or configuration (exit code 2).
+its three subclasses stay; the pipeline catches :class:`ZeroTrafficError`
+to report an undefined cost; any other :class:`GnbdimError`,
+:class:`ConfigError` included, means bad input or configuration (exit
+code 2): an unreadable input file or an unwritable output among them.
 """
 
 
@@ -33,10 +33,6 @@ class ZeroSubscribersError(InfeasibleError):
 
 class LoadTooHighError(InfeasibleError):
     """Cell load at or beyond the interference-margin pole."""
-
-
-class MissingHeaderError(GnbdimError):
-    """The CSV input has no recognizable header row (fatal)."""
 
 
 class ZeroTrafficError(GnbdimError):

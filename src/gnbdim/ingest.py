@@ -27,16 +27,16 @@ import csv
 import functools
 import gzip
 import sys
+import zlib
 from array import array
 from dataclasses import dataclass, fields
-from enum import Enum
 from itertools import compress
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .errors import GnbdimError, MissingHeaderError
+from .errors import GnbdimError
 
 EXPECTED_HEADER = (
     "radio", "mcc", "net", "area", "cell", "unit", "lon", "lat",
@@ -52,18 +52,11 @@ BAD_NUMERIC = "BadNumeric"
 BAD_COORDINATE = "BadCoordinate"
 
 
-class Radio(Enum):
-    GSM = "GSM"
-    UMTS = "UMTS"
-    LTE = "LTE"
-    NR = "NR"
-    CDMA = "CDMA"
-
-
-# A radio's code in the Cells.radio column is its position here.
-RADIOS = tuple(Radio)
-_RADIO_CODE = {radio.value: code for code, radio in enumerate(RADIOS)}
-_LTE = _RADIO_CODE[Radio.LTE.value]
+# The radio technologies, by name; a radio's code in the Cells.radio column
+# is its position here.
+RADIOS = ("GSM", "UMTS", "LTE", "NR", "CDMA")
+_RADIO_CODE = {radio: code for code, radio in enumerate(RADIOS)}
+_LTE = _RADIO_CODE["LTE"]
 
 _FLOAT_MAX = sys.float_info.max
 _NAN = float("nan")
@@ -157,11 +150,9 @@ def parse_csv(lines: Iterable[str]) -> tuple[Cells, IngestReport]:
     try:
         header = next(reader)
     except (StopIteration, csv.Error):
-        raise MissingHeaderError("input has no header row") from None
+        raise GnbdimError("input has no header row") from None
     if tuple(h.strip() for h in header) != EXPECTED_HEADER:
-        raise MissingHeaderError(
-            f"header mismatch: expected {','.join(EXPECTED_HEADER)}"
-        )
+        raise GnbdimError(f"header mismatch: expected {','.join(EXPECTED_HEADER)}")
 
     radio, lon, lat, range_m, signal = (
         array("b"), array("d"), array("d"), array("d"), array("d")
@@ -267,18 +258,26 @@ def parse_csv(lines: Iterable[str]) -> tuple[Cells, IngestReport]:
 
 
 def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
-    """Read a tower CSV file; names ending in .gz are decompressed."""
-    path = Path(path)
-    if path.name.endswith(".gz"):
-        with gzip.open(path, "rt", encoding="utf-8-sig", newline="") as fh:
+    """Read a tower CSV file; names ending in .gz are decompressed.
+
+    Every way the file can fail raises :class:`GnbdimError` naming ``path``.
+    """
+    opener = gzip.open if Path(path).name.endswith(".gz") else open
+    try:
+        with opener(path, "rt", encoding="utf-8-sig", newline="") as fh:
             return parse_csv(fh)
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return parse_csv(fh)
+    except FileNotFoundError:
+        raise GnbdimError(f"input file not found: {path}") from None
+    except GnbdimError as exc:
+        raise GnbdimError(f"{path}: {exc}") from None
+    except (OSError, EOFError, UnicodeDecodeError, zlib.error, csv.Error) as exc:
+        # Undecodable text, a corrupt or truncated .gz, or a path that is
+        # not a readable file.
+        raise GnbdimError(f"cannot read input {path}: {exc}") from None
 
 
 def write_cells(path: str | Path, records: Cells) -> None:
     """Write records back out in the canonical 14-column layout."""
-    names = [radio.value for radio in RADIOS]
     rows = zip(
         records.radio.tolist(), records.plmn, records.area, records.cell,
         records.lon.tolist(), records.lat.tolist(), records.range_m.tolist(),
@@ -290,7 +289,7 @@ def write_cells(path: str | Path, records: Cells) -> None:
         writer.writerow(EXPECTED_HEADER)
         # csv writes a float as its repr, so values round-trip exactly.
         writer.writerows(
-            (names[code], plmn[:3], plmn[3:], area, cell, "", lon, lat, range_m,
+            (RADIOS[code], plmn[:3], plmn[3:], area, cell, "", lon, lat, range_m,
              samples, "", created, updated, "" if signal != signal else signal)
             for code, plmn, area, cell, lon, lat, range_m, samples, created,
             updated, signal in rows
@@ -302,14 +301,14 @@ Bbox = tuple[float, float, float, float]  # (min_lon, min_lat, max_lon, max_lat)
 
 def filter_records(
     records: Cells,
-    radio: Radio | None = None,
+    radio: str | None = None,
     plmn: str | None = None,
     bbox: Bbox | None = None,
 ) -> Cells:
     """Keep records matching every present predicate, in input order.
 
-    ``plmn`` is an MCC+MNC digit string. When every row matches, the input
-    table itself is returned.
+    ``radio`` is a name in :data:`RADIOS` and ``plmn`` an MCC+MNC digit
+    string. When every row matches, the input table itself is returned.
     """
     keep = np.ones(len(records), dtype=bool)
     if bbox is not None:
@@ -319,7 +318,7 @@ def filter_records(
         keep &= (min_lon <= records.lon) & (records.lon <= max_lon)
         keep &= (min_lat <= records.lat) & (records.lat <= max_lat)
     if radio is not None:
-        keep &= records.radio == _RADIO_CODE[radio.value]
+        keep &= records.radio == _RADIO_CODE[radio]
     if plmn is not None:
         keep &= np.fromiter((p == plmn for p in records.plmn), dtype=bool, count=len(records))
     return records if keep.all() else records.take(keep)

@@ -38,6 +38,11 @@ def scs_khz(mu: int) -> int:
     return 15 * (1 << mu)
 
 
+def prb_hz(mu: int) -> float:
+    """Bandwidth of one PRB in Hz for numerology ``mu``: 12 subcarriers."""
+    return SUBCARRIERS_PER_PRB * scs_khz(mu) * 1e3
+
+
 def slot_ms(mu: int) -> float:
     """Slot duration in ms for numerology ``mu``: 1 / 2^mu (also the TTI)."""
     _check_mu(mu)
@@ -79,8 +84,7 @@ def prb_count(bw_mhz: float, mu: int, guard_fraction: float = DEFAULT_GUARD_FRAC
     if not 0 <= guard_fraction < 1:
         raise ValueError(f"guard_fraction must be in [0, 1), got {guard_fraction}")
     usable_hz = (1.0 - guard_fraction) * bw_mhz * 1e6
-    prb_hz = SUBCARRIERS_PER_PRB * scs_khz(mu) * 1e3
-    n = math.floor(usable_hz / prb_hz + 1e-9)
+    n = math.floor(usable_hz / prb_hz(mu) + 1e-9)
     if n < 1:
         raise GnbdimError(f"no PRB fits: {bw_mhz} MHz at mu={mu} with guard {guard_fraction}")
     return n
@@ -122,14 +126,14 @@ class BandwidthPart:
         _check_mu(self.mu)
         if self.n_prb < 1:
             raise GnbdimError("bandwidth part must hold at least one PRB")
-        if SUBCARRIERS_PER_PRB * scs_khz(self.mu) * 1e3 * self.n_prb > self.bw_mhz * 1e6:
+        if self.occupied_bw_hz > self.bw_mhz * 1e6:
             raise ValueError(
                 f"{self.n_prb} PRBs at mu={self.mu} exceed {self.bw_mhz} MHz"
             )
 
     @property
     def occupied_bw_hz(self) -> float:
-        return SUBCARRIERS_PER_PRB * scs_khz(self.mu) * 1e3 * self.n_prb
+        return prb_hz(self.mu) * self.n_prb
 
 
 def bandwidth_part(

@@ -7,13 +7,16 @@ its timestamp field.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json.encoder
 import logging
 import math
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .balance import DimensioningResult, iterate_balance
@@ -325,3 +328,37 @@ def sha256_of(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def write_outputs(
+    out_dir: str | Path, outputs: dict[str, str | Callable[[Path], object]]
+) -> list[Path]:
+    """Write every named output into ``out_dir``, made if missing, or none.
+
+    An output is a text, written as UTF-8, or a function that writes the
+    file at the path it is given. Each goes to a temporary name in
+    ``out_dir`` first, and all are renamed to their names only once every
+    write has succeeded. On any failure the files this call wrote are
+    removed, renamed ones included, and :class:`GnbdimError` names
+    ``out_dir``. Returns the paths written, in the order given.
+    """
+    out = Path(out_dir)
+    paths = [out / name for name in outputs]
+    temps = [out / f".{name}.{os.getpid()}.tmp" for name in outputs]
+    renamed: list[Path] = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for temp, output in zip(temps, outputs.values()):
+            if callable(output):
+                output(temp)
+            else:
+                temp.write_text(output, encoding="utf-8")
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+            renamed.append(path)
+    except OSError as exc:
+        for path in (*temps, *renamed):
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise GnbdimError(f"cannot write output {out}: {exc}") from None
+    return paths

@@ -9,7 +9,7 @@ import pytest
 
 from gnbdim.config import load_config_dict
 from gnbdim.density import GridSpec, unproject
-from gnbdim.ingest import RADIOS, Cells, Radio
+from gnbdim.ingest import RADIOS, Cells
 
 # Reference urban scenario: 7x7 km2, FR1 at 3.5 GHz with a single 100 MHz
 # eMBB bandwidth part, deep-indoor margins. Chosen so the converged plan is
@@ -90,7 +90,7 @@ def towers(lon, lat, samples) -> Cells:
     """LTE towers of PLMN 310260 at the given coordinates and sample counts."""
     n = len(samples)
     return Cells(
-        radio=np.full(n, RADIOS.index(Radio.LTE), dtype=np.int8),
+        radio=np.full(n, RADIOS.index("LTE"), dtype=np.int8),
         plmn=["310260"] * n,
         area=[100] * n,
         cell=list(range(n)),
@@ -127,7 +127,7 @@ def records_to_csv_text(records: Cells) -> str:
     for code, plmn, area, cell, lon, lat, range_m, samples, created, updated, signal in rows:
         signal = "" if signal != signal else repr(signal)
         lines.append(
-            f"{RADIOS[code].value},{plmn[:3]},{plmn[3:]},{area},{cell},,"
+            f"{RADIOS[code]},{plmn[:3]},{plmn[3:]},{area},{cell},,"
             f"{lon!r},{lat!r},{range_m!r},{samples},1,{created},{updated},{signal}"
         )
     return "\n".join(lines) + "\n"

@@ -174,6 +174,19 @@ class TestUnwritableOutput:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: cannot write output {taken}: ")
 
+    @pytest.mark.parametrize("command, taken", [
+        ("dimension", "sites.geojson"), ("density", "fivegda.geojson"),
+    ])
+    def test_failed_run_leaves_no_output(self, runner, tmp_path, config_file, command, taken):
+        # The first output would be written, the second not: neither may stay.
+        out = tmp_path / "o"
+        (out / taken).mkdir(parents=True)
+        result = runner.invoke(main, [command, "--config", str(config_file), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: cannot write output {out}: ")
+        assert [path.name for path in out.iterdir()] == [taken]
+        assert not any((out / taken).iterdir())
+
 
 class TestDensity:
     def test_writes_grid_and_area(self, runner, tmp_path, config_file):
@@ -332,12 +345,17 @@ class TestConfigErrors:
         ("nr.allowed_bandwidths.FR1", [], []),
         ("nr.allowed_bandwidths.FR1", [-5, 100], []),
         ("grid.n_cols", 40000, []),  # 40000 km of longitude at 41.8°: over 360°
+        ("traffic.demand_per_sub_mbps", 1e-310, []),  # infinite subscribers per cell
+        ("traffic.se_bps_per_hz", 1.7e308, []),  # infinite cell capacity
+        ("link_budget.sensitivity_prbs", 1e308, []),  # over the 250 PRBs of the part
+        ("grid.tile_km", 1e-155, []),  # tile indices beyond int64
     ], ids=["unknown-key", "non-finite", "bool", "fractional-int", "wrong-type",
             "lat-range", "lat-pole", "north-edge-past-pole", "plmn-flag", "bbox-nan-flag",
             "bbox-reversed", "bbox-reversed-flag", "window-taller-than-grid",
             "window-flag-wider-than-grid", "free-space-abg-term", "subs-per-weight",
             "bandwidth-range-typo", "empty-bandwidth-table", "non-positive-bandwidth",
-            "longitude-span-over-360"])
+            "longitude-span-over-360", "subscribers-per-cell-overflow",
+            "cell-capacity-overflow", "sensitivity-over-part", "tile-too-small"])
     def test_exits_2_with_one_error_line(
         self, runner, tmp_path, base_config_dict, towers_csv, dotted, value, flags
     ):

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnbdim.config import load_config, load_config_dict
-from gnbdim.density import EARTH_RADIUS_KM
+from gnbdim.density import EARTH_RADIUS_KM, MIN_TILE_KM
 from gnbdim.errors import ConfigError
-from gnbdim.ingest import Radio
+from gnbdim.ingest import RADIOS
+from gnbdim.nr import prb_count
 
 from conftest import BASE_CONFIG, set_key
 
@@ -103,7 +104,7 @@ class TestLoadConfig:
             "bbox": [-88.0, 41.0, -87.0, 42.0],
         }
         cfg = load_config_dict(base_config_dict)
-        assert cfg.radio is Radio.LTE
+        assert cfg.radio == "LTE"
         assert str(cfg.plmn) == "310260"
         assert cfg.bbox == (-88.0, 41.0, -87.0, 42.0)
 
@@ -113,6 +114,15 @@ class TestLoadConfig:
         cfg = load_config_dict(set_key(base_config_dict, "filters.plmn", plmn))
         assert cfg.plmn == plmn
         assert load_config_dict(cfg.to_dict()).plmn == plmn
+
+    def test_bounds_admit_their_edges(self, base_config_dict):
+        # The first bandwidth part holds 250 PRBs; the smallest tile above
+        # MIN_TILE_KM still gives exact tile indices.
+        set_key(base_config_dict, "link_budget.sensitivity_prbs", 250)
+        set_key(base_config_dict, "grid.tile_km", MIN_TILE_KM * (1 + 2**-52))
+        cfg = load_config_dict(base_config_dict)
+        assert cfg.sensitivity_prbs == 250
+        assert cfg.grid.tile_km > MIN_TILE_KM
 
     def test_cost_multiplier_applied(self, base_config_dict):
         base_config_dict["cost"]["cost_multiplier"] = 2.0
@@ -157,6 +167,8 @@ DEFECTS = [
     ("link_budget.tx_power_dbm", "43", "link_budget.tx_power_dbm"),
     ("grid.tile_km", float("inf"), "grid.tile_km"),
     ("grid.tile_km", 1e200, "grid.tile_km"),
+    ("grid.tile_km", 1e-155, "grid.tile_km"),  # every tower outside, area_km2 subnormal
+    ("grid.tile_km", 1e-200, "grid.tile_km"),  # area_km2 0.0
     ("grid.origin_lat", 95, "grid.origin_lat"),
     ("grid.origin_lat", 90, "grid.origin_lat"),  # project() divides by cos(90°)
     ("grid.origin_lat", -90.0, "grid.origin_lat"),
@@ -184,6 +196,12 @@ DEFECTS = [
     ("nr.carrier_ghz", 10**400, "nr.carrier_ghz"),
     ("nr.bwps", [{"mu": 1, "bw_mhz": 1e305}], "nr: "),  # PRB count overflows
     ("link_budget.sensitivity_prbs", 0, "link_budget.sensitivity_prbs"),
+    # More PRBs than the first bandwidth part holds (250 at mu 1, 100 MHz).
+    ("link_budget.sensitivity_prbs", 251, "link_budget.sensitivity_prbs"),
+    ("link_budget.sensitivity_prbs", 1e308, "link_budget.sensitivity_prbs"),
+    # An infinite subscribers-per-cell count or cell capacity.
+    ("traffic.demand_per_sub_mbps", 1e-310, "traffic.demand_per_sub_mbps"),
+    ("traffic.se_bps_per_hz", 1.7e308, "traffic.se_bps_per_hz"),
     ("cost.cost_multiplier", 0, "cost.cost_multiplier"),
     ("cost.duty_fraction", 1.5, "cost.duty_fraction"),
     ("traffic.target_load", 0, "traffic.target_load"),
@@ -257,7 +275,13 @@ def documents(draw) -> dict:
         doc["nr"]["prb_overrides"] = overrides
     doc["link_budget"]["tx_power_dbm"] = draw(_num(20, 50))
     doc["link_budget"]["tx_losses_db"] = draw(_num(0, 5))
-    doc["link_budget"]["sensitivity_prbs"] = draw(st.integers(1, 5))
+    # sensitivity_prbs fits in the first part's PRBs, whichever source sets
+    # them: the part's own n_prb, an override, or the guard formula at any
+    # guard_fraction drawn here or defaulted (at most 0.3).
+    bw, mu = parts[0]["bw_mhz"], parts[0]["mu"]
+    least = min([parts[0].get("n_prb", 5), prb_count(bw, mu, 0.3)]
+                + [o["n_prb"] for o in overrides if (o["bw_mhz"], o["mu"]) == (bw, mu)])
+    doc["link_budget"]["sensitivity_prbs"] = draw(st.integers(1, min(5, least)))
     if draw(st.booleans()):
         doc["propagation"] = {"kind": "abg", "alpha": draw(_num(15, 40)),
                               "beta_db": draw(_num(0, 40)), "gamma": draw(_num(0, 3))}
@@ -294,7 +318,7 @@ def documents(draw) -> dict:
     lons = sorted(draw(st.lists(st.floats(-180, 180), min_size=2, max_size=2)))
     lats = sorted(draw(st.lists(st.floats(-90, 90), min_size=2, max_size=2)))
     doc["filters"] = {
-        "radio": draw(st.sampled_from([r.value for r in Radio])),
+        "radio": draw(st.sampled_from(RADIOS)),
         "plmn": draw(st.sampled_from(["310260", "20801", "001001"])),
         "bbox": [lons[0], lats[0], lons[1], lats[1]],
     }

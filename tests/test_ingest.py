@@ -1,11 +1,12 @@
 import gzip
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
-from gnbdim.errors import GnbdimError, MissingHeaderError
+from gnbdim.errors import GnbdimError
 from gnbdim.ingest import (
     BAD_COORDINATE,
     BAD_NUMERIC,
@@ -13,7 +14,6 @@ from gnbdim.ingest import (
     BAD_SHAPE,
     EXPECTED_HEADER,
     RADIOS,
-    Radio,
     filter_records,
     parse_csv,
     read_cells,
@@ -35,7 +35,7 @@ class TestParseCsv:
         assert report.rows_read == 1
         assert report.rows_kept == 1
         assert len(records) == 1
-        assert RADIOS[records.radio[0]] is Radio.LTE
+        assert RADIOS[records.radio[0]] == "LTE"
         assert records.plmn[0] == "310260"
         assert records.area[0] == 6699
         assert records.cell[0] == 12345678
@@ -61,11 +61,11 @@ class TestParseCsv:
         assert report.reject_reasons[BAD_COORDINATE] == 1
 
     def test_missing_header_is_fatal(self):
-        with pytest.raises(MissingHeaderError):
+        with pytest.raises(GnbdimError, match="^input has no header row$"):
             parse_text("")
-        with pytest.raises(MissingHeaderError):
+        with pytest.raises(GnbdimError, match="^header mismatch: expected radio,mcc,"):
             parse_text("radio,mcc\n")
-        with pytest.raises(MissingHeaderError):
+        with pytest.raises(GnbdimError, match="^header mismatch: expected radio,mcc,"):
             parse_text(GOOD_ROW + "\n")
 
     def test_unknown_radio(self):
@@ -164,6 +164,23 @@ class TestFiles:
         assert back == records
         assert report.rows_rejected == 0
 
+    def test_every_failure_names_the_path(self, tmp_path):
+        missing = tmp_path / "absent.csv"
+        headless = tmp_path / "headless.csv"
+        headless.write_text(GOOD_ROW + "\n", encoding="utf-8")
+        empty = tmp_path / "empty.csv.gz"
+        empty.write_bytes(gzip.compress(b""))
+        directory = tmp_path / "dir.csv"
+        directory.mkdir()
+        for path, text in [
+            (missing, f"input file not found: {missing}"),
+            (headless, f"{headless}: header mismatch: expected {HEADER}"),
+            (empty, f"{empty}: input has no header row"),
+            (directory, f"cannot read input {directory}: "),
+        ]:
+            with pytest.raises(GnbdimError, match="^" + re.escape(text)):
+                read_cells(path)
+
 
 class TestCellsEquality:
     def test_equal_by_value_not_identity(self):
@@ -202,8 +219,8 @@ class TestFilterRecords:
         assert filter_records(mixed) == mixed
 
     def test_radio_filter_preserves_order(self, mixed):
-        kept = filter_records(mixed, radio=Radio.LTE)
-        assert [RADIOS[code] for code in kept.radio] == [Radio.LTE] * 3
+        kept = filter_records(mixed, radio="LTE")
+        assert [RADIOS[code] for code in kept.radio] == ["LTE"] * 3
         assert kept == mixed.take(np.array([True, False, True, True]))
 
     def test_plmn_filter(self, mixed):
@@ -221,6 +238,6 @@ class TestFilterRecords:
             filter_records(mixed, bbox=(1.0, 0.0, 0.0, 3.0))
 
     def test_idempotent(self, mixed):
-        once = filter_records(mixed, radio=Radio.LTE, bbox=(-90.0, 40.0, -80.0, 45.0))
-        twice = filter_records(once, radio=Radio.LTE, bbox=(-90.0, 40.0, -80.0, 45.0))
+        once = filter_records(mixed, radio="LTE", bbox=(-90.0, 40.0, -80.0, 45.0))
+        twice = filter_records(once, radio="LTE", bbox=(-90.0, 40.0, -80.0, 45.0))
         assert once == twice

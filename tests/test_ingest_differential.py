@@ -28,7 +28,6 @@ from gnbdim.ingest import (
     EXPECTED_HEADER,
     LTE_CELL_LIMIT,
     RADIOS,
-    Radio,
     parse_csv,
 )
 
@@ -82,11 +81,9 @@ def _parse_row(row: list[str]) -> Row:
     if len(row) != len(EXPECTED_HEADER):
         raise _RowError(BAD_SHAPE, f"expected {len(EXPECTED_HEADER)} fields, got {len(row)}")
 
-    radio_text = row[0].strip()
-    try:
-        radio = Radio(radio_text)
-    except ValueError:
-        raise _RowError(BAD_RADIO, f"unknown radio {radio_text!r}") from None
+    radio = row[0].strip()
+    if radio not in RADIOS:
+        raise _RowError(BAD_RADIO, f"unknown radio {radio!r}")
 
     mcc = _parse_digits(row[1].strip(), "mcc", (3,))
     mnc = _parse_mnc(row[2])
@@ -95,7 +92,7 @@ def _parse_row(row: list[str]) -> Row:
     if area > 0xFFFF:
         raise _RowError(BAD_NUMERIC, f"area: {area} exceeds 16-bit range")
     cell = _parse_int(row[4].strip(), "cell")
-    if radio is Radio.LTE and cell >= LTE_CELL_LIMIT:
+    if radio == "LTE" and cell >= LTE_CELL_LIMIT:
         raise _RowError(BAD_NUMERIC, f"cell: {cell} exceeds the 28-bit LTE cell identity")
 
     lon = _parse_float(row[6].strip(), "lon", BAD_COORDINATE)
@@ -117,7 +114,7 @@ def _parse_row(row: list[str]) -> Row:
     signal_text = row[13].strip()
     avg_signal = math.nan if signal_text == "" else _parse_float(signal_text, "averageSignal")
 
-    return (radio.value, mcc + mnc, area, cell, lon, lat, range_m, samples, created,
+    return (radio, mcc + mnc, area, cell, lon, lat, range_m, samples, created,
             updated, avg_signal)
 
 
@@ -161,7 +158,7 @@ ODD_MNC = st.sampled_from(["", "1", "01", "001", "2600", "٥", "0٥", "a", "+1",
 ODD_RADIO = st.sampled_from(["lte", "Lte", "WIMAX", "", "LTE5", "5G", "L TE"])
 
 VALID = [
-    st.sampled_from([r.value for r in Radio]),                         # radio
+    st.sampled_from(RADIOS),                                           # radio
     st.sampled_from(["310", "208", "001", "999"]),                     # mcc
     st.one_of(ints(0, 9), st.sampled_from(["01", "260", "026", "410"])),  # net
     ints(0, 0xFFFF),                                                   # area
@@ -227,7 +224,7 @@ def test_columnar_parse_matches_reference(rows):
     cells, report = parse_csv(io.StringIO(text))
 
     rows = zip(
-        [RADIOS[code].value for code in cells.radio], cells.plmn, cells.area, cells.cell,
+        [RADIOS[code] for code in cells.radio], cells.plmn, cells.area, cells.cell,
         cells.lon.tolist(), cells.lat.tolist(), cells.range_m.tolist(), cells.samples,
         cells.created, cells.updated, cells.avg_signal.tolist(),
     )

@@ -13,7 +13,9 @@ effect:
   ``sites.geojson`` are the same bytes, apart from the timestamp and the
   input hash;
 - ``capex_per_site`` and ``opex_per_site_per_year`` xk: ``cost_per_bit``
-  scales by k.
+  scales by k;
+- ``subs_per_weight``, ``penetration_margin_db`` or
+  ``demand_per_sub_mbps`` rising: ``n_sites_final`` never drops.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -146,3 +149,41 @@ def test_site_costs_times_k_scale_cost_per_bit_by_k(case, capex, opex, k):
         return
     assert after[:2] == base[:2]
     assert math.isclose(after[2].cost_per_bit, k * base[2].cost_per_bit, rel_tol=1e-12)
+
+
+# Knobs whose rise must not lower n_sites_final: (section, low, high), the
+# range each rises over. subs_per_weight is a factor on the scenario's own
+# value, which puts tens to thousands of subscribers on a km2.
+_RISING = {
+    "subs_per_weight": ("traffic", 0.01, 200.0),
+    "penetration_margin_db": ("link_budget", 20.0, 40.0),
+    "demand_per_sub_mbps": ("traffic", 0.2, 5.0),
+}
+
+
+def _size(doc, positions, samples):
+    """The plan's final site count as a sort key; a plan the run refuses
+    (an infeasible model, or a site lattice over the guard) ranks above all."""
+    try:
+        outcome = run_dimension(load_config_dict(doc), _towers(positions, samples))
+    except GnbdimError:
+        return (1, 0)
+    return (0, outcome.result.n_sites_final)
+
+
+@pytest.mark.parametrize("key", _RISING)
+@settings(max_examples=50, deadline=None)
+@given(case=scenarios(), where=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+@example(case=_SPARSE, where=[0.0, 1.0])
+def test_sites_never_drop_as_the_knob_rises(key, case, where):
+    doc, positions, samples = case
+    section, low, high = _RISING[key]
+    sizes = []
+    for u in sorted(where):  # spread over the range on a log scale
+        value = low * (high / low) ** u
+        if key == "subs_per_weight":
+            value *= doc[section][key]
+        changed = copy.deepcopy(doc)
+        changed[section][key] = value
+        sizes.append(_size(changed, positions, samples))
+    assert sizes[0] <= sizes[1]
