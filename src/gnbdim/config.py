@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import balance, capacity, coverage, density, economics, ingest, nr
-from .errors import ConfigError, GnbdimError
+from .errors import ConfigError, GnbdimError, NegativeMaplError
 
 REQUIRED = object()  # default of a key that must be given
 ABSENT = object()  # default of a key left out, of the echo too, unless given
@@ -75,10 +75,10 @@ def checked(kind: Kind, ok: Callable[[Any], bool], what: str) -> Kind:
     """``kind``, restricted to the values for which ``ok`` holds."""
 
     def check(value: Any, key: str) -> Any:
-        value = kind(value, key)
-        if not ok(value):
-            raise _bad(key, what, value)
-        return value
+        typed = kind(value, key)
+        if not ok(typed):
+            raise _bad(key, what, value)  # as written: 1e308, not its 309 digits
+        return typed
 
     return check
 
@@ -368,14 +368,33 @@ def load_config_dict(doc: dict) -> RunConfig:
         out_dir=resolved["out"],
         resolved=resolved,
     )
+    # The range errors of integer keys show the value as written in doc,
+    # so a float such as 1e308 reads as given, not as its 309 digits.
     for key, limit in (("w_cols", "n_cols"), ("h_rows", "n_rows")):
-        size, n_tiles = getattr(cfg, key), getattr(cfg.grid, limit)
-        if not 1 <= size <= n_tiles:
-            raise _bad(f"window.{key}", f"in [1, grid.{limit}] = [1, {n_tiles}]", size)
-    n_prb = cfg.nr_config.bwps[0].n_prb  # the sensitivity is taken in this part
-    if cfg.sensitivity_prbs > n_prb:
-        what = f"in [1, nr.bwps[0].n_prb] = [1, {n_prb}]"
-        raise _bad("link_budget.sensitivity_prbs", what, cfg.sensitivity_prbs)
+        n_tiles = getattr(cfg.grid, limit)
+        if not 1 <= getattr(cfg, key) <= n_tiles:
+            what = f"in [1, grid.{limit}] = [1, {n_tiles}]"
+            raise _bad(f"window.{key}", what, doc["window"][key])
+    first = cfg.nr_config.bwps[0]  # the sensitivity is taken in this part
+    if cfg.sensitivity_prbs > first.n_prb:
+        what = f"in [1, nr.bwps[0].n_prb] = [1, {first.n_prb}]"
+        raise _bad("link_budget.sensitivity_prbs", what, doc["link_budget"]["sensitivity_prbs"])
+    # The fixed point's clamp lets the assumed load, and so the interference
+    # margin, fall to 0: a budget whose MAPL there is past the path loss at
+    # the largest radius can fail mid-run.
+    f_mhz = cfg.nr_config.fr.carrier_mhz
+    limit_db = coverage.path_loss_db(cfg.propagation, f_mhz, coverage.BRACKET_MAX_KM)
+    try:
+        mapl = coverage.mapl_db(cfg.link, cfg.sensitivity_prbs * nr.prb_hz(first.mu))
+    except NegativeMaplError:
+        pass  # infeasible, which the run reports with its own exit code
+    else:
+        if mapl > limit_db:
+            raise ConfigError(
+                f"link_budget gives a MAPL of {mapl:g} dB at zero interference margin, "
+                f"over the {limit_db:g} dB path loss at {coverage.BRACKET_MAX_KM:g} km "
+                f"and {f_mhz:g} MHz"
+            )
     # The capacity leg floors a cell's subscriber count, so it and the cell
     # capacity must be finite.
     traffic = cfg.traffic

@@ -46,7 +46,7 @@ class DimensionOutcome:
     rho: float
     result: DimensioningResult
     cost: CostReport | None
-    sites_lonlat: list[tuple[float, float]]
+    sites_lonlat: SiteLattice
 
 
 def locate_area(cfg: RunConfig, records: Cells) -> tuple[DensityGrid, DeploymentArea]:
@@ -96,9 +96,33 @@ def run_dimension(cfg: RunConfig, records: Cells) -> DimensionOutcome:
     )
 
 
-def site_lattice(
-    area: DeploymentArea, spec: GridSpec, radius_km: float
-) -> list[tuple[float, float]]:
+@dataclass(frozen=True)
+class SiteLattice:
+    """Hexagonal site centers as rows of (lon, lat) floats.
+
+    ``lats`` holds one latitude per row, south to north. Even rows (the
+    first, the third, ...) share the longitudes ``even_lons``, west to
+    east; odd rows share ``odd_lons``, half a pitch further east, which is
+    empty when the area is narrower than half a pitch. ``len()`` and
+    iteration give the sites row by row, each row west to east.
+    """
+
+    lats: tuple[float, ...] = ()
+    even_lons: tuple[float, ...] = ()
+    odd_lons: tuple[float, ...] = ()
+
+    def __len__(self) -> int:
+        n_odd = len(self.lats) // 2
+        return (len(self.lats) - n_odd) * len(self.even_lons) + n_odd * len(self.odd_lons)
+
+    def __iter__(self):
+        runs = (self.even_lons, self.odd_lons)
+        for j, lat in enumerate(self.lats):
+            for lon in runs[j % 2]:
+                yield lon, lat
+
+
+def site_lattice(area: DeploymentArea, spec: GridSpec, radius_km: float) -> SiteLattice:
     """Hexagonal site centers tessellating the deployment area.
 
     Pitch is sqrt(3) * R between neighbors in a row, rows are 1.5 * R
@@ -108,7 +132,7 @@ def site_lattice(
     ``MAX_SITES`` sites.
     """
     if not math.isfinite(radius_km) or radius_km <= 0:
-        return []
+        return SiteLattice()
     pitch = math.sqrt(3.0) * radius_km
     x0 = area.col0 * spec.tile_km
     y0 = area.row0 * spec.tile_km
@@ -124,35 +148,35 @@ def site_lattice(
             f"over the {MAX_SITES}-site guard"
         )
 
-    xs, ys = [], []
-    j = 0
-    y = y0
-    while y <= y1 + 1e-9:
-        x = x0 + (pitch / 2.0 if j % 2 else 0.0)
-        while x <= x1 + 1e-9:
-            xs.append(x)
-            ys.append(y)
-            x += pitch
-        y += 1.5 * radius_km
-        j += 1
-    lon, lat = unproject(xs, ys, spec)
-    return list(zip(lon.tolist(), lat.tolist()))
+    # One step at a time, as a per-site loop adds them: every site is the
+    # same float it would be.
+    def run(start: float, step: float, stop: float) -> list[float]:
+        values = []
+        while start <= stop + 1e-9:
+            values.append(start)
+            start += step
+        return values
+
+    even = run(x0, pitch, x1)
+    odd = run(x0 + pitch / 2.0, pitch, x1)
+    lon, lat = unproject(even + odd, run(y0, 1.5 * radius_km, y1), spec)
+    lons = lon.tolist()
+    return SiteLattice(tuple(lat.tolist()), tuple(lons[: len(even)]), tuple(lons[len(even):]))
 
 
 @dataclass(frozen=True)
 class SiteCollection:
-    """Site centers (lon, lat floats) with their common radius, for
-    :func:`dump_json` to write.
+    """Site centers with their common radius, for :func:`dump_json` to write.
 
     The document is a GeoJSON FeatureCollection with one Point feature
     per site; its properties are ``site`` (the index) and ``radius_km``.
     """
 
-    sites: list[tuple[float, float]]
+    sites: SiteLattice
     radius_km: float
 
 
-def sites_to_geojson(sites: list[tuple[float, float]], radius_km: float) -> SiteCollection:
+def sites_to_geojson(sites: SiteLattice, radius_km: float) -> SiteCollection:
     """The ``sites.geojson`` document of a plan, as :func:`dump_json` takes it."""
     return SiteCollection(sites, radius_km)
 
@@ -236,42 +260,34 @@ _NO_SITES = '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
 
 
 def _sites_text(c: SiteCollection) -> str:
-    """The document from the template's fixed pieces, with each site's lon,
-    lat and index text between them; the radius is written once."""
-    if not c.sites:
-        return _NO_SITES
-    lons, lats = zip(*c.sites, strict=True)
-    radius = _floats_text((c.radius_km,))[0]
-    # Six pieces a site, starting with the previous site's close and comma.
-    pieces = [
-        _SITE_CLOSE + "," + _SITE_OPEN, None, _LON_TO_LAT, None,
-        _LAT_TO_RADIUS + radius + _RADIUS_TO_SITE, None,
-    ] * len(lons)
-    pieces[0] = _SITES_HEAD + _SITE_OPEN
-    pieces[1::6] = _floats_text(lons)
-    pieces[3::6] = _floats_text(lats)
-    pieces[5::6] = map(str, range(len(lons)))
-    return "".join(pieces) + _SITE_CLOSE + _SITES_TAIL
+    """The document from the template's fixed pieces, written row by row.
 
-
-def _floats_text(values) -> list[str]:
-    """Each float as json writes it, each distinct value formatted once.
-
-    Equal values share one text, except 0.0 and -0.0, which are equal but
-    written apart: when the values hold a zero of either sign, every value
-    is formatted on its own. A NaN equals nothing, so the lookup finds it
-    by identity: each NaN object gets its own text. json's spellings are
-    looked up only when a value is not finite.
+    Each run's longitudes, each row's latitude and the radius are formatted
+    once. A lattice's coordinates are finite, and so is the radius of a
+    lattice with a site, so no text needs json's NaN/Infinity spellings.
     """
-    distinct = set(values)
-    if 0.0 in distinct:
-        texts = list(map(float.__repr__, values))
-    else:
-        text_of = dict(zip(distinct, map(float.__repr__, distinct)))
-        texts = list(map(text_of.__getitem__, values))
-    if not all(map(math.isfinite, distinct)):
-        texts = [_FLOAT_SPECIALS.get(text, text) for text in texts]
-    return texts
+    lattice = c.sites
+    if not lattice.lats:
+        return _NO_SITES
+    lat_to_site = _LAT_TO_RADIUS + float.__repr__(c.radius_km) + _RADIUS_TO_SITE
+    # Three pieces a site: the previous site's close, its open and its lon;
+    # its row's lat with the radius; its index.
+    runs = [
+        [_SITE_CLOSE + "," + _SITE_OPEN + lon + _LON_TO_LAT for lon in map(float.__repr__, lons)]
+        for lons in (lattice.even_lons, lattice.odd_lons)
+    ]
+    heads: list[str] = []
+    lats: list[str] = []
+    for j, lat in enumerate(map(float.__repr__, lattice.lats)):
+        run = runs[j % 2]
+        heads += run
+        lats += [lat + lat_to_site] * len(run)
+    pieces = [None] * (3 * len(heads))
+    pieces[0::3] = heads
+    pieces[1::3] = lats
+    pieces[2::3] = map(str, range(len(heads)))
+    pieces[0] = _SITES_HEAD + _SITE_OPEN + float.__repr__(lattice.even_lons[0]) + _LON_TO_LAT
+    return "".join(pieces) + _SITE_CLOSE + _SITES_TAIL
 
 
 def _write(o, nl: str, out: list[str]) -> None:

@@ -296,6 +296,22 @@ class TestDimension:
         assert result.exit_code == 3
         assert "NegativeMapl" in result.output
 
+    def test_mapl_past_the_largest_radius_exits_2(
+        self, runner, tmp_path, base_config_dict, towers_csv
+    ):
+        base_config_dict["input"] = str(towers_csv)
+        base_config_dict["out"] = str(tmp_path / "out")
+        base_config_dict["link_budget"]["tx_power_dbm"] = 90
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config_dict), encoding="utf-8")
+        result = runner.invoke(main, ["dimension", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            "error: link_budget gives a MAPL of 153.437 dB at zero interference margin, "
+            "over the 143.331 dB path loss at 100 km and 3500 MHz\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_single_subscriber_overload_exits_3(self, runner, tmp_path, base_config_dict, towers_csv):
         base_config_dict["input"] = str(towers_csv)
         base_config_dict["traffic"]["demand_per_sub_mbps"] = 1000.0
@@ -398,6 +414,8 @@ class TestConfigErrors:
         ("traffic.subs_per_weight", 0, "traffic.subs_per_weight must be > 0"),
         ("nr.allowed_bandwidths", {"fr1": [37, 100]},
          "unknown config key nr.allowed_bandwidths.fr1"),
+        ("link_budget.tx_power_dbm", 1e300, "link_budget gives a MAPL of 1e+300 dB at zero "
+         "interference margin, over the 143.331 dB path loss at 100 km and 3500 MHz"),
     ])
     def test_bad_model_key_wins_over_a_missing_input(
         self, runner, tmp_path, base_config_dict, dotted, value, error

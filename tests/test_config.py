@@ -158,7 +158,7 @@ class TestLoadConfig:
         assert base_config_dict == before
 
 
-# (dotted key to set, value, text the error must contain: the dotted key)
+# (dotted key to set, value, text the error must contain: the key, or more)
 DEFECTS = [
     ("balance.eps_lod", 0.05, "balance.eps_lod"),
     ("sneaky", {"a": 1}, "sneaky"),
@@ -198,7 +198,18 @@ DEFECTS = [
     ("link_budget.sensitivity_prbs", 0, "link_budget.sensitivity_prbs"),
     # More PRBs than the first bandwidth part holds (250 at mu 1, 100 MHz).
     ("link_budget.sensitivity_prbs", 251, "link_budget.sensitivity_prbs"),
-    ("link_budget.sensitivity_prbs", 1e308, "link_budget.sensitivity_prbs"),
+    # An integer key given as a huge float is shown as written, not as 309 digits.
+    ("link_budget.sensitivity_prbs", 1e308, "link_budget.sensitivity_prbs must be in "
+     "[1, nr.bwps[0].n_prb] = [1, 250], got 1e+308"),
+    ("link_budget.sensitivity_prbs", -1e308, "link_budget.sensitivity_prbs must be >= 1, "
+     "got -1e+308"),
+    ("window.w_cols", 1e308, "window.w_cols must be in [1, grid.n_cols] = [1, 7], got 1e+308"),
+    # A MAPL at zero interference margin past the path loss at 100 km.
+    ("link_budget.tx_power_dbm", 1e300, "link_budget gives a MAPL of 1e+300 dB"),
+    ("link_budget.tx_power_dbm", 90, "link_budget gives a MAPL of 153.437 dB at zero "
+     "interference margin, over the 143.331 dB path loss at 100 km and 3500 MHz"),
+    ("propagation", {"kind": "abg", "alpha": 15, "beta_db": 0, "gamma": 0},
+     "over the 75 dB path loss at 100 km"),
     # An infinite subscribers-per-cell count or cell capacity.
     ("traffic.demand_per_sub_mbps", 1e-310, "traffic.demand_per_sub_mbps"),
     ("traffic.se_bps_per_hz", 1.7e308, "traffic.se_bps_per_hz"),
@@ -282,8 +293,11 @@ def documents(draw) -> dict:
     least = min([parts[0].get("n_prb", 5), prb_count(bw, mu, 0.3)]
                 + [o["n_prb"] for o in overrides if (o["bw_mhz"], o["mu"]) == (bw, mu)])
     doc["link_budget"]["sensitivity_prbs"] = draw(st.integers(1, min(5, least)))
+    # The budget's MAPL stays under the path loss at 100 km: at most 119.4 dB
+    # here (50 dBm, one PRB at mu 0), against at least 126 dB for free space
+    # at 0.5 GHz and 5 * 27 - 9 dB for ABG.
     if draw(st.booleans()):
-        doc["propagation"] = {"kind": "abg", "alpha": draw(_num(15, 40)),
+        doc["propagation"] = {"kind": "abg", "alpha": draw(_num(27, 40)),
                               "beta_db": draw(_num(0, 40)), "gamma": draw(_num(0, 3))}
     doc["traffic"]["target_load"] = draw(_num(0.1, 1))
     doc["traffic"]["subs_per_weight"] = draw(_num(0.1, 10))

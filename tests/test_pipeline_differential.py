@@ -2,12 +2,12 @@
 
 ``dump_json`` must write exactly what ``json.dumps(obj, sort_keys=True,
 indent=2) + "\\n"`` writes for the JSON types it takes, and raise
-``TypeError`` for any other. For the sites document it must write what
-``json.dumps`` writes for the dict that ``reference_sites_dict`` builds,
-the writer its template replaced.
+``TypeError`` for any other.
 ``site_lattice`` must give exactly the sites of the per-point loop it
 replaced, kept here as ``reference_lattice``: one ``unproject`` call per
-site.
+site. For a lattice's sites document ``dump_json`` must write what
+``json.dumps`` writes for the dict that ``reference_sites_dict`` builds
+from the reference's sites, the writer its template replaced.
 """
 
 from __future__ import annotations
@@ -104,49 +104,6 @@ def reference_sites_dict(sites: list[tuple[float, float]], radius_km: float) -> 
     return {"type": "FeatureCollection", "features": features}
 
 
-# NaN, +-inf, -0.0, subnormals and magnitudes whose repr has an exponent.
-coordinates = st.one_of(
-    st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, -1.5e16, 1e-7]),
-)
-# A small pool, so values repeat as on a lattice: both zeros, which are
-# equal but written apart; one NaN object drawn again and again, and NaN
-# objects of their own; +-inf; and a numpy float equal to a float here.
-_SHARED_NAN = float("nan")
-pooled = st.sampled_from([
-    0.0, -0.0, _SHARED_NAN, float("nan"), float("nan"), math.inf, -math.inf,
-    -87.7, 41.8, 1e16, np.float64(-87.7), 5e-324,
-])
-site_lists = st.one_of(
-    st.just([]),
-    st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=1),
-    st.lists(st.tuples(coordinates, coordinates), min_size=2, max_size=40),
-    # Finite lattices, the common case, which the fast path writes.
-    st.lists(st.tuples(st.floats(-180, 180), st.floats(-90, 90)), min_size=2, max_size=40),
-    st.lists(st.tuples(pooled, pooled), min_size=2, max_size=40),
-)
-radii = st.one_of(
-    st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf]),
-    st.floats().map(np.float64),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(site_lists, radii)
-@example([], 1.0)
-@example([(-87.7, 41.8)], np.float64(1.0050813319922964))
-@example([(0.5, 1.0), (math.nan, 2.0), (3.0, -math.inf)], math.inf)  # one NaN among finite
-@example([(1e308, 1e308), (1e308, 1e308)], 1.0)  # finite, but they sum to inf
-@example([(np.float64(0.1), np.float64(-0.0))], np.float64(math.nan))
-@example([(0.0, 1.0), (-0.0, 1.0), (-0.0, -0.0)], 1.0)  # equal zeros, written apart
-@example([(-math.inf, 1.0), (np.float64(-87.7), 1.0), (math.inf, 1.0)], 1.0)  # no numpy warning
-@example(site_lattice(_AREA, _UNIT, 0.4), 0.4)  # rows share a lat, every other row its lons
-def test_sites_writer_matches_the_dict_reference(sites, radius_km):
-    expected = _reference_dump(reference_sites_dict(sites, radius_km))
-    assert dump_json(sites_to_geojson(sites, radius_km)) == expected
-
-
 def reference_lattice(
     area: DeploymentArea, spec: GridSpec, radius_km: float
 ) -> list[tuple[float, float]]:
@@ -214,6 +171,24 @@ def lattices(draw):
     return area, spec, radius
 
 
+# 1 km tile columns are narrower than half the pitch at radius 1.2 km.
+_NARROW = DeploymentArea(0, 0, 1, 4, total_weight=1.0, area_km2=4.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattices())
+@example((_AREA, _UNIT, 0.0))  # no site, whatever the radius
+@example((_AREA, _UNIT, math.nan))
+@example((_AREA, _UNIT, math.inf))
+@example((_AREA, _UNIT, np.float64(4.0)))  # one site, at a numpy radius
+@example((_NARROW, _UNIT, 1.2))  # three rows, the odd one empty
+@example((_AREA, _UNIT, 0.4))  # rows share a lat, every other row its lons
+def test_sites_writer_matches_the_dict_reference(case):
+    area, spec, radius = case
+    expected = _reference_dump(reference_sites_dict(reference_lattice(area, spec, radius), radius))
+    assert dump_json(sites_to_geojson(site_lattice(area, spec, radius), radius)) == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(lattices())
 @example((_AREA, _UNIT, 1.0))  # rows at 0, 1.5 and exactly 3.0 km
@@ -224,7 +199,9 @@ def lattices(draw):
 @example((_AREA, _UNIT, math.nan))
 def test_site_lattice_matches_per_point_projection(case):
     area, spec, radius = case
-    assert _bits(site_lattice(area, spec, radius)) == _bits(reference_lattice(area, spec, radius))
+    lattice = site_lattice(area, spec, radius)
+    assert _bits(lattice) == _bits(reference_lattice(area, spec, radius))
+    assert len(lattice) == len(list(lattice))
 
 
 def test_site_lattice_guard_counts_rows_times_columns(monkeypatch):
