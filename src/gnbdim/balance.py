@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import capacity as cap
 from . import coverage as cov
@@ -23,6 +23,7 @@ from .errors import LoadTooHighError
 from .nr import NrConfig, prb_hz
 
 DEFAULT_ETA = 0.6  # neighbor-coupling factor of the noise-rise margin
+MAX_ITER = 10**6  # fixed-point steps a run may ask for: a few seconds of them
 _POLE_GUARD = 1e-9
 
 
@@ -49,8 +50,8 @@ class BalanceThresholds:
             raise ValueError("eps_load must be > 0")
         if not 0 < self.damping <= 1:
             raise ValueError("damping must be in (0, 1]")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not 1 <= self.max_iter <= MAX_ITER:
+            raise ValueError(f"max_iter must be in [1, {MAX_ITER}]")
         if not 0 <= self.eta < 1:
             raise ValueError("eta must be in [0, 1)")
 
@@ -145,11 +146,6 @@ def final_plan(
     )
 
 
-def _clamp_load(load: float, eta: float) -> float:
-    upper = 0.999 / eta if eta > 0 else math.inf
-    return min(max(load, 0.0), upper)
-
-
 def iterate_balance(
     link: cov.LinkBudget,
     model: cov.PropagationModel,
@@ -167,33 +163,39 @@ def iterate_balance(
     first bandwidth part (the cell-edge service reference). Non-convergence
     within ``max_iter`` comes back as ``converged=False``, never an error,
     with the last load evaluated and the results computed at it.
+
+    What does not depend on the load, the budget before its interference
+    margin and the path-loss inverse, is computed once before the first
+    step, so a bad bandwidth or frequency raises before any step does.
     """
     th = thresholds or BalanceThresholds()
     capacity = cap.cell_capacity_mbps(cfg, traffic)
     bw_hz = sensitivity_prbs * prb_hz(cfg.bwps[0].mu)
+    budget = cov.budget_before_interference_db(link, bw_hz)
+    radius_km = cov.radius_inverse(model, f_mhz)
 
     if rho_subs_per_km2 > 0:
         r_cap = cap.capacity_radius(capacity, traffic, rho_subs_per_km2)
+        ceiling = 0.999 / th.eta if th.eta > 0 else math.inf  # the load stays below the pole
         load = traffic.target_load
         converged = False
         # max_iter >= 1, so the loop binds every name the result reads.
         for iterations in range(1, th.max_iter + 1):
             assumed = load  # reported with what is computed from it, not the next update
-            margin = interference_margin_db(assumed, th.eta)
-            mapl = cov.mapl_db(replace(link, interference_margin_db=margin), bw_hz)
-            r_cov = cov.invert_to_radius(model, f_mhz, mapl)
+            mapl = cov.mapl_from_budget_db(budget, interference_margin_db(assumed, th.eta))
+            r_cov = radius_km(mapl)
             actual = cap.offered_load(min(r_cov, r_cap), rho_subs_per_km2, traffic, capacity)
             if abs(actual - assumed) <= th.eps_load:
                 converged = True
                 break
-            load = assumed + th.damping * (_clamp_load(actual, th.eta) - assumed)
+            load = assumed + th.damping * (min(max(actual, 0.0), ceiling) - assumed)
     else:
         # No subscribers: the capacity leg puts no constraint on the plan, and
         # the offered load is identically zero, so the fixed point is exact.
         r_cap = math.inf
         assumed = actual = 0.0
-        mapl = cov.mapl_db(replace(link, interference_margin_db=0.0), bw_hz)
-        r_cov = cov.invert_to_radius(model, f_mhz, mapl)
+        mapl = cov.mapl_from_budget_db(budget, 0.0)
+        r_cov = radius_km(mapl)
         iterations, converged = 0, True
 
     plan = final_plan(r_cov, r_cap, area_km2, rho_subs_per_km2, traffic, capacity)

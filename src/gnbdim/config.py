@@ -143,9 +143,17 @@ BANDWIDTHS = checked(
     "a non-empty list",
 )
 
+# Integer keys whose range is checked here as well as by their model, so
+# that an error shows the value as written: 1e308, not its 309 digits.
+MU = checked(integer, lambda mu: nr.MU_MIN <= mu <= nr.MU_MAX, f"in [{nr.MU_MIN}, {nr.MU_MAX}]")
+N_PRB = checked(integer, lambda n: n >= 1, ">= 1")  # and fits its bandwidth: _nr_config
+MAX_ITER = checked(
+    integer, lambda n: 1 <= n <= balance.MAX_ITER, f"in [1, {balance.MAX_ITER}]"
+)
+
 # The whole schema. Numbers typed `number` are echoed as given, `real`
 # ones as floats. Value ranges are checked by the model dataclasses,
-# except for keys that exist only in the config.
+# except for keys that exist only in the config and the integers above.
 SCHEMA = {
     "nr": (section({
         "fr": (text, REQUIRED),
@@ -158,13 +166,13 @@ SCHEMA = {
         }), ABSENT),
         "prb_overrides": (list_of(section({
             "bw_mhz": (number, REQUIRED),
-            "mu": (integer, REQUIRED),
-            "n_prb": (integer, REQUIRED),
+            "mu": (MU, REQUIRED),
+            "n_prb": (N_PRB, REQUIRED),
         })), ABSENT),
         "bwps": (list_of(section({
-            "mu": (integer, REQUIRED),
+            "mu": (MU, REQUIRED),
             "bw_mhz": (number, REQUIRED),
-            "n_prb": (integer, ABSENT),  # echoed as resolved
+            "n_prb": (N_PRB, ABSENT),  # echoed as resolved
             "purpose": (text, ""),
         })), REQUIRED),
     }), {}),
@@ -196,7 +204,7 @@ SCHEMA = {
     "balance": (section({
         "eps_radius": (number, 0.10),
         "eps_load": (number, 0.05),
-        "max_iter": (integer, 100),
+        "max_iter": (MAX_ITER, 100),
         "damping": (number, 0.5),
         "eta": (number, balance.DEFAULT_ETA),
     }), {}),
@@ -290,8 +298,19 @@ def _model(cls: type, resolved: dict, where: str, **changes: Any):
         return cls(**{**kwargs, **changes})
 
 
-def _nr_config(values: dict) -> nr.NrConfig:
-    """The NR model; writes the resolved PRB counts and channel into ``values``."""
+def _nr_config(values: dict, written: dict) -> nr.NrConfig:
+    """The NR model; writes the resolved PRB counts and channel into ``values``.
+
+    ``written`` is the section as the document gives it.
+    """
+    # BandwidthPart's own check that n_prb PRBs fit bw_mhz at mu, made
+    # here so that the error names the key.
+    for name in ("prb_overrides", "bwps"):
+        for i, entry in enumerate(values.get(name, ())):
+            bw_mhz, mu, n_prb = entry["bw_mhz"], entry["mu"], entry.get("n_prb")
+            if n_prb is not None and nr.prb_hz(mu) * n_prb > bw_mhz * 1e6:
+                what = f"a PRB count that fits {bw_mhz} MHz at mu={mu}"
+                raise _bad(f"nr.{name}[{i}].n_prb", what, written[name][i]["n_prb"])
     allowed = values.get("allowed_bandwidths")
     overrides = {
         (o["bw_mhz"], o["mu"]): o["n_prb"] for o in values.get("prb_overrides", ())
@@ -345,7 +364,7 @@ def load_config_dict(doc: dict) -> RunConfig:
     multiplier = cost["cost_multiplier"]
     radio, plmn, bbox = _filters(resolved["filters"])
     cfg = RunConfig(
-        nr_config=_nr_config(resolved["nr"]),
+        nr_config=_nr_config(resolved["nr"], doc["nr"]),
         link=_model(coverage.LinkBudget, resolved, "link_budget"),
         sensitivity_prbs=resolved["link_budget"]["sensitivity_prbs"],
         propagation=_model(coverage.PropagationModel, resolved, "propagation"),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import GnbdimError, NegativeMaplError
 
@@ -98,14 +99,14 @@ def noise_floor_dbm(bw_hz: float, noise_figure_db: float) -> float:
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bw_hz) + noise_figure_db
 
 
-def mapl_db(link: LinkBudget, bw_hz: float) -> float:
-    """Maximum allowed path loss for the cell-edge service over ``bw_hz``.
+def budget_before_interference_db(link: LinkBudget, bw_hz: float) -> float:
+    """The link budget over ``bw_hz`` before its interference margin.
 
     Sensitivity is the noise floor plus the required SINR; everything else
-    is gains minus losses minus margins.
+    is gains minus losses minus margins, summed left to right.
     """
     sensitivity = noise_floor_dbm(bw_hz, link.noise_figure_db) + link.required_sinr_db
-    mapl = (
+    return (
         link.tx_power_dbm
         + link.tx_antenna_gain_dbi
         - link.tx_losses_db
@@ -114,8 +115,12 @@ def mapl_db(link: LinkBudget, bw_hz: float) -> float:
         - sensitivity
         - link.shadow_margin_db
         - link.penetration_margin_db
-        - link.interference_margin_db
     )
+
+
+def mapl_from_budget_db(budget_db: float, interference_margin_db: float) -> float:
+    """The MAPL a budget leaves after its interference margin; never negative."""
+    mapl = budget_db - interference_margin_db
     if mapl < 0:
         raise NegativeMaplError(
             f"link budget infeasible: margins leave MAPL at {mapl:.2f} dB"
@@ -123,11 +128,22 @@ def mapl_db(link: LinkBudget, bw_hz: float) -> float:
     return mapl
 
 
-def _abg_params(model: PropagationModel) -> tuple[float, float, float]:
-    """``(alpha, beta_db, gamma)`` of ``model``."""
+def mapl_db(link: LinkBudget, bw_hz: float) -> float:
+    """Maximum allowed path loss for the cell-edge service over ``bw_hz``."""
+    return mapl_from_budget_db(
+        budget_before_interference_db(link, bw_hz), link.interference_margin_db
+    )
+
+
+def _abg_terms(model: PropagationModel, f_mhz: float) -> tuple[float, float, float]:
+    """``(alpha, beta_db, frequency term in dB)`` of ``model`` at ``f_mhz``."""
+    if f_mhz <= 0:
+        raise GnbdimError(f"frequency must be positive, got {f_mhz}")
     if model.kind == "free_space":
-        return FREE_SPACE_ABG
-    return model.alpha, model.beta_db, model.gamma
+        alpha, beta_db, gamma = FREE_SPACE_ABG
+    else:
+        alpha, beta_db, gamma = model.alpha, model.beta_db, model.gamma
+    return alpha, beta_db, 10.0 * gamma * math.log10(f_mhz / 1000.0)
 
 
 def path_loss_db(model: PropagationModel, f_mhz: float, d_km: float) -> float:
@@ -135,28 +151,37 @@ def path_loss_db(model: PropagationModel, f_mhz: float, d_km: float) -> float:
 
     ABG referenced to d0 = 1 m and 1 GHz.
     """
-    if f_mhz <= 0:
-        raise GnbdimError(f"frequency must be positive, got {f_mhz}")
+    alpha, beta_db, freq_db = _abg_terms(model, f_mhz)
     if d_km <= 0:
         raise GnbdimError(f"distance must be positive, got {d_km}")
-    alpha, beta_db, gamma = _abg_params(model)
-    return (
-        beta_db + alpha * math.log10(d_km * 1000.0) + 10.0 * gamma * math.log10(f_mhz / 1000.0)
-    )
+    return beta_db + alpha * math.log10(d_km * 1000.0) + freq_db
+
+
+def radius_inverse(model: PropagationModel, f_mhz: float) -> Callable[[float], float]:
+    """The map from a MAPL to the distance in km at which ``model`` reaches
+    it at ``f_mhz``, in closed form; its bracket and terms are computed once.
+
+    The MAPL must map into [BRACKET_MIN_KM, BRACKET_MAX_KM]; that is checked
+    first, so a NaN or huge MAPL raises there and never reaches the exponent.
+    """
+    lo, hi = BRACKET_MIN_KM, BRACKET_MAX_KM
+    lo_db, hi_db = path_loss_db(model, f_mhz, lo), path_loss_db(model, f_mhz, hi)
+    alpha, beta_db, freq_db = _abg_terms(model, f_mhz)
+
+    def radius_km(mapl_db: float) -> float:
+        if not lo_db <= mapl_db <= hi_db:
+            raise GnbdimError(
+                f"MAPL {mapl_db:.2f} dB maps outside [{lo}, {hi}] km at {f_mhz} MHz"
+            )
+        d_m = 10.0 ** ((mapl_db - beta_db - freq_db) / alpha)
+        return d_m / 1000.0
+
+    return radius_km
 
 
 def invert_to_radius(model: PropagationModel, f_mhz: float, mapl_db: float) -> float:
-    """Distance in km at which ``model`` reaches ``mapl_db``, in closed form.
-
-    The MAPL must map into [BRACKET_MIN_KM, BRACKET_MAX_KM]; that is checked
-    first, so a NaN or huge MAPL raises here and never reaches the exponent.
-    """
-    lo, hi = BRACKET_MIN_KM, BRACKET_MAX_KM
-    if not path_loss_db(model, f_mhz, lo) <= mapl_db <= path_loss_db(model, f_mhz, hi):
-        raise GnbdimError(f"MAPL {mapl_db:.2f} dB maps outside [{lo}, {hi}] km at {f_mhz} MHz")
-    alpha, beta_db, gamma = _abg_params(model)
-    d_m = 10.0 ** ((mapl_db - beta_db - 10.0 * gamma * math.log10(f_mhz / 1000.0)) / alpha)
-    return d_m / 1000.0
+    """Distance in km at which ``model`` reaches ``mapl_db``: see :func:`radius_inverse`."""
+    return radius_inverse(model, f_mhz)(mapl_db)
 
 
 def hexagon_area_km2(radius_km: float) -> float:

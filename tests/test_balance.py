@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gnbdim.balance import (
+    MAX_ITER,
     BalanceThresholds,
     Classification,
+    DimensioningResult,
     classify,
     final_plan,
     interference_margin_db,
@@ -22,14 +25,18 @@ from gnbdim.capacity import (
     offered_load,
 )
 from gnbdim.coverage import (
+    BRACKET_MAX_KM,
+    BRACKET_MIN_KM,
     LinkBudget,
+    abg,
     free_space,
     hexagon_area_km2,
     invert_to_radius,
     mapl_db,
+    path_loss_db,
 )
 from gnbdim.errors import LoadTooHighError
-from gnbdim.nr import FrequencyRange, NrConfig, bandwidth_part
+from gnbdim.nr import FrequencyRange, NrConfig, bandwidth_part, prb_hz
 
 
 def make_link(**overrides) -> LinkBudget:
@@ -193,6 +200,11 @@ class TestIterateBalance:
         assert full.converged and half.converged
         assert abs(full.assumed_load - half.assumed_load) <= 0.05
 
+    def test_step_count_is_capped(self):
+        assert BalanceThresholds(max_iter=MAX_ITER).max_iter == MAX_ITER
+        with pytest.raises(ValueError, match=re.escape(f"max_iter must be in [1, {MAX_ITER}]")):
+            BalanceThresholds(max_iter=MAX_ITER + 1)
+
     def test_non_convergence_is_reported_not_raised(self):
         th = BalanceThresholds(eps_load=1e-12, max_iter=2)
         result = iterate_balance(
@@ -296,6 +308,128 @@ def test_reference_scenario_root_is_exact():
     result = iterate_balance(link, free_space(), 3500, cfg, traffic, 100.0, 49.0, th)
     assert result.converged and result.r_cov_km <= result.r_cap_km
     assert abs(result.assumed_load - root) <= th.eps_load / (1.0 + a * 0.6) + 1e-12
+
+
+def reference_iterate_balance(
+    link, model, f_mhz, cfg, traffic, rho_subs_per_km2, area_km2, th, sensitivity_prbs=1
+):
+    """The fixed point with every step taken from the whole link budget:
+    the margin put into a copy of ``link``, then ``mapl_db``,
+    ``invert_to_radius`` and ``offered_load``."""
+    capacity = cell_capacity_mbps(cfg, traffic)
+    bw_hz = sensitivity_prbs * prb_hz(cfg.bwps[0].mu)
+    if rho_subs_per_km2 > 0:
+        r_cap = capacity_radius(capacity, traffic, rho_subs_per_km2)
+        load = traffic.target_load
+        converged = False
+        for iterations in range(1, th.max_iter + 1):
+            assumed = load
+            margin = interference_margin_db(assumed, th.eta)
+            mapl = mapl_db(replace(link, interference_margin_db=margin), bw_hz)
+            r_cov = invert_to_radius(model, f_mhz, mapl)
+            actual = offered_load(min(r_cov, r_cap), rho_subs_per_km2, traffic, capacity)
+            if abs(actual - assumed) <= th.eps_load:
+                converged = True
+                break
+            upper = 0.999 / th.eta if th.eta > 0 else math.inf
+            load = assumed + th.damping * (min(max(actual, 0.0), upper) - assumed)
+    else:
+        r_cap = math.inf
+        assumed = actual = 0.0
+        mapl = mapl_db(replace(link, interference_margin_db=0.0), bw_hz)
+        r_cov = invert_to_radius(model, f_mhz, mapl)
+        iterations, converged = 0, True
+    plan = final_plan(r_cov, r_cap, area_km2, rho_subs_per_km2, traffic, capacity)
+    return DimensioningResult(
+        r_cov_km=r_cov,
+        r_cap_km=r_cap,
+        assumed_load=assumed,
+        actual_load=actual,
+        classification=classify(r_cov, r_cap, th),
+        iterations=iterations,
+        converged=converged,
+        mapl_db=mapl,
+        cell_capacity_mbps=capacity,
+        **vars(plan),
+    )
+
+
+def _outcome(run, *args):
+    """The result's repr, or the class and message of what the run raised."""
+    try:
+        return repr(run(*args))
+    except Exception as exc:  # the fast loop must raise exactly what the reference does
+        return type(exc), str(exc)
+
+
+@st.composite
+def balance_cases(draw):
+    """Arguments of iterate_balance over both propagation models.
+
+    The offered load never exceeds the target load by more than rounding
+    (the capacity radius caps it), so the load the run starts from is its
+    highest and MAPL only rises after the first step. The first step's
+    MAPL is drawn near 0 dB and near either end of the bracket, and within
+    the first margin under the top end, which a falling load pushes MAPL
+    past mid-run. The density sets the first step's offered load to 1e-3
+    to 10 times the target. Steps may be undamped, eta reaches the
+    noise-rise pole, and there may be no subscribers, too few per cell, or
+    few steps.
+    """
+    if draw(st.booleans()):
+        model = free_space()
+    else:
+        model = abg(draw(st.floats(10.0, 60.0)), draw(st.floats(-60.0, 80.0)),
+                    draw(st.floats(0.0, 4.0)))
+    f_mhz = draw(st.floats(500.0, 40000.0))
+    traffic = make_traffic(
+        # Above about 300 Mbit/s no subscriber fits into a cell.
+        demand_per_sub_mbps=draw(st.floats(-2.0, 3.0).map(lambda k: 10.0**k)),
+        target_load=draw(st.floats(0.05, 1.0)),
+    )
+    th = BalanceThresholds(
+        eps_load=draw(st.floats(-9.0, -0.5).map(lambda k: 10.0**k)),
+        max_iter=draw(st.integers(1, 5) | st.integers(1, 300)),
+        damping=draw(st.just(1.0) | st.floats(0.01, 1.0)),
+        # Past 0.999 the load clamp 0.999/eta can bind below a load of 1,
+        # and 1 - 1e-10 puts a first load of 1 on the noise-rise pole.
+        eta=draw(st.sampled_from([0.0, 0.99, 1.0 - 1e-10]) | st.floats(0.0, 0.999)
+                 | st.floats(0.999, 1.0, exclude_max=True)),
+    )
+    load = traffic.target_load
+    margin_db = 0.0 if th.eta * load >= 1.0 - 1e-9 else interference_margin_db(load, th.eta)
+    lo_db = path_loss_db(model, f_mhz, BRACKET_MIN_KM)
+    hi_db = path_loss_db(model, f_mhz, BRACKET_MAX_KM)
+    first_mapl_db = draw(
+        st.floats(lo_db, hi_db)
+        | st.floats(hi_db - margin_db, hi_db)
+        | st.sampled_from([0.0, lo_db, hi_db]).flatmap(lambda at: st.floats(at - 5.0, at + 5.0))
+    )
+    sensitivity_prbs = draw(st.integers(1, 250))
+    link = make_link(penetration_margin_db=draw(st.floats(0.0, 40.0)))
+    # tx_power_dbm enters the budget with weight 1.
+    budget_db = mapl_db(link, sensitivity_prbs * prb_hz(1))
+    link = replace(link, tx_power_dbm=link.tx_power_dbm + first_mapl_db + margin_db - budget_db)
+    r_km = invert_to_radius(model, f_mhz, min(max(first_mapl_db, lo_db), hi_db))
+    capacity = cell_capacity_mbps(make_nr(), traffic)
+    ratio = draw(st.floats(-3.0, 1.0).map(lambda k: 10.0**k))
+    rho = ratio * load * capacity / (hexagon_area_km2(r_km) * traffic.demand_per_sub_mbps)
+    rho = draw(st.just(0.0) | st.just(rho))
+    return link, model, f_mhz, make_nr(), traffic, rho, 49.0, th, sensitivity_prbs
+
+
+@settings(max_examples=300, deadline=None)
+@given(balance_cases())
+# The undamped 2-cycle at eta 0.99: all 100 steps, no convergence.
+@example((make_link(), free_space(), 3500, make_nr(), make_traffic(), 100.0, 49.0,
+          BalanceThresholds(damping=1.0, eta=0.99), 1))
+# Where the capacity radius binds, the offered load is 0.99977: over the
+# load clamp 0.999/eta = 0.9995, which then sets the next load.
+@example((make_link(), free_space(), 3500, make_nr(), make_traffic(demand_per_sub_mbps=0.13),
+          1e4, 49.0, BalanceThresholds(eps_load=1e-9, eta=0.9995), 1))
+def test_fixed_point_matches_the_whole_budget_reference(case):
+    expected = _outcome(reference_iterate_balance, *case)
+    assert _outcome(iterate_balance, *case) == expected
 
 
 class TestFinalPlan:

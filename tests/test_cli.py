@@ -416,6 +416,8 @@ class TestConfigErrors:
          "unknown config key nr.allowed_bandwidths.fr1"),
         ("link_budget.tx_power_dbm", 1e300, "link_budget gives a MAPL of 1e+300 dB at zero "
          "interference margin, over the 143.331 dB path loss at 100 km and 3500 MHz"),
+        # A step count that would run for good on a fixed point that does not converge.
+        ("balance.max_iter", 1e308, "balance.max_iter must be in [1, 1000000], got 1e+308"),
     ])
     def test_bad_model_key_wins_over_a_missing_input(
         self, runner, tmp_path, base_config_dict, dotted, value, error

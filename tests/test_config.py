@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnbdim.balance import MAX_ITER
 from gnbdim.config import load_config, load_config_dict
 from gnbdim.density import EARTH_RADIUS_KM, MIN_TILE_KM
 from gnbdim.errors import ConfigError
@@ -120,9 +121,14 @@ class TestLoadConfig:
         # MIN_TILE_KM still gives exact tile indices.
         set_key(base_config_dict, "link_budget.sensitivity_prbs", 250)
         set_key(base_config_dict, "grid.tile_km", MIN_TILE_KM * (1 + 2**-52))
+        set_key(base_config_dict, "balance.max_iter", MAX_ITER)
+        # 277 PRBs of 360 kHz take 99.72 MHz of the part's 100 MHz.
+        set_key(base_config_dict, "nr.prb_overrides", [{"bw_mhz": 100, "mu": 1, "n_prb": 277}])
         cfg = load_config_dict(base_config_dict)
         assert cfg.sensitivity_prbs == 250
         assert cfg.grid.tile_km > MIN_TILE_KM
+        assert cfg.thresholds.max_iter == MAX_ITER
+        assert cfg.nr_config.bwps[0].n_prb == 277
 
     def test_cost_multiplier_applied(self, base_config_dict):
         base_config_dict["cost"]["cost_multiplier"] = 2.0
@@ -204,6 +210,15 @@ DEFECTS = [
     ("link_budget.sensitivity_prbs", -1e308, "link_budget.sensitivity_prbs must be >= 1, "
      "got -1e+308"),
     ("window.w_cols", 1e308, "window.w_cols must be in [1, grid.n_cols] = [1, 7], got 1e+308"),
+    ("balance.max_iter", 1e308, "balance.max_iter must be in [1, 1000000], got 1e+308"),
+    ("balance.max_iter", 1000001, "balance.max_iter must be in [1, 1000000], got 1000001"),
+    ("nr.bwps", [{"mu": 1e308, "bw_mhz": 100}], "nr.bwps[0].mu must be in [0, 4], got 1e+308"),
+    ("nr.bwps", [{"mu": 1, "bw_mhz": 100, "n_prb": 1e308}],
+     "nr.bwps[0].n_prb must be a PRB count that fits 100 MHz at mu=1, got 1e+308"),
+    ("nr.prb_overrides", [{"bw_mhz": 100, "mu": 1, "n_prb": 1e308}],
+     "nr.prb_overrides[0].n_prb must be a PRB count that fits 100 MHz at mu=1, got 1e+308"),
+    ("nr.prb_overrides", [{"bw_mhz": 100, "mu": 1, "n_prb": 278}],  # 100.08 MHz of PRBs
+     "nr.prb_overrides[0].n_prb must be a PRB count that fits 100 MHz at mu=1, got 278"),
     # A MAPL at zero interference margin past the path loss at 100 km.
     ("link_budget.tx_power_dbm", 1e300, "link_budget gives a MAPL of 1e+300 dB"),
     ("link_budget.tx_power_dbm", 90, "link_budget gives a MAPL of 153.437 dB at zero "

@@ -137,6 +137,9 @@ def test_permuted_input_rows_give_the_same_outputs(case, rng):
 @settings(max_examples=40, deadline=None)
 @given(scenarios(), st.floats(0.0, 1e6), st.floats(0.0, 1e6), st.floats(0.01, 100.0))
 @example(_SPARSE, 100000.0, 10000.0, 3.0)
+# A subnormal cost_per_bit: 4.05e-322, and 8.05e-322 at twice the costs.
+@example(({**BASE_CONFIG, "window": {"w_cols": 1, "h_rows": 1}}, [(0.25, 0.25)], [5]),
+         0.0, 2.2250738585072014e-308, 2.0)
 def test_site_costs_times_k_scale_cost_per_bit_by_k(case, capex, opex, k):
     doc, positions, samples = case
     doc = copy.deepcopy(doc)
@@ -148,7 +151,12 @@ def test_site_costs_times_k_scale_cost_per_bit_by_k(case, capex, opex, k):
         assert after == base
         return
     assert after[:2] == base[:2]
-    assert math.isclose(after[2].cost_per_bit, k * base[2].cost_per_bit, rel_tol=1e-12)
+    # Below 2**-1022 floats keep fewer digits, so an absolute bound takes over
+    # there: the rounding of each cost_per_bit and of k times one of them.
+    assert math.isclose(
+        after[2].cost_per_bit, k * base[2].cost_per_bit,
+        rel_tol=1e-12, abs_tol=(k + 1) * 2**-1074,
+    )
 
 
 # Knobs whose rise must not lower n_sites_final: (section, low, high), the
