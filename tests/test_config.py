@@ -213,11 +213,11 @@ DEFECTS = [
     ("balance.max_iter", 1e308, "balance.max_iter must be in [1, 1000000], got 1e+308"),
     ("balance.max_iter", 1000001, "balance.max_iter must be in [1, 1000000], got 1000001"),
     ("nr.bwps", [{"mu": 1e308, "bw_mhz": 100}], "nr.bwps[0].mu must be in [0, 4], got 1e+308"),
-    ("nr.bwps", [{"mu": 1, "bw_mhz": 100, "n_prb": 1e308}],
+    ("nr.bwps", [{"n_prb": 1e308, "mu": 1, "bw_mhz": 100}],
      "nr.bwps[0].n_prb must be a PRB count that fits 100 MHz at mu=1, got 1e+308"),
     ("nr.prb_overrides", [{"bw_mhz": 100, "mu": 1, "n_prb": 1e308}],
      "nr.prb_overrides[0].n_prb must be a PRB count that fits 100 MHz at mu=1, got 1e+308"),
-    ("nr.prb_overrides", [{"bw_mhz": 100, "mu": 1, "n_prb": 278}],  # 100.08 MHz of PRBs
+    ("nr.prb_overrides", [{"n_prb": 278, "bw_mhz": 100, "mu": 1}],  # 100.08 MHz of PRBs
      "nr.prb_overrides[0].n_prb must be a PRB count that fits 100 MHz at mu=1, got 278"),
     # A MAPL at zero interference margin past the path loss at 100 km.
     ("link_budget.tx_power_dbm", 1e300, "link_budget gives a MAPL of 1e+300 dB"),
