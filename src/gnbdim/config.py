@@ -12,9 +12,9 @@ reproduced from its own output.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
@@ -159,7 +159,9 @@ SCHEMA = {
         "fr": (text, REQUIRED),
         "carrier_ghz": (number, REQUIRED),
         "channel_bw_mhz": (real, 0.0),  # 0: the widest allowed channel
-        "guard_fraction": (number, nr.DEFAULT_GUARD_FRACTION),
+        "guard_fraction": (
+            checked(number, lambda g: 0 <= g < 1, "in [0, 1)"), nr.DEFAULT_GUARD_FRACTION
+        ),
         "allowed_bandwidths": (section({
             "FR1": (BANDWIDTHS, ABSENT),
             "FR2": (BANDWIDTHS, ABSENT),
@@ -273,29 +275,34 @@ def _copy(value: Any) -> Any:
     return value
 
 
-@contextmanager
-def _named(where: str, values: dict):
-    """Re-raise a model's own check as a ConfigError that names the key.
+# What a model's own check raises: each is re-raised as a ConfigError.
+_MODEL_ERRORS = (GnbdimError, ValueError, ArithmeticError)
+
+
+def _named(exc: Exception, where: str, values: dict) -> ConfigError:
+    """A model's own check as a ConfigError that names the key.
 
     Model checks start their message with the field name, which is the
-    key in ``values``; other messages are prefixed with the section.
+    key in ``values``; other messages are prefixed with ``where``.
     """
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (GnbdimError, ValueError, ArithmeticError) as exc:
-        message = str(exc)
-        sep = "." if message.split(" ", 1)[0] in values else ": "
-        raise ConfigError(f"{where}{sep}{message}") from None
+    message = str(exc)
+    sep = "." if message.split(" ", 1)[0] in values else ": "
+    return ConfigError(f"{where}{sep}{message}")
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 def _model(cls: type, resolved: dict, where: str, **changes: Any):
     """The dataclass ``cls`` from the keys of section ``where`` that are its fields."""
     values = resolved[where]
-    kwargs = {f.name: values[f.name] for f in fields(cls) if f.name in values}
-    with _named(where, values):
+    kwargs = {name: values[name] for name in _field_names(cls) if name in values}
+    try:
         return cls(**{**kwargs, **changes})
+    except _MODEL_ERRORS as exc:
+        raise _named(exc, where, values) from None
 
 
 def _nr_config(values: dict, written: dict) -> nr.NrConfig:
@@ -316,10 +323,10 @@ def _nr_config(values: dict, written: dict) -> nr.NrConfig:
         (o["bw_mhz"], o["mu"]): o["n_prb"] for o in values.get("prb_overrides", ())
     }
     bwps = []
-    with _named("nr", values):
-        for part in values["bwps"]:
-            # Explicit n_prb on the part wins over the override table, which
-            # wins over the guard-fraction derivation.
+    for i, part in enumerate(values["bwps"]):
+        # Explicit n_prb on the part wins over the override table, which
+        # wins over the guard-fraction derivation.
+        try:
             bwps.append(nr.bandwidth_part(
                 mu=part["mu"],
                 bw_mhz=part["bw_mhz"],
@@ -327,13 +334,18 @@ def _nr_config(values: dict, written: dict) -> nr.NrConfig:
                 guard_fraction=values["guard_fraction"],
                 n_prb=part.get("n_prb", overrides.get((part["bw_mhz"], part["mu"]))),
             ))
-            part["n_prb"] = bwps[-1].n_prb
+        except _MODEL_ERRORS as exc:
+            raise _named(exc, f"nr.bwps[{i}]", part) from None
+        part["n_prb"] = bwps[-1].n_prb
+    try:
         cfg = nr.NrConfig(
             fr=nr.FrequencyRange(band=values["fr"], carrier_ghz=values["carrier_ghz"]),
             bwps=tuple(bwps),
             channel_bw_mhz=values["channel_bw_mhz"],
             allowed=None if allowed is None else {k: tuple(v) for k, v in allowed.items()},
         )
+    except _MODEL_ERRORS as exc:
+        raise _named(exc, "nr", values) from None
     values["channel_bw_mhz"] = cfg.channel_bw_mhz
     return cfg
 

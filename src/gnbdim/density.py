@@ -6,12 +6,13 @@ regions below ~100 km) and binned into tiles by their sample counts.
 The deployment area is the fixed-size window of maximum total weight,
 found exactly with 2-D prefix sums (a summed-area table; Crow, SIGGRAPH
 1984); ties resolve to the south-west (smallest row, then smallest
-column) so runs are reproducible. The search makes one pass over the
-grid to find the occupied tile rows, then works in O(occupied rows *
-n_cols): a row whose weights are all +0.0 adds nothing to a prefix sum.
-If any weight is negative, -0.0 included, every row is treated as
-occupied. It makes the prefix rows one band at a time, so beyond the
-grid it holds O((band + h) * n_cols) floats, not two full-grid tables.
+column) so runs are reproducible. A grid holds only the tile rows that
+some record falls in, so binning and the search work in O(occupied rows
+* n_cols): a row whose weights are all +0.0 adds nothing to a prefix
+sum. Weights are sums of sample counts, never negative; the search
+rejects a weight whose sign bit is set, -0.0 included. It makes the
+prefix rows one band at a time, so beyond the grid it holds
+O((band + h) * n_cols) floats, not two full-grid tables.
 """
 
 from __future__ import annotations
@@ -103,12 +104,19 @@ def unproject(x_km, y_km, spec: GridSpec):
 
 @dataclass
 class DensityGrid:
-    """Per-tile traffic weight (sample counts) and tower counts."""
+    """Per-tile traffic weight (sample counts) and tower counts.
+
+    Only the tile rows in ``rows`` are held, ascending: row i of
+    ``weight`` and ``towers`` is grid row ``rows[i]``, and every tile of
+    an unlisted row holds weight +0.0 and no tower. ``rows=None`` lists
+    every row, so a full (n_rows, n_cols) raster is a grid too.
+    """
 
     spec: GridSpec
-    weight: np.ndarray  # (n_rows, n_cols) float64, row 0 southernmost
-    towers: np.ndarray  # (n_rows, n_cols) int64
+    weight: np.ndarray  # (len(rows), n_cols) float64, south to north
+    towers: np.ndarray  # (len(rows), n_cols) int64
     n_outside: int = 0
+    rows: np.ndarray | None = None  # ascending grid rows; None: all of them
 
 
 @dataclass(frozen=True)
@@ -124,26 +132,35 @@ class DeploymentArea:
 
 
 def bin_records(records: Cells, spec: GridSpec) -> DensityGrid:
-    """Accumulate each record's samples into its tile; out-of-grid is counted."""
+    """Accumulate each record's samples into its tile; out-of-grid is counted.
+
+    The grid holds the rows that some in-grid record falls in, so its
+    size follows the occupied rows, not n_rows.
+    """
     samples = np.array(records.samples, dtype=np.float64)
     x, y = project(records.lon, records.lat, spec)
     col = np.floor(x / spec.tile_km).astype(np.int64)
     row = np.floor(y / spec.tile_km).astype(np.int64)
     inside = (col >= 0) & (col < spec.n_cols) & (row >= 0) & (row < spec.n_rows)
+    row, col = row[inside], col[inside]
 
+    occupied = np.zeros(spec.n_rows, dtype=bool)
+    occupied[row] = True
+    rows = np.flatnonzero(occupied)
+    # rank[r] - 1: row r's place among the occupied rows.
+    rank = np.add.accumulate(occupied, dtype=np.int64)
     # bincount adds in input order, as a sequential scatter-add would. With
     # no rows it returns integers even when given weights, hence the cast.
-    tile = row[inside] * spec.n_cols + col[inside]
-    n_tiles = spec.n_rows * spec.n_cols
-    weight = np.bincount(tile, weights=samples[inside], minlength=n_tiles).astype(
-        np.float64, copy=False
-    )
-    towers = np.bincount(tile, minlength=n_tiles).astype(np.int64, copy=False)
+    tile = (rank[row] - 1) * spec.n_cols + col
+    shape = (len(rows), spec.n_cols)
+    weight = np.bincount(tile, weights=samples[inside], minlength=shape[0] * shape[1])
+    towers = np.bincount(tile, minlength=shape[0] * shape[1])
     return DensityGrid(
         spec=spec,
-        weight=weight.reshape(spec.n_rows, spec.n_cols),
-        towers=towers.reshape(spec.n_rows, spec.n_cols),
+        weight=weight.astype(np.float64, copy=False).reshape(shape),
+        towers=towers.astype(np.int64, copy=False).reshape(shape),
         n_outside=int((~inside).sum()),
+        rows=rows,
     )
 
 
@@ -151,18 +168,18 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
     """Maximum-weight w x h window, exact via 2-D prefix sums.
 
     The first maximum in row-major order wins, which is the south-west
-    tie-break. Weights are sample counts, never negative, so the grid
-    total is the largest prefix sum and bounds every window sum.
+    tie-break. Weights are sample counts, so the grid total is the
+    largest prefix sum and bounds every window sum. A weight whose sign
+    bit is set, -0.0 included, raises GnbdimError: binning never writes
+    one, and -0.0 + 0.0 is +0.0, so leaving out the unlisted rows could
+    flip the sign of a zero prefix sum.
 
-    The work is one pass over the grid to find the occupied rows, then
-    O(occupied rows * n_cols). A row is empty when every weight in it is
+    The work is O(listed rows * n_cols). An unlisted row holds only
     +0.0: adding it to the running prefix changes no value, so prefix
-    row r equals prefix row k(r), made from the first k(r) occupied rows
+    row r equals prefix row k(r), made from the first k(r) listed rows
     only. The sum of the window anchored at row a then depends only on
     (k(a), k(a + h_rows)), and of each run of anchors sharing that pair
-    only the first, which wins the tie, is scored. A negative weight,
-    -0.0 included, turns this off and every row is made: -0.0 + 0.0 is
-    +0.0, so skipping rows could flip the sign of a zero prefix sum.
+    only the first, which wins the tie, is scored.
 
     The prefix table is never held whole: its rows are made one band of
     scored anchors at a time in a buffer that slides north, so the search
@@ -171,27 +188,27 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
     bit.
     """
     weight = grid.weight
-    rows, cols = weight.shape
+    rows, cols = grid.spec.n_rows, grid.spec.n_cols
     if not (1 <= w_cols <= cols and 1 <= h_rows <= rows):
         raise GnbdimError(f"window {w_cols}x{h_rows} does not fit the {cols}x{rows} grid")
+    if weight.size and weight.view(np.int64).min() < 0:  # some sign bit is set
+        negative = weight[np.signbit(weight)][0].item()
+        raise GnbdimError(f"tile weights must not be negative, got {negative!r}")
     n_anchors = rows - h_rows + 1
-    # A row's largest bit pattern is 0 only if every weight in it is +0.0,
-    # and has the sign bit set if some weight in it is negative.
-    row_bits = weight.view(np.uint64).max(axis=1)
-    if np.count_nonzero(row_bits) == rows or row_bits.max() >= np.uint64(1 << 63):
-        occupied = None  # scored anchor i is row i, between prefix rows i and i + h_rows
-        n_scored, span = n_anchors, h_rows
+    if len(weight) == rows:  # every row listed: every anchor starts a run
+        anchor = np.arange(n_anchors)
+        k0, k1 = anchor, anchor + h_rows
     else:
-        occupied = np.flatnonzero(row_bits)
-        is_occupied = row_bits != 0
-        k = np.zeros(rows + 1, dtype=np.int64)  # k[r]: occupied rows below row r
-        np.cumsum(is_occupied, out=k[1:])
+        is_listed = np.zeros(rows, dtype=bool)
+        is_listed[grid.rows] = True
+        k = np.zeros(rows + 1, dtype=np.int64)  # k[r]: listed rows below row r
+        np.add.accumulate(is_listed, dtype=np.int64, out=k[1:])
         # An anchor starts a run when a row enters or leaves its window.
         first = np.ones(n_anchors, dtype=bool)
-        first[1:] = is_occupied[: n_anchors - 1] | is_occupied[h_rows:]
+        first[1:] = is_listed[: n_anchors - 1] | is_listed[h_rows:]
         anchor = np.flatnonzero(first)
         k0, k1 = k[anchor], k[anchor + h_rows]
-        n_scored, span = len(anchor), min(h_rows, len(occupied))
+    n_scored, span = len(anchor), min(h_rows, len(weight))
     # On an all-empty grid span is 0 and one anchor is scored.
     band = min(n_scored, max(span, 1, _BAND_BYTES // ((cols + 1) * 8)))
     # Row j holds prefix row base + j; column 0 and prefix row 0 stay zero.
@@ -206,19 +223,17 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n_scored, band):
             n = min(band, n_scored - i0)
-            if occupied is None:
-                q0, q1 = i0, i0 + n - 1 + h_rows
+            q0, q1 = int(k0[i0]), int(k1[i0 + n - 1])
+            if q1 - q0 == n - 1 + h_rows:  # all the band's rows listed: k0, k1 step by 1
                 lo, hi = slice(0, n), slice(h_rows, n + h_rows)
-                src = weight[made:q1]
             else:
-                q0, q1 = int(k0[i0]), int(k1[i0 + n - 1])
                 lo, hi = k0[i0 : i0 + n] - q0, k1[i0 : i0 + n] - q0
-                src = weight[occupied[made:q1]]
             if q0 > base:  # slide the rows still needed to the front
                 prefix[: made - q0 + 1] = prefix[q0 - base : made - base + 1]
                 base = q0
             if q1 > made:  # a band may only move k0 on and need no new row
                 new = prefix[made - base + 1 : q1 - base + 1, 1:]
+                src = weight[made:q1]
                 if carry is None:
                     np.add.accumulate(src, axis=0, out=new)
                 else:  # carry + W[r] is the full table's out[r-1] + W[r]
@@ -248,7 +263,7 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
     scored, col0 = divmod(best[1], sums.shape[1])
     return DeploymentArea(
         col0=col0,
-        row0=scored if occupied is None else int(anchor[scored]),
+        row0=int(anchor[scored]),
         w_cols=w_cols,
         h_rows=h_rows,
         total_weight=float(best[0]),
@@ -274,15 +289,16 @@ def grid_to_csv(grid: DensityGrid) -> str:
     Every other tile holds no weight, so the raster reads back from the
     listed tiles alone.
     """
-    rows, cols = np.nonzero(grid.towers > 0)
+    listed, cols = np.nonzero(grid.towers > 0)
+    rows = listed if grid.rows is None else grid.rows[listed]
     lines = ["row,col,weight,towers"]
     lines += [
         f"{row},{col},{weight!r},{towers}"
         for row, col, weight, towers in zip(
             rows.tolist(),
             cols.tolist(),
-            grid.weight[rows, cols].tolist(),
-            grid.towers[rows, cols].tolist(),
+            grid.weight[listed, cols].tolist(),
+            grid.towers[listed, cols].tolist(),
         )
     ]
     return "\n".join(lines) + "\n"

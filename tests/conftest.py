@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gnbdim.config import load_config_dict
-from gnbdim.density import GridSpec, unproject
+from gnbdim.density import DensityGrid, GridSpec, unproject
 from gnbdim.ingest import RADIOS, Cells
 
 # Reference urban scenario: 7x7 km2, FR1 at 3.5 GHz with a single 100 MHz
@@ -112,6 +112,17 @@ def tile_center_records(spec: GridSpec, samples: int) -> Cells:
         for col in range(spec.n_cols)
     ]
     return towers([c[0] for c in centers], [c[1] for c in centers], [samples] * len(centers))
+
+
+def full_raster(grid: DensityGrid) -> DensityGrid:
+    """``grid`` with every row listed: its rows put back onto the full raster."""
+    spec = grid.spec
+    weight = np.zeros((spec.n_rows, spec.n_cols))
+    towers = np.zeros((spec.n_rows, spec.n_cols), dtype=np.int64)
+    rows = slice(None) if grid.rows is None else grid.rows
+    weight[rows] = grid.weight
+    towers[rows] = grid.towers
+    return DensityGrid(spec=spec, weight=weight, towers=towers, n_outside=grid.n_outside)
 
 
 def records_to_csv_text(records: Cells) -> str:

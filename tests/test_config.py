@@ -200,7 +200,12 @@ DEFECTS = [
     ("filters.plmn", 310260, "filters.plmn"),
     ("nr.bwps", "x", "nr.bwps must be a list"),  # not "missing nr.bwps[0].mu"
     ("nr.carrier_ghz", 10**400, "nr.carrier_ghz"),
-    ("nr.bwps", [{"mu": 1, "bw_mhz": 1e305}], "nr: "),  # PRB count overflows
+    # The PRB count derived from a part's bandwidth overflows, or is 0.
+    ("nr.bwps", [{"mu": 1, "bw_mhz": 1e305}],
+     "nr.bwps[0]: cannot convert float infinity to integer"),
+    ("nr.bwps", [{"bw_mhz": 1e-300, "mu": 1}],
+     "nr.bwps[0]: no PRB fits: 1e-300 MHz at mu=1 with guard 0.1"),
+    ("nr.guard_fraction", 1, "nr.guard_fraction must be in [0, 1), got 1"),
     ("link_budget.sensitivity_prbs", 0, "link_budget.sensitivity_prbs"),
     # More PRBs than the first bandwidth part holds (250 at mu 1, 100 MHz).
     ("link_budget.sensitivity_prbs", 251, "link_budget.sensitivity_prbs"),

@@ -1,27 +1,41 @@
-"""Differential tests of the banded window search.
+"""Differential tests of binning and the banded window search.
 
+``bin_records`` keeps only the tile rows that hold a record, and
 ``find_5gda`` makes the prefix table one band of window anchors at a
-time, from the occupied tile rows only. It must pick exactly the anchor
-and the window weight (to the bit) that the full-table search it
-replaced picks, kept here as ``reference_find_5gda``, and raise the same
-overflow error, whatever the band height and however many rows are
-empty. Its memory must stay far below the grid's own size, and on a
-mostly empty grid far below its dense band buffers.
+time, from the listed rows only. Together they must pick exactly the
+anchor and the window weight (to the bit) that the full-table search
+over the full raster picks, kept here as ``reference_find_5gda``, and
+raise the same overflow error, whatever the band height and however
+many rows are empty. The search's memory must stay far below the grid's
+own size, and on a mostly empty grid far below its dense band buffers;
+binning and searching a tall, mostly empty grid must stay far below the
+size of its raster.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnbdim import density
-from gnbdim.density import DensityGrid, DeploymentArea, GridSpec, find_5gda
+from gnbdim.density import (
+    DensityGrid,
+    DeploymentArea,
+    GridSpec,
+    bin_records,
+    find_5gda,
+    unproject,
+)
 from gnbdim.errors import GnbdimError
+
+from conftest import full_raster, towers
 
 
 def reference_find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
@@ -56,10 +70,14 @@ def reference_find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> Deployme
     )
 
 
-def grid_of(weights) -> DensityGrid:
+def grid_of(weights, rows=None) -> DensityGrid:
+    """The raster ``weights`` as a grid that lists ``rows`` (None: every row)."""
     w = np.asarray(weights, dtype=np.float64)
     spec = GridSpec(origin_lon=0.0, origin_lat=0.0, n_cols=w.shape[1], n_rows=w.shape[0])
-    return DensityGrid(spec=spec, weight=w, towers=np.zeros(w.shape, dtype=np.int64))
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        w = w[rows]
+    return DensityGrid(spec=spec, weight=w, towers=np.zeros(w.shape, dtype=np.int64), rows=rows)
 
 
 def _outcome(search, grid, w_cols, h_rows):
@@ -78,8 +96,6 @@ _WEIGHTS = {
     "spread": st.just(0.0) | st.floats(1e-5, 1e300),
     "overflow": st.sampled_from([0.0, 0.0, 0.0, 1.0, 1e308]),  # sparse 1e308 cells
 }
-# Outside what binning writes: a negative weight turns row skipping off.
-_SIGNED = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.0, 1.0])
 
 
 @st.composite
@@ -127,26 +143,24 @@ def test_search_memory_is_a_fraction_of_the_grid():
 
 @st.composite
 def sparse_searches(draw):
-    """(weights, w_cols, h_rows, band_rows) with runs of empty rows.
+    """(weights, listed, w_cols, h_rows, band_rows) with runs of empty rows.
 
     Runs of +0.0 rows alternate with runs of drawn rows, at either edge
-    and longer or shorter than the window. Some draws put -0.0 into
-    cells, in the drawn rows and in the runs meant to be empty.
+    and longer or shorter than the window. The grid lists the drawn rows,
+    some of which may hold only zeros, and no other row.
     """
     cols = draw(st.integers(1, 6))
     runs = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
     drawn_first = draw(st.booleans())
     is_drawn = np.repeat([(i % 2 == 0) == drawn_first for i in range(len(runs))], runs)
     rows = len(is_drawn)
-    values = draw(st.sampled_from([*_WEIGHTS.values(), _SIGNED]))
+    values = _WEIGHTS[draw(st.sampled_from(sorted(_WEIGHTS)))]
     weights = np.zeros((rows, cols))
-    for r in np.flatnonzero(is_drawn):
+    listed = np.flatnonzero(is_drawn)
+    for r in listed:
         weights[r] = draw(st.lists(values, min_size=cols, max_size=cols))
-    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
-    for r, c in draw(st.lists(cells, max_size=3)):
-        weights[r, c] = -0.0
     w_cols, h_rows = draw(st.integers(1, cols)), draw(st.integers(1, rows))
-    return weights, w_cols, h_rows, draw(st.integers(1, rows))
+    return weights, listed, w_cols, h_rows, draw(st.integers(1, rows))
 
 
 def _one_row(rows, cols, at, value=1.0):
@@ -157,21 +171,20 @@ def _one_row(rows, cols, at, value=1.0):
 
 @settings(max_examples=400, deadline=None)
 @given(sparse_searches())
-@example((np.zeros((6, 3)), 2, 2, 1))  # all empty: one scored anchor
-@example((_one_row(9, 3, 4), 2, 3, 1))  # a single occupied row
-@example((_one_row(9, 3, 0), 1, 2, 1))  # ... at the bottom edge
-@example((_one_row(9, 3, 8), 1, 2, 1))  # ... at the top edge
-@example((_one_row(12, 2, [5, 6]), 1, 3, 1))  # empty runs longer than h_rows at both edges
-@example((_one_row(12, 2, [0, 11]), 2, 2, 2))  # bands start inside the empty run
-@example((_one_row(8, 2, [1, 6], -0.0), 1, 2, 1))  # rows of -0.0 are occupied
-@example((np.array([[-1.0, 0.0], [0.0, 0.0], [-0.0, 1.0], [0.0, 0.0]]), 1, 2, 1))  # no skipping
+@example((np.zeros((6, 3)), [], 2, 2, 1))  # all empty: one scored anchor
+@example((_one_row(9, 3, 4), [4], 2, 3, 1))  # a single occupied row
+@example((_one_row(9, 3, 0), [0], 1, 2, 1))  # ... at the bottom edge
+@example((_one_row(9, 3, 8), [8], 1, 2, 1))  # ... at the top edge
+@example((_one_row(12, 2, [5, 6]), [5, 6], 1, 3, 1))  # empty runs past h_rows at both edges
+@example((_one_row(12, 2, [0, 11]), [0, 11], 2, 2, 2))  # bands start inside the empty run
+@example((_one_row(8, 2, [1, 6]), [1, 3, 6], 1, 2, 1))  # a listed row of zeros
+@example((np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), [0, 2], 1, 2, 1))
 def test_row_skipping_matches_the_full_table(case):
-    weights, w_cols, h_rows, band_rows = case
-    grid = grid_of(weights)
-    expected = _outcome(reference_find_5gda, grid, w_cols, h_rows)
+    weights, listed, w_cols, h_rows, band_rows = case
+    expected = _outcome(reference_find_5gda, grid_of(weights), w_cols, h_rows)
     band_bytes = band_rows * (weights.shape[1] + 1) * 8
     with mock.patch.object(density, "_BAND_BYTES", band_bytes):
-        assert _outcome(find_5gda, grid, w_cols, h_rows) == expected
+        assert _outcome(find_5gda, grid_of(weights, listed), w_cols, h_rows) == expected
 
 
 def test_search_memory_on_a_mostly_empty_grid():
@@ -180,7 +193,7 @@ def test_search_memory_on_a_mostly_empty_grid():
     weights = np.zeros((rows, cols))
     occupied = np.random.default_rng(43).choice(rows, size=10, replace=False)
     weights[occupied] = np.random.default_rng(44).integers(0, 1000, size=(10, cols))
-    grid = grid_of(weights)
+    grid = grid_of(weights, np.sort(occupied))
     tracemalloc.start()
     try:
         find_5gda(grid, w_cols, h_rows)
@@ -196,31 +209,128 @@ def test_search_memory_on_a_mostly_empty_grid():
 
 
 class _RowLog(np.ndarray):
-    """A weight raster that logs the rows the search reads from it."""
+    """A weight block that logs the grid rows the search reads from it."""
 
     def __getitem__(self, key):
         if self.ndim == 2 and isinstance(key, slice):
-            self.read.update(range(*key.indices(len(self))))
+            self.read.update(self.rows[key].tolist())
         elif self.ndim == 2:
-            self.read.update(np.asarray(key).tolist())
+            self.read.update(self.rows[np.asarray(key)].tolist())
         return super().__getitem__(key)
 
 
-def _rows_read(weights) -> set[int]:
-    grid = grid_of(weights)
+def _rows_read(weights, listed=None) -> set[int]:
+    grid = grid_of(weights, listed)
     grid.weight = grid.weight.view(_RowLog)
+    grid.weight.rows = np.arange(len(weights)) if listed is None else np.asarray(listed)
     grid.weight.read = set()
     find_5gda(grid, 1, 2)
     return grid.weight.read
 
 
 def test_the_search_reads_only_occupied_rows():
-    assert _rows_read(_one_row(8, 3, [1, 6])) == {1, 6}
+    weights = _one_row(8, 3, [1, 6])
+    assert _rows_read(weights, [1, 6]) == {1, 6}
+    assert _rows_read(weights, [1, 4, 6]) == {1, 4, 6}
+    assert _rows_read(weights) == set(range(8))  # a raster lists every row
 
 
-def test_a_negative_weight_turns_row_skipping_off():
-    # -0.0 + 0.0 is +0.0: skipping a +0.0 row could flip a prefix zero's sign.
-    for row, negative in ((1, -1.0), (1, -0.0), (3, -0.0)):  # row 3 is otherwise empty
-        weights = _one_row(8, 3, [1, 6])
-        weights[row, 0] = negative
-        assert _rows_read(weights) == set(range(8))
+def test_a_weight_with_its_sign_bit_set_raises():
+    # Binning writes none; -0.0 + 0.0 is +0.0, so skipping a +0.0 row could
+    # flip a zero prefix sum's sign.
+    for listed in (None, [1, 3, 6]):
+        for row, value in ((1, -1.0), (1, -0.0), (3, -0.0), (6, -2.5)):
+            weights = _one_row(8, 3, [1, 6])
+            weights[row, 2] = value
+            message = f"tile weights must not be negative, got {value!r}"
+            with pytest.raises(GnbdimError, match=re.escape(message)):
+                find_5gda(grid_of(weights, listed), 1, 2)
+
+
+# Sample counts: small ones tie, past 2**53 the order of additions shows,
+# and two 10**308 in one tile or window overflow.
+_SAMPLES = {
+    "ties": st.sampled_from([0, 0, 1, 2, 5]),
+    "large": st.integers(0, 10**17),
+    "overflow": st.sampled_from([0, 1, 10**308]),
+}
+
+
+@st.composite
+def binned_searches(draw):
+    """(spec, records, w_cols, h_rows, band_rows) on a tall grid with few occupied rows.
+
+    Each record sits at a tile center: in one of at most six tiles in at
+    most four rows, so that tiles hold several records, or up to three
+    tiles past an edge of the grid.
+    """
+    n_cols, n_rows = draw(st.integers(1, 8)), draw(st.integers(20, 200))
+    spec = GridSpec(origin_lon=0.0, origin_lat=0.0, n_cols=n_cols, n_rows=n_rows)
+    occupied = draw(st.lists(st.integers(0, n_rows - 1), max_size=4, unique=True))
+    inside = st.nothing()
+    if occupied:
+        tile = st.tuples(st.sampled_from(occupied), st.integers(0, n_cols - 1))
+        inside = st.sampled_from(draw(st.lists(tile, min_size=1, max_size=6)))
+    outside = st.tuples(st.integers(-3, n_rows + 2), st.integers(-3, n_cols + 2)).filter(
+        lambda tile: not (0 <= tile[0] < n_rows and 0 <= tile[1] < n_cols)
+    )
+    tiles = draw(st.lists(inside | outside, max_size=30))
+    x_km = [col + 0.5 for _, col in tiles]
+    y_km = [row + 0.5 for row, _ in tiles]
+    lon, lat = unproject(np.array(x_km), np.array(y_km), spec)
+    values = _SAMPLES[draw(st.sampled_from(sorted(_SAMPLES)))]
+    samples = draw(st.lists(values, min_size=len(tiles), max_size=len(tiles)))
+    w_cols, h_rows = draw(st.integers(1, n_cols)), draw(st.integers(1, n_rows))
+    return spec, towers(lon, lat, samples), w_cols, h_rows, draw(st.integers(1, n_rows))
+
+
+def _scatter_add(records, spec):
+    """The full rasters, by a scatter-add in input order."""
+    weight = np.zeros((spec.n_rows, spec.n_cols))
+    count = np.zeros((spec.n_rows, spec.n_cols), dtype=np.int64)
+    x, y = density.project(records.lon, records.lat, spec)
+    col, row = np.floor(x / spec.tile_km).astype(int), np.floor(y / spec.tile_km).astype(int)
+    inside = (col >= 0) & (col < spec.n_cols) & (row >= 0) & (row < spec.n_rows)
+    samples = np.array(records.samples, dtype=np.float64)[inside]
+    with np.errstate(over="ignore"):  # an overflow shows in the total
+        np.add.at(weight, (row[inside], col[inside]), samples)
+    np.add.at(count, (row[inside], col[inside]), 1)
+    return weight, count
+
+
+@settings(max_examples=300, deadline=None)
+@given(binned_searches())
+def test_binning_the_occupied_rows_matches_the_full_raster(case):
+    spec, records, w_cols, h_rows, band_rows = case
+    grid = bin_records(records, spec)
+    weight, count = _scatter_add(records, spec)
+    assert np.array_equal(grid.rows, np.flatnonzero(count.any(axis=1)))
+    raster = full_raster(grid)
+    assert raster.weight.tobytes() == weight.tobytes()
+    assert np.array_equal(raster.towers, count)
+    assert grid.n_outside == len(records) - count.sum()
+    expected = _outcome(reference_find_5gda, raster, w_cols, h_rows)
+    band_bytes = band_rows * (spec.n_cols + 1) * 8
+    with mock.patch.object(density, "_BAND_BYTES", band_bytes):
+        assert _outcome(find_5gda, grid, w_cols, h_rows) == expected
+
+
+def test_binning_and_search_memory_on_a_tall_sparse_grid():
+    # The raster would be 4000 * 4000 * 8 bytes = 128 MB, twice over.
+    spec = GridSpec(origin_lon=0.0, origin_lat=0.0, n_cols=4000, n_rows=4000)
+    rng = np.random.default_rng(47)
+    rows = rng.choice(spec.n_rows, size=120, replace=False)
+    n = 20_000
+    x_km = rng.integers(0, spec.n_cols, size=n) + 0.5
+    y_km = rows[rng.integers(0, len(rows), size=n)] + 0.5
+    lon, lat = unproject(x_km, y_km, spec)
+    records = towers(lon, lat, rng.integers(0, 1000, size=n).tolist())
+    tracemalloc.start()
+    try:
+        grid = bin_records(records, spec)
+        find_5gda(grid, 300, 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grid.rows) == 120
+    assert peak < 64 << 20
