@@ -68,10 +68,9 @@ class GridSpec:
                 f"n_rows * tile_km puts the grid's north edge at latitude {north_lat:g}, "
                 "at or past the pole"
             )
-        span_lon = self.n_cols * self.tile_km / (KM_PER_DEG * math.cos(self.origin_lat * _DEG))
-        if span_lon > 360:
+        if self.span_lon > 360:
             raise ValueError(
-                f"n_cols * tile_km spans {span_lon:g} degrees of longitude at latitude "
+                f"n_cols * tile_km spans {self.span_lon:g} degrees of longitude at latitude "
                 f"{self.origin_lat:g}, more than 360"
             )
 
@@ -79,14 +78,30 @@ class GridSpec:
     def extent_y_km(self) -> float:
         return self.n_rows * self.tile_km
 
+    @property
+    def span_lon(self) -> float:
+        """Degrees of longitude the grid spans east of its origin."""
+        return self.n_cols * self.tile_km / (KM_PER_DEG * math.cos(self.origin_lat * _DEG))
+
 
 def project(lon, lat, spec: GridSpec):
     """Local east/north kilometers of (lon, lat) relative to the grid origin.
 
     Equirectangular: one degree of longitude is scaled by the cosine of
-    the origin latitude. Accepts scalars or numpy arrays.
+    the origin latitude. The longitude difference from the origin is taken
+    in [-180, 180), so a grid across the antimeridian holds the towers on
+    both sides of it; on a grid wider than 180 degrees, in the 360 degrees
+    that end at the grid's east edge. A difference outside that range is
+    moved by 360, which suffices for longitudes in [-180, 180]; one inside
+    it is used unchanged. Accepts scalars or numpy arrays.
     """
-    x = KM_PER_DEG * (np.asarray(lon) - spec.origin_lon) * math.cos(spec.origin_lat * _DEG)
+    d_lon = np.asarray(lon) - spec.origin_lon
+    west = max(-180.0, spec.span_lon - 360.0)
+    if d_lon.min(initial=west) < west or d_lon.max(initial=west) >= west + 360.0:
+        d_lon = np.where(
+            d_lon < west, d_lon + 360.0, np.where(d_lon >= west + 360.0, d_lon - 360.0, d_lon)
+        )
+    x = KM_PER_DEG * d_lon * math.cos(spec.origin_lat * _DEG)
     y = KM_PER_DEG * (np.asarray(lat) - spec.origin_lat)
     if np.ndim(x) == 0:
         return float(x), float(y)
@@ -94,8 +109,11 @@ def project(lon, lat, spec: GridSpec):
 
 
 def unproject(x_km, y_km, spec: GridSpec):
-    """Inverse of :func:`project`, for exporting grid geometry."""
+    """Inverse of :func:`project`, for exporting grid geometry; a longitude
+    past the antimeridian is moved by 360 into [-180, 180]."""
     lon = spec.origin_lon + np.asarray(x_km) / (KM_PER_DEG * math.cos(spec.origin_lat * _DEG))
+    if lon.max(initial=0.0) > 180.0 or lon.min(initial=0.0) < -180.0:
+        lon = np.where(lon > 180.0, lon - 360.0, np.where(lon < -180.0, lon + 360.0, lon))
     lat = spec.origin_lat + np.asarray(y_km) / KM_PER_DEG
     if np.ndim(lon) == 0:
         return float(lon), float(lat)

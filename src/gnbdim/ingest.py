@@ -19,6 +19,17 @@ kept verbatim.
 Kept rows land in a columnar :class:`Cells` table, built in one pass over
 the rows with no per-row object. It is the one representation of tower
 rows.
+
+Lines are parsed in blocks of :data:`BLOCK_LINES`. A block with no quote,
+CR or NUL splits at every comma and newline, as csv.reader splits it, so
+it is decoded column by column in numpy from its UTF-8 bytes: integers of
+up to 18 digits; decimals whose digits, point left out, form an integer
+up to 2**53 with at most 22 of them after the point, whose quotient by the
+exact power of ten is correctly rounded (Clinger, "How to Read Floating
+Point Numbers Accurately", PLDI 1990) as float() is; and radio and PLMN
+once per distinct spelling. Any other field goes through int() or float()
+on its own text, and any other block through the csv row loop, so both
+paths keep and reject the same rows with the same values and reasons.
 """
 
 from __future__ import annotations
@@ -30,9 +41,9 @@ import sys
 import zlib
 from array import array
 from dataclasses import dataclass, fields
-from itertools import compress
+from itertools import chain, compress, islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -143,118 +154,374 @@ def _plmn_digits(mcc_text: str, net_text: str) -> str | None:
     return plmn if len(mcc) == 3 and is_plmn(plmn) else None
 
 
+BLOCK_LINES = 1024  # lines decoded together; sets the decoder's working memory
+
+_INTS = (3, 4, 9, 11, 12)  # area, cell, samples, created, updated
+_DECIMALS = (6, 7, 8, 13)  # lon, lat, range, averageSignal
+_MAX_WIDTH = 24  # widest number the decoder reads: "-." and 22 fraction digits
+_PAD = _MAX_WIDTH  # bytes of padding before a block, so every window fits
+_PLACES = np.arange(_MAX_WIDTH - 1, -1, -1, dtype=np.uint8)[:, None]
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+_MANTISSA_MAX = 2**53
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+class _Columns:
+    """The kept rows' columns, appended block by block, and the reject counts."""
+
+    def __init__(self) -> None:
+        self.radio, self.lon, self.lat, self.range_m, self.signal = (
+            array("b"), array("d"), array("d"), array("d"), array("d")
+        )
+        self.plmn, self.area, self.cell, self.samples, self.created, self.updated = (
+            [], [], [], [], [], []
+        )
+        self.rows_read = 0
+        self.rejects = dict.fromkeys((BAD_SHAPE, BAD_RADIO, BAD_NUMERIC, BAD_COORDINATE), 0)
+
+    def add_rows(self, rows: Iterable[list[str]]) -> None:
+        """Parse csv rows one at a time: the path of every block that
+        :func:`_parse_block` does not parse, and the behaviour it matches."""
+        radio, plmn, area, cell, lon, lat, range_m, samples, created, updated, signal = (
+            self.radio, self.plmn, self.area, self.cell, self.lon, self.lat, self.range_m,
+            self.samples, self.created, self.updated, self.signal,
+        )
+        rows_read = bad_shape = bad_radio = bad_numeric = bad_coordinate = 0
+        n_fields = len(EXPECTED_HEADER)
+        # int() and float() ignore the same surrounding whitespace as
+        # str.strip(), so only the fields compared as text are stripped.
+        for row in rows:
+            if not row:
+                continue  # blank line, not a data row
+            rows_read += 1
+            if len(row) != n_fields:
+                bad_shape += 1
+                continue
+            code = _RADIO_CODE.get(row[0].strip())
+            if code is None:
+                bad_radio += 1
+                continue
+            digits = _plmn_digits(row[1], row[2])
+            if digits is None:
+                bad_numeric += 1
+                continue
+            try:
+                tac = int(row[3])
+                cid = int(row[4])
+            except ValueError:
+                bad_numeric += 1
+                continue
+            if not 0 <= tac <= 0xFFFF or cid < 0 or (code == _LTE and cid >= LTE_CELL_LIMIT):
+                bad_numeric += 1
+                continue
+            try:
+                x = float(row[6])
+                y = float(row[7])
+            except ValueError:
+                bad_coordinate += 1
+                continue
+            # Chained compares are false for NaN, so they also reject non-finite values.
+            if not (-180.0 <= x <= 180.0 and -90.0 <= y <= 90.0):
+                bad_coordinate += 1
+                continue
+            signal_text = row[13].strip()
+            try:
+                rng = float(row[8])
+                n = int(row[9])
+                t_created = int(row[11])
+                t_updated = int(row[12])
+                sig = float(signal_text) if signal_text else _NAN
+            except ValueError:
+                bad_numeric += 1
+                continue
+            if (
+                not 0.0 <= rng <= _FLOAT_MAX
+                or not 0 <= n <= _FLOAT_MAX  # samples are binned as floats
+                or t_created < 0 or t_updated < 0
+                or (signal_text and not -_FLOAT_MAX <= sig <= _FLOAT_MAX)
+            ):
+                bad_numeric += 1
+                continue
+            radio.append(code)
+            plmn.append(digits)
+            area.append(tac)
+            cell.append(cid)
+            lon.append(x)
+            lat.append(y)
+            range_m.append(rng)
+            samples.append(n)
+            created.append(t_created)
+            updated.append(t_updated)
+            signal.append(sig)
+        self.rows_read += rows_read
+        for reason, n in ((BAD_SHAPE, bad_shape), (BAD_RADIO, bad_radio),
+                          (BAD_NUMERIC, bad_numeric), (BAD_COORDINATE, bad_coordinate)):
+            self.rejects[reason] += n
+
+    def result(self) -> tuple[Cells, IngestReport]:
+        reasons = {reason: n for reason, n in self.rejects.items() if n}
+        rejected = sum(reasons.values())
+        report = IngestReport(
+            rows_read=self.rows_read,
+            rows_kept=self.rows_read - rejected,
+            rows_rejected=rejected,
+            reject_reasons=reasons,
+        )
+        cells = Cells(
+            radio=np.frombuffer(self.radio, dtype=np.int8),
+            plmn=self.plmn,
+            area=self.area,
+            cell=self.cell,
+            lon=np.frombuffer(self.lon, dtype=np.float64),
+            lat=np.frombuffer(self.lat, dtype=np.float64),
+            range_m=np.frombuffer(self.range_m, dtype=np.float64),
+            samples=self.samples,
+            created=self.created,
+            updated=self.updated,
+            avg_signal=np.frombuffer(self.signal, dtype=np.float64),
+        )
+        return cells, report
+
+
+def _text(data: np.ndarray, start: int, end: int) -> str:
+    return data[start:end].tobytes().decode()
+
+
+def _spellings(
+    data: np.ndarray, start: np.ndarray, end: np.ndarray
+) -> tuple[list[str], np.ndarray]:
+    """The distinct texts of the spans [start, end) of ``data``, and each
+    span's index among them."""
+    length = end - start
+    # No text holds NUL, so a span of up to 8 bytes is its first 8 bytes
+    # with the rest zeroed, read as one integer. A longer span gets a key
+    # of its own whose first byte is zero, which no span has.
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    key = words[start] & _LOW_BYTES[np.minimum(length, 8)]
+    long = np.flatnonzero(length > 8)
+    key[long] = (long.astype(np.uint64) + np.uint64(1)) << np.uint64(8)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return [_text(data, start[i], end[i]) for i in first.tolist()], inverse.ravel()
+
+
+def _numbers(data: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Decode each span [start, end) of ``data`` as ``-?[0-9]*.?[0-9]*``.
+
+    Returns the digits, point left out, as one integer ``mantissa``; the
+    count of digits after the point ``frac``; the sign ``neg``; whether
+    the span has that shape with a digit and an exact mantissa below
+    10**18 (``shaped``); and whether it holds a point (``dotted``).
+    Spans are at most ``_MAX_WIDTH`` bytes wide, or not ``shaped``.
+    """
+    length = end - start
+    width = -(-max(1, min(int(length.max()), _MAX_WIDTH)) // 4) * 4
+    # Row p holds each span's byte at place width-1-p: right-aligned, so
+    # the last byte is place 0, and one place is one contiguous row.
+    windows = np.ndarray((len(data) - width + 1, width), np.uint8, data, strides=(1, 1))
+    digit = windows[end - width].T.copy()
+    digit -= ord("0")
+    place = _PLACES[-width:]
+    digit *= place < np.minimum(length, 255).astype(np.uint8)  # bytes left of a span read as 0
+    is_digit = digit <= 9
+    is_dot = digit == (ord(".") - ord("0")) % 256
+    is_minus = digit == (ord("-") - ord("0")) % 256
+    n_dots = is_dot.sum(axis=0, dtype=np.uint8)
+    neg = data[start] == ord("-")  # an empty span starts at its delimiter
+    shaped = (
+        (length <= width) & (n_dots <= 1) & (length > n_dots + neg)
+        & (is_minus.sum(axis=0, dtype=np.uint8) == neg)
+        & (is_digit | is_dot | is_minus).all(axis=0)
+    )
+    dotted = n_dots > 0
+    frac = (is_dot * place).sum(axis=0, dtype=np.uint8)  # the point's place
+    # The mantissa's digits by place: the point and sign read as 0, and
+    # each place from the point's up takes the digit one place above.
+    digit *= is_digit
+    above = np.zeros_like(digit)
+    above[1:] = digit[:-1]
+    np.copyto(digit, above, where=(place >= frac) & dotted)
+    if width > 18:
+        shaped &= ~digit[:width - 18].any(axis=0)  # no digit but 0 at 10**18 or above
+    pairs = 10 * digit[0::2] + digit[1::2]
+    quads = 100 * pairs[0::2].astype(np.uint16) + pairs[1::2]
+    mantissa = quads[0].astype(np.int64)
+    for quad in quads[1:]:
+        mantissa *= 10_000
+        mantissa += quad
+    return mantissa, frac.astype(np.intp), neg, shaped, dotted
+
+
+def _check_value(column: int, value: int) -> int:
+    """An int64 that every bound check on ``column`` decides as on ``value``."""
+    if column == _INTS.index(9) and value > _FLOAT_MAX:
+        return -1  # samples are binned as floats
+    return min(max(value, -1), 1 << 62)
+
+
+def _parse_block(out: _Columns, block: list[str], text: str) -> bool:
+    """Parse a block of lines with no quote, ``text`` joined, column by
+    column in numpy, as :meth:`_Columns.add_rows` parses its csv rows;
+    False, with nothing added, for a block only the row loop parses.
+
+    That is a block with a CR or NUL, a line with a newline before its
+    end, or a line longer than the csv field limit: without those,
+    csv.reader splits fields at every comma and rows at every newline.
+    Fields of the common shapes are decoded in numpy, every other field
+    by int() or float() on its own text, and each row's reject reason is
+    its first failed check, left to right.
+    """
+    if "\r" in text or "\x00" in text:
+        return False
+    try:
+        raw = text.encode()
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+    lengths = map(len, block) if text.isascii() else map(len, map(str.encode, block))
+    line_ends = np.cumsum(np.fromiter(lengths, dtype=np.intp, count=len(block))) + (_PAD - 1)
+    if not text.endswith("\n"):
+        raw += b"\n"
+        line_ends[-1] += 1
+    data = np.frombuffer(bytes(_PAD) + raw + bytes(8), dtype=np.uint8)
+    delim = np.flatnonzero((data == ord("\n")) | (data == ord(",")))
+    last = np.flatnonzero(data[delim] == ord("\n"))  # each line's end, as an index into delim
+    if not np.array_equal(delim[last], line_ends):
+        return False
+    line_starts = np.concatenate(([_PAD], line_ends[:-1] + 1))
+    if (line_ends - line_starts).max() > csv.field_size_limit():
+        return False
+
+    n_fields = len(EXPECTED_HEADER)
+    filled = line_ends > line_starts
+    shaped = np.diff(last, prepend=-1) == n_fields
+    out.rows_read += int(np.count_nonzero(filled))
+    out.rejects[BAD_SHAPE] += int(np.count_nonzero(filled & ~shaped))
+    last = last[shaped]
+    n = len(last)
+    if not n:
+        return True
+    # Field c of a row ends at delim[last + c - 13]; the delimiter before
+    # it, or the virtual one before the block, is bounds[last + c - 13].
+    bounds = np.concatenate(([_PAD - 1], delim))
+
+    texts, inverse = _spellings(data, bounds[last - 13] + 1, delim[last - 13])
+    code = np.array([_RADIO_CODE.get(t.strip(), -1) for t in texts], dtype=np.int8)[inverse]
+    texts, inverse = _spellings(data, bounds[last - 12] + 1, delim[last - 11])  # "mcc,net"
+    digits = [_plmn_digits(*t.split(",")) for t in texts]
+    plmn = np.array(digits, dtype=object)[inverse]
+    plmn_ok = np.array([d is not None for d in digits])[inverse]
+
+    fields = last + (np.array(_INTS + _DECIMALS) - (n_fields - 1))[:, None]
+    start = bounds[fields].ravel() + 1
+    end = delim[fields].ravel()
+    mantissa, frac, neg, shaped, dotted = (
+        a.reshape(len(fields), n) for a in _numbers(data, start, end)
+    )
+
+    # Integer columns, as Python ints; a field int() reads is patched in.
+    n_ints = len(_INTS)
+    ints = np.where(neg, -mantissa, mantissa)[:n_ints]
+    parsed = shaped[:n_ints] & ~dotted[:n_ints]
+    patched = [{} for _ in _INTS]
+    for c, r in zip(*np.nonzero(~parsed)):
+        i = c * n + r
+        try:
+            value = int(_text(data, start[i], end[i]))
+        except ValueError:
+            continue
+        patched[c][r] = value
+        parsed[c, r] = True
+        ints[c, r] = _check_value(c, value)
+    area, cell = ints[:2]
+    radio_ok = code >= 0
+    ids_ok = (
+        radio_ok & plmn_ok & (parsed[:2] & (ints[:2] >= 0)).all(axis=0)
+        & (area <= 0xFFFF) & ~((code == _LTE) & (cell >= LTE_CELL_LIMIT))
+    )
+
+    # Decimal columns: a mantissa up to 2**53 over 10**k with k <= 22 is
+    # correctly rounded (Clinger's fast path), as float() is. An empty
+    # averageSignal is absent.
+    mantissa, frac, neg, shaped = (a[n_ints:] for a in (mantissa, frac, neg, shaped))
+    fast = shaped & (mantissa <= _MANTISSA_MAX) & (frac < len(_POW10))
+    decimals = mantissa / _POW10[np.where(fast, frac, 0)]
+    decimals = np.where(neg, -decimals, decimals)
+    absent = (end - start)[-n:] == 0
+    fast[-1] |= absent
+    decimals[-1, absent] = _NAN
+    for c, r in zip(*np.nonzero(~fast)):
+        i = (n_ints + c) * n + r
+        field = _text(data, start[i], end[i])
+        if c == len(_DECIMALS) - 1:  # averageSignal is stripped first
+            field = field.strip()
+            absent[r] = not field
+        try:
+            decimals[c, r] = float(field)
+        except ValueError:
+            decimals[c, r] = _NAN  # fails every check below, unless absent
+    lon, lat, range_m, signal = decimals
+    place_ok = (-180.0 <= lon) & (lon <= 180.0) & (-90.0 <= lat) & (lat <= 90.0)
+    rest_ok = (
+        (0.0 <= range_m) & (range_m <= _FLOAT_MAX) & (absent | np.isfinite(signal))
+        & (parsed[2:] & (ints[2:] >= 0)).all(axis=0)
+    )
+    keep = place_ok & ids_ok & rest_ok
+    out.rejects[BAD_RADIO] += int(np.count_nonzero(~radio_ok))
+    out.rejects[BAD_NUMERIC] += int(np.count_nonzero(radio_ok & ~ids_ok))
+    out.rejects[BAD_COORDINATE] += int(np.count_nonzero(ids_ok & ~place_ok))
+    out.rejects[BAD_NUMERIC] += int(np.count_nonzero(ids_ok & place_ok & ~rest_ok))
+
+    out.radio.frombytes(code[keep].tobytes())
+    out.plmn += plmn[keep].tolist()
+    for column, values in zip((out.lon, out.lat, out.range_m, out.signal), decimals):
+        column.frombytes(values[keep].tobytes())
+    for values, by_int, column in zip(
+        ints, patched, (out.area, out.cell, out.samples, out.created, out.updated)
+    ):
+        if by_int:
+            values = values.astype(object)
+            for r, value in by_int.items():
+                values[r] = value
+        column += values[keep].tolist()
+    return True
+
+
+def _rows_of(block: list[str], lines: Iterator[str]) -> Iterator[list[str]]:
+    """csv rows of the block's lines; a quoted field still open at the
+    block's end reads on from ``lines``."""
+    ended = 0  # lines read when the last row ended
+
+    def rest():
+        while reader.line_num > ended:  # a record is open
+            line = next(lines, None)
+            if line is None:
+                return
+            yield line
+
+    reader = csv.reader(chain(block, rest()))
+    for row in reader:
+        ended = reader.line_num
+        yield row
+
+
 def parse_csv(lines: Iterable[str]) -> tuple[Cells, IngestReport]:
     """Parse tower records from CSV text lines, such as a file opened by
     :func:`read_cells`; bad rows are counted, not fatal."""
-    reader = csv.reader(lines)
+    lines = iter(lines)
     try:
-        header = next(reader)
+        header = next(csv.reader(lines))
     except (StopIteration, csv.Error):
         raise GnbdimError("input has no header row") from None
     if tuple(h.strip() for h in header) != EXPECTED_HEADER:
         raise GnbdimError(f"header mismatch: expected {','.join(EXPECTED_HEADER)}")
 
-    radio, lon, lat, range_m, signal = (
-        array("b"), array("d"), array("d"), array("d"), array("d")
-    )
-    plmn, area, cell, samples, created, updated = [], [], [], [], [], []
-    rows_read = bad_shape = bad_radio = bad_numeric = bad_coordinate = 0
-    n_fields = len(EXPECTED_HEADER)
-
-    # int() and float() ignore the same surrounding whitespace as
-    # str.strip(), so only the fields compared as text are stripped.
-    for row in reader:
-        if not row:
-            continue  # blank line, not a data row
-        rows_read += 1
-        if len(row) != n_fields:
-            bad_shape += 1
-            continue
-        code = _RADIO_CODE.get(row[0].strip())
-        if code is None:
-            bad_radio += 1
-            continue
-        digits = _plmn_digits(row[1], row[2])
-        if digits is None:
-            bad_numeric += 1
-            continue
-        try:
-            tac = int(row[3])
-            cid = int(row[4])
-        except ValueError:
-            bad_numeric += 1
-            continue
-        if not 0 <= tac <= 0xFFFF or cid < 0 or (code == _LTE and cid >= LTE_CELL_LIMIT):
-            bad_numeric += 1
-            continue
-        try:
-            x = float(row[6])
-            y = float(row[7])
-        except ValueError:
-            bad_coordinate += 1
-            continue
-        # Chained compares are false for NaN, so they also reject non-finite values.
-        if not (-180.0 <= x <= 180.0 and -90.0 <= y <= 90.0):
-            bad_coordinate += 1
-            continue
-        signal_text = row[13].strip()
-        try:
-            rng = float(row[8])
-            n = int(row[9])
-            t_created = int(row[11])
-            t_updated = int(row[12])
-            sig = float(signal_text) if signal_text else _NAN
-        except ValueError:
-            bad_numeric += 1
-            continue
-        if (
-            not 0.0 <= rng <= _FLOAT_MAX
-            or not 0 <= n <= _FLOAT_MAX  # samples are binned as floats
-            or t_created < 0 or t_updated < 0
-            or (signal_text and not -_FLOAT_MAX <= sig <= _FLOAT_MAX)
-        ):
-            bad_numeric += 1
-            continue
-        radio.append(code)
-        plmn.append(digits)
-        area.append(tac)
-        cell.append(cid)
-        lon.append(x)
-        lat.append(y)
-        range_m.append(rng)
-        samples.append(n)
-        created.append(t_created)
-        updated.append(t_updated)
-        signal.append(sig)
-
-    counts = {
-        BAD_SHAPE: bad_shape,
-        BAD_RADIO: bad_radio,
-        BAD_NUMERIC: bad_numeric,
-        BAD_COORDINATE: bad_coordinate,
-    }
-    reasons = {reason: n for reason, n in counts.items() if n}
-    rejected = sum(reasons.values())
-    report = IngestReport(
-        rows_read=rows_read,
-        rows_kept=rows_read - rejected,
-        rows_rejected=rejected,
-        reject_reasons=reasons,
-    )
-    cells = Cells(
-        radio=np.frombuffer(radio, dtype=np.int8),
-        plmn=plmn,
-        area=area,
-        cell=cell,
-        lon=np.frombuffer(lon, dtype=np.float64),
-        lat=np.frombuffer(lat, dtype=np.float64),
-        range_m=np.frombuffer(range_m, dtype=np.float64),
-        samples=samples,
-        created=created,
-        updated=updated,
-        avg_signal=np.frombuffer(signal, dtype=np.float64),
-    )
-    return cells, report
+    out = _Columns()
+    while block := list(islice(lines, BLOCK_LINES)):
+        text = "".join(block)
+        if '"' in text:  # a quoted field may run on past the block
+            out.add_rows(_rows_of(block, lines))
+        elif not _parse_block(out, block, text):
+            out.add_rows(csv.reader(block))
+    return out.result()
 
 
 def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:

@@ -336,6 +336,34 @@ class TestDimension:
         assert summary["deployment_area"]["w_cols"] == 3
         assert summary["deployment_area"]["area_km2"] == 9.0
 
+    def test_towers_across_the_antimeridian_land_in_the_window(
+        self, runner, tmp_path, base_config_dict
+    ):
+        # The 7 km grid starts 0.05 degrees west of the antimeridian, so its
+        # columns 6 and up lie east of it, at negative longitudes. The two
+        # heavy towers sit in column 6.
+        base_config_dict["grid"].update(origin_lon=179.95, origin_lat=0.0)
+        spec = GridSpec(**base_config_dict["grid"])
+        records = tile_center_records(spec, samples=1)
+        heavy = unproject(np.array([6.5, 6.5]), np.array([2.5, 3.5]), spec)
+        assert (heavy[0] < -179.99).all()
+        csv_path = tmp_path / "towers.csv"
+        csv_path.write_text(records_to_csv_text(towers(
+            np.concatenate((records.lon, heavy[0])), np.concatenate((records.lat, heavy[1])),
+            records.samples + [1000, 1000],
+        )), encoding="utf-8")
+        base_config_dict.update(input=str(csv_path), out=str(tmp_path / "out"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config_dict), encoding="utf-8")
+        result = runner.invoke(main, ["dimension", "--config", str(cfg), "--window", "2x2"])
+        assert result.exit_code == 0, result.output
+        area = json.loads((tmp_path / "out" / "summary.json").read_text())["deployment_area"]
+        assert (area["col0"], area["row0"]) == (5, 2)
+        assert area["total_weight"] == 2004.0
+        assert area["records_outside_grid"] == 0
+        sites = json.loads((tmp_path / "out" / "sites.geojson").read_text())["features"]
+        assert all(-180 <= f["geometry"]["coordinates"][0] <= 180 for f in sites)
+
 
 class TestConfigErrors:
     """One case per class of bad config; each exits 2 naming the key."""

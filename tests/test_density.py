@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gnbdim.density import (
     EARTH_RADIUS_KM,
+    KM_PER_DEG,
     DensityGrid,
     DeploymentArea,
     GridSpec,
@@ -68,6 +69,42 @@ class TestProject:
         for x, y in [(0.0, 0.0), (3.5, 1.2), (6.9, 6.9), (-2.0, 5.0)]:
             lon, lat = unproject(x, y, spec)
             assert project(lon, lat, spec) == pytest.approx((x, y), abs=1e-12)
+
+    def test_a_tower_across_the_antimeridian_lands_east_of_the_origin(self):
+        spec = spec_at(lon=179.95, lat=0.0)
+        x, _ = project(-179.995, 0.0, spec)
+        assert x == pytest.approx(0.055 * KM_PER_DEG)
+        assert unproject(x, 0.0, spec)[0] == pytest.approx(-179.995)
+        assert project(179.9, 0.0, spec)[0] == pytest.approx(-0.05 * KM_PER_DEG)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-180, 180), st.floats(-80, 80), st.floats(0.01, 359),
+        st.floats(0, 0.999), st.floats(-180, 180),
+    )
+    @example(179.95, 0.0, 0.1, 0.9, -179.995)
+    @example(-100.0, 10.0, 300.0, 0.95, 179.0)
+    def test_unproject_inverts_across_the_antimeridian(self, origin_lon, lat, span, f, lon):
+        n_cols = 100
+        tile_km = span * KM_PER_DEG * math.cos(math.radians(lat)) / n_cols
+        spec = GridSpec(origin_lon=origin_lon, origin_lat=lat, n_cols=n_cols, n_rows=1,
+                        tile_km=tile_km)
+        # A point inside the grid: its longitude is in range, and it projects
+        # back to where it came from.
+        x = f * n_cols * tile_km
+        back_lon, back_lat = unproject(x, 0.0, spec)
+        assert -180 <= back_lon <= 180
+        assert project(back_lon, back_lat, spec) == pytest.approx((x, 0.0), abs=1e-6 * tile_km)
+        # Any longitude lands in the 360 degrees that end at the grid's east
+        # edge, or at [-180, 180) for a grid up to 180 degrees wide, where a
+        # difference already in range is projected unchanged.
+        d_lon = lon - origin_lon
+        west = max(-180.0, spec.span_lon - 360.0)
+        km_per_deg_lon = KM_PER_DEG * math.cos(math.radians(lat))
+        got, _ = project(lon, lat, spec)
+        assert west * km_per_deg_lon - 1e-6 <= got <= (west + 360.0) * km_per_deg_lon + 1e-6
+        if west == -180.0 and -180 <= d_lon < 180:
+            assert got == KM_PER_DEG * d_lon * math.cos(lat * (math.pi / 180.0))
 
 
 class TestBinRecords:

@@ -1,11 +1,14 @@
+import csv
 import gzip
 import io
 import math
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+from gnbdim import ingest
 from gnbdim.errors import GnbdimError
 from gnbdim.ingest import (
     BAD_COORDINATE,
@@ -180,6 +183,88 @@ class TestFiles:
         ]:
             with pytest.raises(GnbdimError, match="^" + re.escape(text)):
                 read_cells(path)
+
+
+def row_loop_only():
+    """Every block goes to the row loop, as when no block decoder existed."""
+    return patch.object(ingest, "_parse_block", lambda out, block, text: False)
+
+
+def outcome(read, *args):
+    """What a read returns, or the text of the error it raises."""
+    try:
+        return read(*args)
+    except (GnbdimError, csv.Error) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# 300 rows with a reject of each reason every five rows, about 28 kB: more
+# than the 8 kB a text file decodes at a time.
+BODY_ROWS = [
+    GOOD_ROW, GOOD_ROW.replace(",57,", ",many,"), GOOD_ROW.replace("LTE,", "GSM,"),
+    "junk", GOOD_ROW.replace(",41.8,", ",95,"), GOOD_ROW.replace("LTE,", "WIFI,"),
+] * 50
+
+
+def export_bytes(case: str) -> bytes:
+    rows = list(BODY_ROWS)
+    if case == "quoted":
+        # Line 8, the last of the second block: its field runs on into line 9.
+        rows[7] = rows[7].replace(",12345678,,", ',12345678,"two\nlines",')
+    if case == "bad-byte":
+        rows[290] = rows[290].replace("-87.6", "-87.\udcff")
+    text = HEADER + "\n" + "\n".join(rows) + ("" if case == "no-final-newline" else "\n")
+    if case == "crlf":
+        text = text.replace("\n", "\r\n")
+    data = text.encode("utf-8", "surrogateescape")
+    return b"\xef\xbb\xbf" + data if case == "bom" else data
+
+
+class TestBlockFiles:
+    """Files at the block decoder's edges, read in blocks of 4 lines: the
+    same Cells and report as the row loop alone, or the same error."""
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+    @pytest.mark.parametrize("case", ["crlf", "bom", "no-final-newline", "quoted", "bad-byte"])
+    def test_read_matches_the_row_loop(self, tmp_path, case, gz):
+        data = export_bytes(case)
+        path = tmp_path / ("export.csv.gz" if gz else "export.csv")
+        path.write_bytes(gzip.compress(data) if gz else data)
+        with patch.object(ingest, "BLOCK_LINES", 4):
+            got = outcome(read_cells, path)
+            with row_loop_only():
+                want = outcome(read_cells, path)
+        assert got == want
+        if case == "bad-byte":
+            assert got.startswith(f"GnbdimError: cannot read input {path}: 'utf-8' codec")
+        else:
+            records, report = got
+            assert report.rows_read == len(BODY_ROWS)
+            assert report.reject_reasons == {
+                BAD_NUMERIC: 50, BAD_SHAPE: 50, BAD_COORDINATE: 50, BAD_RADIO: 50
+            }
+            assert len(records) == 100
+
+    @pytest.mark.parametrize("lines", [
+        [HEADER, GOOD_ROW, GOOD_ROW],               # no newlines at all
+        [HEADER + "\n", GOOD_ROW, GOOD_ROW + "\n"],  # one line without its newline
+        [HEADER + "\n", "", GOOD_ROW + "\n"],       # an empty line
+        [HEADER + "\n", GOOD_ROW + "\n" + GOOD_ROW + "\n"],  # two records in one line
+        [HEADER + "\n", GOOD_ROW + "\n" + GOOD_ROW],
+        [HEADER + "\n", GOOD_ROW + "\n" + GOOD_ROW, GOOD_ROW + "\n"],  # as many newlines as lines
+        [HEADER + "\n", GOOD_ROW.replace("LTE", "L\ud800") + "\n"],  # a lone surrogate
+        [HEADER + "\n", GOOD_ROW.replace("1000", "1" * 2000) + "\n"],  # over the field limit
+    ])
+    def test_lines_from_any_iterable_parse_as_the_row_loop_parses_them(self, lines):
+        limit = csv.field_size_limit(1000)
+        try:
+            with patch.object(ingest, "BLOCK_LINES", 2):
+                got = outcome(parse_csv, iter(lines))
+                with row_loop_only():
+                    want = outcome(parse_csv, iter(lines))
+        finally:
+            csv.field_size_limit(limit)
+        assert got == want
 
 
 class TestCellsEquality:

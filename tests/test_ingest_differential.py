@@ -15,10 +15,12 @@ import io
 import math
 import sys
 from collections import Counter
+from unittest.mock import patch
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gnbdim import ingest
 from gnbdim.errors import GnbdimError
 from gnbdim.ingest import (
     BAD_COORDINATE,
@@ -232,3 +234,154 @@ def test_columnar_parse_matches_reference(rows):
     assert report.reject_reasons == dict(want_reasons)
     assert report.rows_kept == len(cells) == len(want_records)
     assert report.rows_read == len(want_records) + sum(want_reasons.values())
+
+
+# --- the numpy block decoder -------------------------------------------------
+#
+# ``parse_csv`` decodes blocks of unquoted lines column by column in numpy and
+# hands any other block to its row loop. The exports below are written line
+# by line with no csv quoting, so every block reaches the decoder, and
+# ``BLOCK_LINES`` is patched small so each export spans several blocks.
+
+def number_texts(max_digits: int = 26):
+    """Digit runs with an optional sign and point: every shape the decoder
+    reads, and the shapes around it."""
+    return st.one_of(
+        st.builds(
+            lambda sign, digits, point: sign + (
+                digits if point is None else digits[:point] + "." + digits[point:]
+            ),
+            st.sampled_from(["", "", "-", "+"]),
+            st.text("0123456789", max_size=max_digits),
+            st.none() | st.integers(0, max_digits),
+        ),
+        st.text("0123456789.-+e _", max_size=max_digits),
+    )
+
+
+# Fields at the decoder's edges; none holds a quote, CR, NUL, comma or newline.
+EDGE_NUMBERS = st.sampled_from([
+    "123456789012345", "1234567890123456", "12345678901234567",        # 15-17 digits
+    "0.123456789012345", "0.1234567890123456", "0.12345678901234567",
+    "9007199254740992", "9007199254740993", "900719925474099.3",         # 2**53, 2**53 + 1
+    "9007199254740.993", "41.83920384729384", "-87.59594560000001",
+    "7.3785690282684228", "850466103.52879495",  # 17 digits: mantissa / 10**k rounds twice
+    "0." + "0" * 21 + "1", "0." + "0" * 22 + "1", "." + "0" * 21 + "5",   # 22/23 fraction digits
+    "." + "0" * 22 + "1", "." + "0" * 20 + "123",
+    "-." + "0" * 21 + "5", "1" + "0" * 17, "9" * 18, "0" * 30 + "7",
+    "-0", "-0.0", "0.0", ".5", "5.", "-.5", "+5", "-", ".", "-.", "--1", "1-", "1.2.3",
+    "1_000", "1_0.5", " 5", "5 ", "\u00a05", "5\u00a0", "\t-3\t", "٣", "٣.٥", "５", "²",
+    "1e3", "1E-3", "-1e400", "nan", "-nan", "inf", "Infinity", "0x10",
+    str(2**63 - 1), str(2**63), str(10**19), str(10**20 - 1), "-" + str(2**63),
+    str(LTE_CELL_LIMIT - 1), str(LTE_CELL_LIMIT), "65535", "65536", "180", "-180.0",
+    "180.0000001", "90", "-90.00000000000001", "", " ",
+])
+PLAIN_TEXT = st.sampled_from(["", "x", "1", "é", " ", "x y"])
+NUMBER_COLUMNS = {3, 4, 6, 7, 8, 9, 11, 12, 13}
+
+
+@st.composite
+def unquoted_rows(draw):
+    """A row of fields for a line written with no quoting: valid fields,
+    up to five of them replaced by edge or odd ones and padded."""
+    row = [draw(field) for field in VALID]
+    row[5] = row[10] = draw(PLAIN_TEXT)
+    for _ in range(draw(st.integers(0, 5))):
+        i = draw(st.integers(0, len(row) - 1))
+        if i in NUMBER_COLUMNS:
+            row[i] = draw(st.one_of(EDGE_NUMBERS, number_texts()))
+        else:
+            row[i] = draw(ODD[i] if i not in (5, 10) else PLAIN_TEXT)
+        if draw(st.integers(0, 3)) == 0:
+            row[i] = draw(SPACE) + row[i] + draw(SPACE)
+    width = draw(st.sampled_from([14] * 8 + [13, 15]))
+    return (row + ["extra"])[:width]
+
+
+@st.composite
+def unquoted_exports(draw):
+    """Export text with blank lines between rows, and maybe no final newline."""
+    lines = [",".join(EXPECTED_HEADER)]
+    for row in draw(st.lists(unquoted_rows(), max_size=40)):
+        lines += [""] * draw(st.sampled_from([0] * 6 + [1, 2]))
+        lines.append(",".join(row))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "\n", ""]))
+
+
+def cell_rows(cells) -> list[str]:
+    """``repr`` of each kept row, in the reference's tuple layout."""
+    return [repr(row) for row in zip(
+        [RADIOS[code] for code in cells.radio], cells.plmn, cells.area, cells.cell,
+        cells.lon.tolist(), cells.lat.tolist(), cells.range_m.tolist(), cells.samples,
+        cells.created, cells.updated, cells.avg_signal.tolist(),
+    )]
+
+
+def parse_in_blocks(text: str, block_lines: int, row_loop):
+    """``parse_csv`` with blocks of ``block_lines`` lines and ``row_loop``
+    in place of the row loop."""
+    with patch.object(ingest, "BLOCK_LINES", block_lines), \
+            patch.object(ingest._Columns, "add_rows", row_loop):
+        return parse_csv(io.StringIO(text))
+
+
+def no_row_loop(self, rows):
+    raise AssertionError("a block without quotes, CR or NUL went to the row loop")
+
+
+@settings(max_examples=100, deadline=None)
+@given(unquoted_exports(), st.integers(1, 9))
+@example(
+    "\n".join(map(",".join, [EXPECTED_HEADER, *(edited(i, value) for i, value in [
+        (6, "-0"), (7, "-0.0"), (8, ".5"), (8, "5."), (9, "+5"), (3, "1_000"), (3, "1-"),
+        (6, "4-1.5"), (13, " -95 "), (13, " "), (13, "\t"), (13, "\u00a0"), (13, "٣"),
+        (12, "1e3"), (6, "nan"), (4, str(2**63)), (4, str(10**19)), (9, "9" * 20),
+        (11, "-0"), (8, "0." + "0" * 21 + "1"), (8, "0." + "0" * 22 + "1"),
+        (8, "." + "0" * 22 + "1"), (6, "41.83920384729384"), (7, "9.007199254740993"),
+        (6, "7.3785690282684228"), (8, "850466103.52879495"),
+        # Radio and "mcc,net" spellings over 8 bytes that share their first 8.
+        (0, "LTE" + " " * 6), (0, "LTE" + " " * 5 + "x"),
+    ])])) + "\n\n" + "\n".join(
+        ",".join(edited(2, net)).replace("310,", " 310,", 1) for net in (" 260", " 261", " 26")
+    ) + "\n",
+    3,
+)
+def test_block_decoder_matches_reference(text, block_lines):
+    want_records, want_reasons = reference_parse(text)
+    cells, report = parse_in_blocks(text, block_lines, row_loop=no_row_loop)
+    assert cell_rows(cells) == [repr(r) for r in want_records]
+    assert report.reject_reasons == dict(want_reasons)
+    assert report.rows_kept == len(cells) == len(want_records)
+    assert report.rows_read == len(want_records) + sum(want_reasons.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(number_texts(30), st.sampled_from(sorted(NUMBER_COLUMNS)))
+def test_each_number_decodes_as_int_or_float_reads_it(number, column):
+    """One number field in an otherwise valid row."""
+    text = ",".join(EXPECTED_HEADER) + "\n" + ",".join(edited(column, number)) + "\n"
+    want_records, want_reasons = reference_parse(text)
+    cells, report = parse_in_blocks(text, 1, row_loop=no_row_loop)
+    assert cell_rows(cells) == [repr(r) for r in want_records]
+    assert report.reject_reasons == dict(want_reasons)
+
+
+def test_only_a_block_with_a_quote_goes_to_the_row_loop():
+    rows = [GOOD_ROW, edited(3, "70000"), edited(6, "far"), ["WIFI", "x"], []] * 3
+    rows += [edited(5, '"a,b"'), GOOD_ROW, GOOD_ROW]
+    text = "\n".join(map(",".join, [EXPECTED_HEADER, *rows])) + "\n"
+    add_rows = ingest._Columns.add_rows
+    seen = []
+
+    def row_loop(self, rows):
+        seen.append(list(rows))
+        add_rows(self, seen[-1])
+
+    cells, report = parse_in_blocks(text, 4, row_loop=row_loop)
+    # In blocks of four lines, the fourth holds the one quoted field.
+    assert len(seen) == 1
+    assert [len(row) for row in seen[0]] == [14, 2, 0, 14]
+    assert seen[0][3][5] == "a,b"
+    want_records, want_reasons = reference_parse(text)
+    assert cell_rows(cells) == [repr(r) for r in want_records]
+    assert report.reject_reasons == dict(want_reasons)
