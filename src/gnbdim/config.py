@@ -427,11 +427,11 @@ def load_config_dict(doc: dict) -> RunConfig:
                 f"and {f_mhz:g} MHz"
             )
     # The capacity leg floors a cell's subscriber count, so it and the cell
-    # capacity must be finite.
+    # capacity must be finite; the plan's utilization divides by the latter.
     traffic = cfg.traffic
     cell_mbps = capacity.cell_capacity_mbps(cfg.nr_config, traffic)
-    if not cell_mbps <= _FLOAT_MAX:
-        what = "small enough for a finite cell capacity"
+    if not 0 < cell_mbps <= _FLOAT_MAX:
+        what = "such that the cell capacity is positive and finite"
         raise _bad("traffic.se_bps_per_hz", what, traffic.se_bps_per_hz)
     if not traffic.target_load * cell_mbps / traffic.demand_per_sub_mbps <= _FLOAT_MAX:
         what = "large enough for a finite number of subscribers per cell"

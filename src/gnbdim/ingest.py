@@ -22,20 +22,20 @@ rows.
 
 Lines are parsed in blocks of :data:`BLOCK_LINES`. A block with no quote,
 CR or NUL splits at every comma and newline, as csv.reader splits it, so
-it is decoded column by column in numpy from its UTF-8 bytes: integers of
-up to 18 digits; decimals whose digits, point left out, form an integer
-up to 2**53 with at most 22 of them after the point, whose quotient by the
-exact power of ten is correctly rounded (Clinger, "How to Read Floating
-Point Numbers Accurately", PLDI 1990) as float() is; and radio and PLMN
-once per distinct spelling. Any other field goes through int() or float()
-on its own text, and any other block through the csv row loop, so both
-paths keep and reject the same rows with the same values and reasons.
+its fields are found in its UTF-8 bytes; any other block is split by
+csv.reader, and its fields are joined by commas into one such buffer.
+Either way one decoder reads the fields column by column in numpy:
+integers of up to 18 digits; decimals whose digits, point left out, form
+an integer up to 2**53 with at most 22 of them after the point, whose
+quotient by the exact power of ten is correctly rounded (Clinger, "How to
+Read Floating Point Numbers Accurately", PLDI 1990) as float() is; and
+radio and PLMN once per distinct spelling. Any other field goes through
+int() or float() on its own text.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import gzip
 import sys
 import zlib
@@ -141,9 +141,6 @@ def is_plmn(text: str) -> bool:
     return len(text) in (5, 6) and text.isascii() and text.isdigit()
 
 
-# Exports repeat a handful of raw (mcc, net) spellings over many rows, so
-# each distinct spelling is validated once.
-@functools.lru_cache(maxsize=1 << 16)
 def _plmn_digits(mcc_text: str, net_text: str) -> str | None:
     """MCC+MNC digit string of a row's raw fields, None if either is invalid."""
     mcc = mcc_text.strip()
@@ -159,11 +156,11 @@ BLOCK_LINES = 1024  # lines decoded together; sets the decoder's working memory
 _INTS = (3, 4, 9, 11, 12)  # area, cell, samples, created, updated
 _DECIMALS = (6, 7, 8, 13)  # lon, lat, range, averageSignal
 _MAX_WIDTH = 24  # widest number the decoder reads: "-." and 22 fraction digits
-_PAD = _MAX_WIDTH  # bytes of padding before a block, so every window fits
+_PAD = _MAX_WIDTH  # bytes of padding before a decoder's buffer, so every window fits
 _PLACES = np.arange(_MAX_WIDTH - 1, -1, -1, dtype=np.uint8)[:, None]
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 _MANTISSA_MAX = 2**53
-_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(8)], dtype=np.uint64)
 
 
 class _Columns:
@@ -180,83 +177,116 @@ class _Columns:
         self.rejects = dict.fromkeys((BAD_SHAPE, BAD_RADIO, BAD_NUMERIC, BAD_COORDINATE), 0)
 
     def add_rows(self, rows: Iterable[list[str]]) -> None:
-        """Parse csv rows one at a time: the path of every block that
-        :func:`_parse_block` does not parse, and the behaviour it matches."""
-        radio, plmn, area, cell, lon, lat, range_m, samples, created, updated, signal = (
-            self.radio, self.plmn, self.area, self.cell, self.lon, self.lat, self.range_m,
-            self.samples, self.created, self.updated, self.signal,
-        )
-        rows_read = bad_shape = bad_radio = bad_numeric = bad_coordinate = 0
+        """Add csv rows: the fields of each row of 14 are joined by commas
+        into one UTF-8 buffer for :meth:`add`, which decodes them."""
         n_fields = len(EXPECTED_HEADER)
-        # int() and float() ignore the same surrounding whitespace as
-        # str.strip(), so only the fields compared as text are stripped.
+        fields, misshapen = [], 0
         for row in rows:
-            if not row:
-                continue  # blank line, not a data row
-            rows_read += 1
-            if len(row) != n_fields:
-                bad_shape += 1
-                continue
-            code = _RADIO_CODE.get(row[0].strip())
-            if code is None:
-                bad_radio += 1
-                continue
-            digits = _plmn_digits(row[1], row[2])
-            if digits is None:
-                bad_numeric += 1
-                continue
+            if len(row) == n_fields:
+                fields += row
+            elif row:  # a blank line is not a data row
+                misshapen += 1
+        raw, length = _utf8(fields, ",".join(fields))
+        end = (np.cumsum(length + 1) + (_PAD - 1)).reshape(-1, n_fields).T
+        start = end - length.reshape(-1, n_fields).T
+        data = np.frombuffer(bytes(_PAD) + raw + bytes(8), dtype=np.uint8)
+        self.add(data, start, end, misshapen)
+
+    def add(
+        self, data: np.ndarray, start: np.ndarray, end: np.ndarray, misshapen: int
+    ) -> None:
+        """Add the rows whose 14 fields are the spans [start, end) of the
+        UTF-8 buffer ``data``, row r's field c at ``[c, r]``, and count
+        ``misshapen`` rows without 14 fields.
+
+        Fields of the common shapes are decoded in numpy, every other field
+        by int() or float() on its own text, and each row's reject reason is
+        its first failed check, left to right.
+        """
+        n = start.shape[1]
+        self.rows_read += n + misshapen
+        self.rejects[BAD_SHAPE] += misshapen
+        if not n:
+            return
+        texts, inverse = _spellings(data, start[0], end[0])
+        code = np.array([_RADIO_CODE.get(t.strip(), -1) for t in texts], dtype=np.int8)[inverse]
+        texts, inverse = _spellings(data, start[1], end[2])  # "mcc,net"
+        # A comma in either field leaves one in the net part, which no PLMN holds.
+        digits = [_plmn_digits(*t.split(",", 1)) for t in texts]
+        plmn = np.array(digits, dtype=object)[inverse]
+        plmn_ok = np.array([d is not None for d in digits])[inverse]
+
+        numbers = list(_INTS + _DECIMALS)
+        start, end = start[numbers].ravel(), end[numbers].ravel()
+        mantissa, frac, neg, shaped, dotted = (
+            a.reshape(len(numbers), n) for a in _numbers(data, start, end)
+        )
+
+        # Integer columns, as Python ints; a field int() reads is patched in.
+        n_ints = len(_INTS)
+        ints = np.where(neg, -mantissa, mantissa)[:n_ints]
+        parsed = shaped[:n_ints] & ~dotted[:n_ints]
+        patched = [{} for _ in _INTS]
+        for c, r in zip(*np.nonzero(~parsed)):
+            i = c * n + r
             try:
-                tac = int(row[3])
-                cid = int(row[4])
+                value = int(_text(data, start[i], end[i]))
             except ValueError:
-                bad_numeric += 1
                 continue
-            if not 0 <= tac <= 0xFFFF or cid < 0 or (code == _LTE and cid >= LTE_CELL_LIMIT):
-                bad_numeric += 1
-                continue
+            patched[c][r] = value
+            parsed[c, r] = True
+            ints[c, r] = _check_value(c, value)
+        area, cell = ints[:2]
+        radio_ok = code >= 0
+        ids_ok = (
+            radio_ok & plmn_ok & (parsed[:2] & (ints[:2] >= 0)).all(axis=0)
+            & (area <= 0xFFFF) & ~((code == _LTE) & (cell >= LTE_CELL_LIMIT))
+        )
+
+        # Decimal columns: a mantissa up to 2**53 over 10**k with k <= 22 is
+        # correctly rounded (Clinger's fast path), as float() is. An empty
+        # averageSignal is absent.
+        mantissa, frac, neg, shaped = (a[n_ints:] for a in (mantissa, frac, neg, shaped))
+        fast = shaped & (mantissa <= _MANTISSA_MAX) & (frac < len(_POW10))
+        decimals = mantissa / _POW10[np.where(fast, frac, 0)]
+        decimals = np.where(neg, -decimals, decimals)
+        absent = (end - start)[-n:] == 0
+        fast[-1] |= absent
+        decimals[-1, absent] = _NAN
+        for c, r in zip(*np.nonzero(~fast)):
+            i = (n_ints + c) * n + r
+            field = _text(data, start[i], end[i])
+            if c == len(_DECIMALS) - 1:  # averageSignal is stripped first
+                field = field.strip()
+                absent[r] = not field
             try:
-                x = float(row[6])
-                y = float(row[7])
+                decimals[c, r] = float(field)
             except ValueError:
-                bad_coordinate += 1
-                continue
-            # Chained compares are false for NaN, so they also reject non-finite values.
-            if not (-180.0 <= x <= 180.0 and -90.0 <= y <= 90.0):
-                bad_coordinate += 1
-                continue
-            signal_text = row[13].strip()
-            try:
-                rng = float(row[8])
-                n = int(row[9])
-                t_created = int(row[11])
-                t_updated = int(row[12])
-                sig = float(signal_text) if signal_text else _NAN
-            except ValueError:
-                bad_numeric += 1
-                continue
-            if (
-                not 0.0 <= rng <= _FLOAT_MAX
-                or not 0 <= n <= _FLOAT_MAX  # samples are binned as floats
-                or t_created < 0 or t_updated < 0
-                or (signal_text and not -_FLOAT_MAX <= sig <= _FLOAT_MAX)
-            ):
-                bad_numeric += 1
-                continue
-            radio.append(code)
-            plmn.append(digits)
-            area.append(tac)
-            cell.append(cid)
-            lon.append(x)
-            lat.append(y)
-            range_m.append(rng)
-            samples.append(n)
-            created.append(t_created)
-            updated.append(t_updated)
-            signal.append(sig)
-        self.rows_read += rows_read
-        for reason, n in ((BAD_SHAPE, bad_shape), (BAD_RADIO, bad_radio),
-                          (BAD_NUMERIC, bad_numeric), (BAD_COORDINATE, bad_coordinate)):
-            self.rejects[reason] += n
+                decimals[c, r] = _NAN  # fails every check below, unless absent
+        lon, lat, range_m, signal = decimals
+        place_ok = (-180.0 <= lon) & (lon <= 180.0) & (-90.0 <= lat) & (lat <= 90.0)
+        rest_ok = (
+            (0.0 <= range_m) & (range_m <= _FLOAT_MAX) & (absent | np.isfinite(signal))
+            & (parsed[2:] & (ints[2:] >= 0)).all(axis=0)
+        )
+        keep = place_ok & ids_ok & rest_ok
+        self.rejects[BAD_RADIO] += int(np.count_nonzero(~radio_ok))
+        self.rejects[BAD_NUMERIC] += int(np.count_nonzero(radio_ok & ~ids_ok))
+        self.rejects[BAD_COORDINATE] += int(np.count_nonzero(ids_ok & ~place_ok))
+        self.rejects[BAD_NUMERIC] += int(np.count_nonzero(ids_ok & place_ok & ~rest_ok))
+
+        self.radio.frombytes(code[keep].tobytes())
+        self.plmn += plmn[keep].tolist()
+        for column, values in zip((self.lon, self.lat, self.range_m, self.signal), decimals):
+            column.frombytes(values[keep].tobytes())
+        for values, by_int, column in zip(
+            ints, patched, (self.area, self.cell, self.samples, self.created, self.updated)
+        ):
+            if by_int:
+                values = values.astype(object)
+                for r, value in by_int.items():
+                    values[r] = value
+            column += values[keep].tolist()
 
     def result(self) -> tuple[Cells, IngestReport]:
         reasons = {reason: n for reason, n in self.rejects.items() if n}
@@ -283,8 +313,19 @@ class _Columns:
         return cells, report
 
 
+def _utf8(texts: list[str], joined: str) -> tuple[bytes, np.ndarray]:
+    """``joined``, the ``texts`` joined, in UTF-8, and each text's length in
+    bytes; a lone surrogate is kept, as its 3-byte UTF-8 form."""
+    if joined.isascii():
+        lengths = map(len, texts)
+    else:
+        lengths = (len(t.encode("utf-8", "surrogatepass")) for t in texts)
+    lengths = np.fromiter(lengths, dtype=np.intp, count=len(texts))
+    return joined.encode("utf-8", "surrogatepass"), lengths
+
+
 def _text(data: np.ndarray, start: int, end: int) -> str:
-    return data[start:end].tobytes().decode()
+    return data[start:end].tobytes().decode("utf-8", "surrogatepass")
 
 
 def _spellings(
@@ -293,13 +334,14 @@ def _spellings(
     """The distinct texts of the spans [start, end) of ``data``, and each
     span's index among them."""
     length = end - start
-    # No text holds NUL, so a span of up to 8 bytes is its first 8 bytes
-    # with the rest zeroed, read as one integer. A longer span gets a key
-    # of its own whose first byte is zero, which no span has.
+    # A span of up to 7 bytes is keyed by those bytes, the rest zeroed, and
+    # by its length in the top byte, read as one integer: a text may hold
+    # NUL bytes. A longer span gets a key of its own, with 8 in the top byte.
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
-    key = words[start] & _LOW_BYTES[np.minimum(length, 8)]
-    long = np.flatnonzero(length > 8)
-    key[long] = (long.astype(np.uint64) + np.uint64(1)) << np.uint64(8)
+    key = words[start] & _LOW_BYTES[np.minimum(length, 7)]
+    key |= length.astype(np.uint64) << np.uint64(56)
+    long = np.flatnonzero(length > 7)
+    key[long] = long.astype(np.uint64) | np.uint64(8 << 56)
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return [_text(data, start[i], end[i]) for i in first.tolist()], inverse.ravel()
 
@@ -358,26 +400,18 @@ def _check_value(column: int, value: int) -> int:
     return min(max(value, -1), 1 << 62)
 
 
-def _parse_block(out: _Columns, block: list[str], text: str) -> bool:
-    """Parse a block of lines with no quote, ``text`` joined, column by
-    column in numpy, as :meth:`_Columns.add_rows` parses its csv rows;
-    False, with nothing added, for a block only the row loop parses.
+def _split_block(out: _Columns, block: list[str], text: str) -> bool:
+    """Split a block of lines with no quote, ``text`` joined, at every
+    comma and newline of its UTF-8 bytes and add its rows to ``out``;
+    False, with nothing added, for a block csv.reader would split otherwise.
 
     That is a block with a CR or NUL, a line with a newline before its
-    end, or a line longer than the csv field limit: without those,
-    csv.reader splits fields at every comma and rows at every newline.
-    Fields of the common shapes are decoded in numpy, every other field
-    by int() or float() on its own text, and each row's reject reason is
-    its first failed check, left to right.
+    end, or a line longer than the csv field limit.
     """
     if "\r" in text or "\x00" in text:
         return False
-    try:
-        raw = text.encode()
-    except UnicodeEncodeError:  # a lone surrogate
-        return False
-    lengths = map(len, block) if text.isascii() else map(len, map(str.encode, block))
-    line_ends = np.cumsum(np.fromiter(lengths, dtype=np.intp, count=len(block))) + (_PAD - 1)
+    raw, lengths = _utf8(block, text)
+    line_ends = np.cumsum(lengths) + (_PAD - 1)
     if not text.endswith("\n"):
         raw += b"\n"
         line_ends[-1] += 1
@@ -393,95 +427,11 @@ def _parse_block(out: _Columns, block: list[str], text: str) -> bool:
     n_fields = len(EXPECTED_HEADER)
     filled = line_ends > line_starts
     shaped = np.diff(last, prepend=-1) == n_fields
-    out.rows_read += int(np.count_nonzero(filled))
-    out.rejects[BAD_SHAPE] += int(np.count_nonzero(filled & ~shaped))
-    last = last[shaped]
-    n = len(last)
-    if not n:
-        return True
-    # Field c of a row ends at delim[last + c - 13]; the delimiter before
-    # it, or the virtual one before the block, is bounds[last + c - 13].
+    # A row's field c lies between its delimiters c and c + 1, counting the
+    # newline before the row, or a virtual one before the block, as its 0th.
     bounds = np.concatenate(([_PAD - 1], delim))
-
-    texts, inverse = _spellings(data, bounds[last - 13] + 1, delim[last - 13])
-    code = np.array([_RADIO_CODE.get(t.strip(), -1) for t in texts], dtype=np.int8)[inverse]
-    texts, inverse = _spellings(data, bounds[last - 12] + 1, delim[last - 11])  # "mcc,net"
-    digits = [_plmn_digits(*t.split(",")) for t in texts]
-    plmn = np.array(digits, dtype=object)[inverse]
-    plmn_ok = np.array([d is not None for d in digits])[inverse]
-
-    fields = last + (np.array(_INTS + _DECIMALS) - (n_fields - 1))[:, None]
-    start = bounds[fields].ravel() + 1
-    end = delim[fields].ravel()
-    mantissa, frac, neg, shaped, dotted = (
-        a.reshape(len(fields), n) for a in _numbers(data, start, end)
-    )
-
-    # Integer columns, as Python ints; a field int() reads is patched in.
-    n_ints = len(_INTS)
-    ints = np.where(neg, -mantissa, mantissa)[:n_ints]
-    parsed = shaped[:n_ints] & ~dotted[:n_ints]
-    patched = [{} for _ in _INTS]
-    for c, r in zip(*np.nonzero(~parsed)):
-        i = c * n + r
-        try:
-            value = int(_text(data, start[i], end[i]))
-        except ValueError:
-            continue
-        patched[c][r] = value
-        parsed[c, r] = True
-        ints[c, r] = _check_value(c, value)
-    area, cell = ints[:2]
-    radio_ok = code >= 0
-    ids_ok = (
-        radio_ok & plmn_ok & (parsed[:2] & (ints[:2] >= 0)).all(axis=0)
-        & (area <= 0xFFFF) & ~((code == _LTE) & (cell >= LTE_CELL_LIMIT))
-    )
-
-    # Decimal columns: a mantissa up to 2**53 over 10**k with k <= 22 is
-    # correctly rounded (Clinger's fast path), as float() is. An empty
-    # averageSignal is absent.
-    mantissa, frac, neg, shaped = (a[n_ints:] for a in (mantissa, frac, neg, shaped))
-    fast = shaped & (mantissa <= _MANTISSA_MAX) & (frac < len(_POW10))
-    decimals = mantissa / _POW10[np.where(fast, frac, 0)]
-    decimals = np.where(neg, -decimals, decimals)
-    absent = (end - start)[-n:] == 0
-    fast[-1] |= absent
-    decimals[-1, absent] = _NAN
-    for c, r in zip(*np.nonzero(~fast)):
-        i = (n_ints + c) * n + r
-        field = _text(data, start[i], end[i])
-        if c == len(_DECIMALS) - 1:  # averageSignal is stripped first
-            field = field.strip()
-            absent[r] = not field
-        try:
-            decimals[c, r] = float(field)
-        except ValueError:
-            decimals[c, r] = _NAN  # fails every check below, unless absent
-    lon, lat, range_m, signal = decimals
-    place_ok = (-180.0 <= lon) & (lon <= 180.0) & (-90.0 <= lat) & (lat <= 90.0)
-    rest_ok = (
-        (0.0 <= range_m) & (range_m <= _FLOAT_MAX) & (absent | np.isfinite(signal))
-        & (parsed[2:] & (ints[2:] >= 0)).all(axis=0)
-    )
-    keep = place_ok & ids_ok & rest_ok
-    out.rejects[BAD_RADIO] += int(np.count_nonzero(~radio_ok))
-    out.rejects[BAD_NUMERIC] += int(np.count_nonzero(radio_ok & ~ids_ok))
-    out.rejects[BAD_COORDINATE] += int(np.count_nonzero(ids_ok & ~place_ok))
-    out.rejects[BAD_NUMERIC] += int(np.count_nonzero(ids_ok & place_ok & ~rest_ok))
-
-    out.radio.frombytes(code[keep].tobytes())
-    out.plmn += plmn[keep].tolist()
-    for column, values in zip((out.lon, out.lat, out.range_m, out.signal), decimals):
-        column.frombytes(values[keep].tobytes())
-    for values, by_int, column in zip(
-        ints, patched, (out.area, out.cell, out.samples, out.created, out.updated)
-    ):
-        if by_int:
-            values = values.astype(object)
-            for r, value in by_int.items():
-                values[r] = value
-        column += values[keep].tolist()
+    around = bounds[last[shaped] + np.arange(1 - n_fields, 2)[:, None]]
+    out.add(data, around[:-1] + 1, around[1:], int(np.count_nonzero(filled & ~shaped)))
     return True
 
 
@@ -519,7 +469,7 @@ def parse_csv(lines: Iterable[str]) -> tuple[Cells, IngestReport]:
         text = "".join(block)
         if '"' in text:  # a quoted field may run on past the block
             out.add_rows(_rows_of(block, lines))
-        elif not _parse_block(out, block, text):
+        elif not _split_block(out, block, text):
             out.add_rows(csv.reader(block))
     return out.result()
 

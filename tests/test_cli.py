@@ -16,7 +16,9 @@ import gnbdim
 from gnbdim.cli import main
 from gnbdim.density import GridSpec, unproject
 
-from conftest import records_to_csv_text, set_key, tile_center_records, towers
+from conftest import (
+    BASE_CONFIG, records_to_csv_text, set_key, tile_center_records, towers,
+)
 
 GOOD_ROW = "LTE,310,260,6699,12345678,,-87.6,41.8,1000,57,1,1600000000,1700000000,-95"
 HEADER = "radio,mcc,net,area,cell,unit,lon,lat,range,samples,changeable,created,updated,averageSignal"
@@ -391,6 +393,9 @@ class TestConfigErrors:
         ("grid.n_cols", 40000, []),  # 40000 km of longitude at 41.8°: over 360°
         ("traffic.demand_per_sub_mbps", 1e-310, []),  # infinite subscribers per cell
         ("traffic.se_bps_per_hz", 1.7e308, []),  # infinite cell capacity
+        # A cell capacity of 0.0 Mbps, which the error names as traffic.se_bps_per_hz.
+        ("traffic", {**BASE_CONFIG["traffic"], "se_bps_per_hz": 5e-324,
+                     "overhead_fraction": 0.9999999}, []),
         ("link_budget.sensitivity_prbs", 1e308, []),  # over the 250 PRBs of the part
         ("grid.tile_km", 1e-155, []),  # tile indices beyond int64
     ], ids=["unknown-key", "non-finite", "bool", "fractional-int", "wrong-type",
@@ -399,7 +404,8 @@ class TestConfigErrors:
             "window-flag-wider-than-grid", "free-space-abg-term", "subs-per-weight",
             "bandwidth-range-typo", "empty-bandwidth-table", "non-positive-bandwidth",
             "longitude-span-over-360", "subscribers-per-cell-overflow",
-            "cell-capacity-overflow", "sensitivity-over-part", "tile-too-small"])
+            "cell-capacity-overflow", "cell-capacity-zero", "sensitivity-over-part",
+            "tile-too-small"])
     def test_exits_2_with_one_error_line(
         self, runner, tmp_path, base_config_dict, towers_csv, dotted, value, flags
     ):

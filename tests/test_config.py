@@ -233,6 +233,10 @@ DEFECTS = [
     # An infinite subscribers-per-cell count or cell capacity.
     ("traffic.demand_per_sub_mbps", 1e-310, "traffic.demand_per_sub_mbps"),
     ("traffic.se_bps_per_hz", 1.7e308, "traffic.se_bps_per_hz"),
+    # A cell capacity that rounds to 0.0 Mbps.
+    ("traffic",
+     {**BASE_CONFIG["traffic"], "se_bps_per_hz": 5e-324, "overhead_fraction": 0.9999999},
+     "traffic.se_bps_per_hz"),
     ("cost.cost_multiplier", 0, "cost.cost_multiplier"),
     ("cost.duty_fraction", 1.5, "cost.duty_fraction"),
     ("traffic.target_load", 0, "traffic.target_load"),

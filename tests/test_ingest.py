@@ -23,6 +23,8 @@ from gnbdim.ingest import (
     write_cells,
 )
 
+from test_ingest_differential import cell_rows, reference_parse
+
 HEADER = ",".join(EXPECTED_HEADER)
 
 GOOD_ROW = "LTE,310,260,6699,12345678,,-87.6,41.8,1000,57,1,1600000000,1700000000,-95"
@@ -185,9 +187,9 @@ class TestFiles:
                 read_cells(path)
 
 
-def row_loop_only():
-    """Every block goes to the row loop, as when no block decoder existed."""
-    return patch.object(ingest, "_parse_block", lambda out, block, text: False)
+def csv_split_only():
+    """Every block is split by csv.reader, as a block with a quote is."""
+    return patch.object(ingest, "_split_block", lambda out, block, text: False)
 
 
 def outcome(read, *args):
@@ -196,6 +198,24 @@ def outcome(read, *args):
         return read(*args)
     except (GnbdimError, csv.Error) as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def kept_and_reasons(got):
+    """A parse's kept rows, in the reference's layout, and reject reasons;
+    or the text of its error."""
+    if isinstance(got, str):
+        return got
+    cells, report = got
+    return cell_rows(cells), report.reject_reasons
+
+
+def reference_outcome(lines):
+    """``reference_parse`` of ``lines`` as :func:`kept_and_reasons` gives it."""
+    got = outcome(reference_parse, lines)
+    if isinstance(got, str):
+        return got
+    records, reasons = got
+    return [repr(r) for r in records], dict(reasons)
 
 
 # 300 rows with a reject of each reason every five rows, about 28 kB: more
@@ -221,8 +241,9 @@ def export_bytes(case: str) -> bytes:
 
 
 class TestBlockFiles:
-    """Files at the block decoder's edges, read in blocks of 4 lines: the
-    same Cells and report as the row loop alone, or the same error."""
+    """Files at the byte splitter's edges, read in blocks of 4 lines: the
+    same Cells and report as with csv.reader splitting every block, or the
+    same error, and the kept rows and reasons of the reference parse."""
 
     @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
     @pytest.mark.parametrize("case", ["crlf", "bom", "no-final-newline", "quoted", "bad-byte"])
@@ -232,7 +253,7 @@ class TestBlockFiles:
         path.write_bytes(gzip.compress(data) if gz else data)
         with patch.object(ingest, "BLOCK_LINES", 4):
             got = outcome(read_cells, path)
-            with row_loop_only():
+            with csv_split_only():
                 want = outcome(read_cells, path)
         assert got == want
         if case == "bad-byte":
@@ -244,6 +265,7 @@ class TestBlockFiles:
                 BAD_NUMERIC: 50, BAD_SHAPE: 50, BAD_COORDINATE: 50, BAD_RADIO: 50
             }
             assert len(records) == 100
+            assert kept_and_reasons(got) == reference_outcome(data.decode("utf-8-sig"))
 
     @pytest.mark.parametrize("lines", [
         [HEADER, GOOD_ROW, GOOD_ROW],               # no newlines at all
@@ -260,11 +282,13 @@ class TestBlockFiles:
         try:
             with patch.object(ingest, "BLOCK_LINES", 2):
                 got = outcome(parse_csv, iter(lines))
-                with row_loop_only():
+                with csv_split_only():
                     want = outcome(parse_csv, iter(lines))
+            reference = reference_outcome(iter(lines))
         finally:
             csv.field_size_limit(limit)
         assert got == want
+        assert kept_and_reasons(got) == reference
 
 
 class TestCellsEquality:

@@ -15,8 +15,10 @@ import io
 import math
 import sys
 from collections import Counter
+from typing import Iterable
 from unittest.mock import patch
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -120,10 +122,11 @@ def _parse_row(row: list[str]) -> Row:
             updated, avg_signal)
 
 
-def reference_parse(text: str) -> tuple[list[Row], Counter]:
-    """Row-at-a-time parse of an export with a valid header row."""
+def reference_parse(text: str | Iterable[str]) -> tuple[list[Row], Counter]:
+    """Row-at-a-time parse of an export, or of its lines, with a valid
+    header row."""
     records, reasons = [], Counter()
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text) if isinstance(text, str) else text)
     next(reader)
     for row in reader:
         if not row:
@@ -238,8 +241,9 @@ def test_columnar_parse_matches_reference(rows):
 
 # --- the numpy block decoder -------------------------------------------------
 #
-# ``parse_csv`` decodes blocks of unquoted lines column by column in numpy and
-# hands any other block to its row loop. The exports below are written line
+# ``parse_csv`` splits blocks of unquoted lines at their bytes' commas and
+# newlines and hands any other block to csv.reader; both splits go to the one
+# numpy decoder, ``_Columns.add``. The exports below are written line
 # by line with no csv quoting, so every block reaches the decoder, and
 # ``BLOCK_LINES`` is patched small so each export spans several blocks.
 
@@ -317,16 +321,16 @@ def cell_rows(cells) -> list[str]:
     )]
 
 
-def parse_in_blocks(text: str, block_lines: int, row_loop):
-    """``parse_csv`` with blocks of ``block_lines`` lines and ``row_loop``
-    in place of the row loop."""
+def parse_in_blocks(text: str, block_lines: int, csv_split):
+    """``parse_csv`` with blocks of ``block_lines`` lines and ``csv_split``
+    in place of ``_Columns.add_rows``, which adds the rows csv.reader split."""
     with patch.object(ingest, "BLOCK_LINES", block_lines), \
-            patch.object(ingest._Columns, "add_rows", row_loop):
+            patch.object(ingest._Columns, "add_rows", csv_split):
         return parse_csv(io.StringIO(text))
 
 
-def no_row_loop(self, rows):
-    raise AssertionError("a block without quotes, CR or NUL went to the row loop")
+def no_csv_split(self, rows):
+    raise AssertionError("a block without quotes, CR or NUL went to csv.reader")
 
 
 @settings(max_examples=100, deadline=None)
@@ -348,7 +352,7 @@ def no_row_loop(self, rows):
 )
 def test_block_decoder_matches_reference(text, block_lines):
     want_records, want_reasons = reference_parse(text)
-    cells, report = parse_in_blocks(text, block_lines, row_loop=no_row_loop)
+    cells, report = parse_in_blocks(text, block_lines, csv_split=no_csv_split)
     assert cell_rows(cells) == [repr(r) for r in want_records]
     assert report.reject_reasons == dict(want_reasons)
     assert report.rows_kept == len(cells) == len(want_records)
@@ -361,7 +365,7 @@ def test_each_number_decodes_as_int_or_float_reads_it(number, column):
     """One number field in an otherwise valid row."""
     text = ",".join(EXPECTED_HEADER) + "\n" + ",".join(edited(column, number)) + "\n"
     want_records, want_reasons = reference_parse(text)
-    cells, report = parse_in_blocks(text, 1, row_loop=no_row_loop)
+    cells, report = parse_in_blocks(text, 1, csv_split=no_csv_split)
     assert cell_rows(cells) == [repr(r) for r in want_records]
     assert report.reject_reasons == dict(want_reasons)
 
@@ -373,11 +377,11 @@ def test_only_a_block_with_a_quote_goes_to_the_row_loop():
     add_rows = ingest._Columns.add_rows
     seen = []
 
-    def row_loop(self, rows):
+    def csv_split(self, rows):
         seen.append(list(rows))
         add_rows(self, seen[-1])
 
-    cells, report = parse_in_blocks(text, 4, row_loop=row_loop)
+    cells, report = parse_in_blocks(text, 4, csv_split=csv_split)
     # In blocks of four lines, the fourth holds the one quoted field.
     assert len(seen) == 1
     assert [len(row) for row in seen[0]] == [14, 2, 0, 14]
@@ -385,3 +389,65 @@ def test_only_a_block_with_a_quote_goes_to_the_row_loop():
     want_records, want_reasons = reference_parse(text)
     assert cell_rows(cells) == [repr(r) for r in want_records]
     assert report.reject_reasons == dict(want_reasons)
+
+
+# --- the csv split -------------------------------------------------------------
+#
+# A block with a quote, CR or NUL is split by csv.reader, and its rows of 14
+# fields are joined by commas into one buffer for the decoder. The fields
+# then hold what the byte split never meets: commas, NUL, any character.
+
+def parse_and_reference(lines: list[str]):
+    """Kept rows and reject reasons of ``parse_csv`` and of
+    ``reference_parse`` on ``lines``, or the csv.Error each raises."""
+    def both(parse, rows_of):
+        try:
+            return rows_of(*parse(iter(lines)))
+        except csv.Error as exc:
+            return repr(exc)
+
+    return (
+        both(parse_csv, lambda cells, report: (cell_rows(cells), report.reject_reasons)),
+        both(reference_parse, lambda rows, reasons: ([repr(r) for r in rows], dict(reasons))),
+    )
+
+
+def lines_of(rows: list[list[str]], quote: str = "") -> list[str]:
+    """Export lines of ``rows``, each field wrapped in ``quote``."""
+    comma = f"{quote},{quote}"
+    return [quote + comma.join(row) + quote + "\n" for row in [EXPECTED_HEADER, *rows]]
+
+
+@pytest.mark.parametrize("quote", ['"', ""], ids=["quoted", "unquoted"])
+def test_nul_in_radio_mcc_and_net_is_read_as_the_reference_reads_it(quote):
+    """A text that ends in NUL is another spelling than the text without it.
+    csv.reader before Python 3.11 raises on NUL, and both sides raise alike."""
+    rows = [GOOD_ROW, edited(0, "LTE\x00"), edited(0, "\x00LTE"), edited(1, "310\x00"),
+            edited(2, "26\x00"), edited(2, "26"), edited(2, "260\x00"), edited(1, "\x00310")]
+    got, want = parse_and_reference(lines_of(rows, quote))
+    assert got == want
+    if isinstance(want, str):
+        assert "NUL" in want
+    else:
+        assert want[1] == {BAD_RADIO: 2, BAD_NUMERIC: 4}
+
+
+def test_a_comma_in_a_quoted_mcc_or_net_is_a_bad_plmn():
+    rows = [GOOD_ROW, edited(1, "3,10"), edited(1, "310,"), edited(1, ",310"), edited(1, "31,0"),
+            edited(2, "2,6"), edited(2, ",26"), edited(2, "26,"), edited(2, ",")]
+    got, want = parse_and_reference(render(rows).splitlines(keepends=True))
+    assert got == want
+    assert want[1] == {BAD_NUMERIC: 8}
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["byte-split", "csv-split"])
+def test_a_lone_surrogate_is_read_as_the_reference_reads_it(quoted):
+    rows = [GOOD_ROW, edited(6, "-87.\ud800"), edited(3, "66\ud800"), edited(9, "\ud80057"),
+            edited(13, "-9\udfff5"), edited(0, "LTE\ud800"), edited(1, "3\udc8010"), GOOD_ROW]
+    if quoted:
+        rows[-1] = edited(5, '"x"')  # the block goes to csv.reader
+    csv_split = ingest._Columns.add_rows if quoted else no_csv_split
+    with patch.object(ingest._Columns, "add_rows", csv_split):
+        got, want = parse_and_reference(lines_of(rows))
+    assert got == want
+    assert want[1] == {BAD_COORDINATE: 1, BAD_NUMERIC: 4, BAD_RADIO: 1}
