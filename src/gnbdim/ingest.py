@@ -5,9 +5,12 @@ The expected layout is the public cell-tower export format:
     radio,mcc,net,area,cell,unit,lon,lat,range,samples,changeable,created,updated,averageSignal
 
 ``unit`` and ``changeable`` are ignored. Crowdsourced rows are dirty by
-nature, so a bad row is counted and skipped, never fatal; only a missing
-or garbled header aborts the ingest. Fields are checked left to right in
-column order and the first failure decides the reject reason.
+nature, so a bad row is counted and skipped, never fatal. Only a missing
+or garbled header aborts the ingest, or one field longer than
+csv.field_size_limit() in a block that csv.reader splits (below): a
+quoted field, or any field of a block with a CR or NUL. Fields are
+checked left to right in column order and the first failure decides the
+reject reason.
 
 A row's operator is its PLMN: the 3-digit MCC followed by the 2- or
 3-digit MNC, kept as that digit string. Digits stay strings throughout:
@@ -20,9 +23,13 @@ Kept rows land in a columnar :class:`Cells` table, built in one pass over
 the rows with no per-row object. It is the one representation of tower
 rows.
 
-Lines are parsed in blocks of :data:`BLOCK_LINES`. A block with no quote,
-CR or NUL splits at every comma and newline, as csv.reader splits it, so
-its fields are found in its UTF-8 bytes; any other block is split by
+A file is read as bytes, :data:`READ_SIZE` at a time, in pieces of whole
+lines, each checked as UTF-8; a leading BOM is left out, and an
+undecodable byte aborts the read. A line ends at a newline, a CR-LF pair
+or a lone CR, as text mode with newline="" cuts it. The lines are parsed
+in blocks of :data:`BLOCK_LINES`. A block with no quote, CR or NUL splits
+at every comma and newline of its bytes, as csv.reader splits it, with no
+limit on a line's length. Any other block is decoded and split by
 csv.reader, and its fields are joined by commas into one such buffer.
 Either way one decoder reads the fields column by column in numpy:
 integers of up to 18 digits; decimals whose digits, point left out, form
@@ -35,15 +42,17 @@ int() or float() on its own text.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gzip
+import io
 import sys
 import zlib
 from array import array
 from dataclasses import dataclass, fields
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -186,7 +195,13 @@ class _Columns:
                 fields += row
             elif row:  # a blank line is not a data row
                 misshapen += 1
-        raw, length = _utf8(fields, ",".join(fields))
+        joined = ",".join(fields)
+        if joined.isascii():
+            length = map(len, fields)
+        else:  # a lone surrogate is kept, as its 3-byte UTF-8 form
+            length = (len(f.encode("utf-8", "surrogatepass")) for f in fields)
+        length = np.fromiter(length, dtype=np.intp, count=len(fields))
+        raw = joined.encode("utf-8", "surrogatepass")
         end = (np.cumsum(length + 1) + (_PAD - 1)).reshape(-1, n_fields).T
         start = end - length.reshape(-1, n_fields).T
         data = np.frombuffer(bytes(_PAD) + raw + bytes(8), dtype=np.uint8)
@@ -313,17 +328,6 @@ class _Columns:
         return cells, report
 
 
-def _utf8(texts: list[str], joined: str) -> tuple[bytes, np.ndarray]:
-    """``joined``, the ``texts`` joined, in UTF-8, and each text's length in
-    bytes; a lone surrogate is kept, as its 3-byte UTF-8 form."""
-    if joined.isascii():
-        lengths = map(len, texts)
-    else:
-        lengths = (len(t.encode("utf-8", "surrogatepass")) for t in texts)
-    lengths = np.fromiter(lengths, dtype=np.intp, count=len(texts))
-    return joined.encode("utf-8", "surrogatepass"), lengths
-
-
 def _text(data: np.ndarray, start: int, end: int) -> str:
     return data[start:end].tobytes().decode("utf-8", "surrogatepass")
 
@@ -400,78 +404,141 @@ def _check_value(column: int, value: int) -> int:
     return min(max(value, -1), 1 << 62)
 
 
-def _split_block(out: _Columns, block: list[str], text: str) -> bool:
-    """Split a block of lines with no quote, ``text`` joined, at every
-    comma and newline of its UTF-8 bytes and add its rows to ``out``;
-    False, with nothing added, for a block csv.reader would split otherwise.
-
-    That is a block with a CR or NUL, a line with a newline before its
-    end, or a line longer than the csv field limit.
-    """
-    if "\r" in text or "\x00" in text:
-        return False
-    raw, lengths = _utf8(block, text)
-    line_ends = np.cumsum(lengths) + (_PAD - 1)
-    if not text.endswith("\n"):
+def _split_block(out: _Columns, raw: bytes) -> None:
+    """Add the rows of ``raw``, whole lines with no quote, CR or NUL (the
+    last may lack its newline), to ``out``, split at every comma and
+    newline of its bytes as csv.reader splits such lines."""
+    if not raw.endswith(b"\n"):
         raw += b"\n"
-        line_ends[-1] += 1
     data = np.frombuffer(bytes(_PAD) + raw + bytes(8), dtype=np.uint8)
     delim = np.flatnonzero((data == ord("\n")) | (data == ord(",")))
     last = np.flatnonzero(data[delim] == ord("\n"))  # each line's end, as an index into delim
-    if not np.array_equal(delim[last], line_ends):
-        return False
-    line_starts = np.concatenate(([_PAD], line_ends[:-1] + 1))
-    if (line_ends - line_starts).max() > csv.field_size_limit():
-        return False
-
     n_fields = len(EXPECTED_HEADER)
-    filled = line_ends > line_starts
+    blank = np.diff(delim[last], prepend=_PAD - 1) == 1
     shaped = np.diff(last, prepend=-1) == n_fields
     # A row's field c lies between its delimiters c and c + 1, counting the
     # newline before the row, or a virtual one before the block, as its 0th.
     bounds = np.concatenate(([_PAD - 1], delim))
     around = bounds[last[shaped] + np.arange(1 - n_fields, 2)[:, None]]
-    out.add(data, around[:-1] + 1, around[1:], int(np.count_nonzero(filled & ~shaped)))
-    return True
+    out.add(data, around[:-1] + 1, around[1:], int(np.count_nonzero(~blank & ~shaped)))
 
 
-def _rows_of(block: list[str], lines: Iterator[str]) -> Iterator[list[str]]:
+class _Lines:
+    """UTF-8 bytes, given in pieces and taken some lines at a time.
+
+    A line ends after a newline, or after a CR that no newline follows in
+    its piece: where a piece ends between the two, the pair ends a line
+    and a blank one, which csv.reader reads as it reads the pair.
+    """
+
+    def __init__(self, pieces: Iterable[bytes]) -> None:
+        self._pieces = iter(pieces)
+        self._buf = b""
+        self._ends = np.empty(0, dtype=np.intp)  # the index past each line end in _buf
+        self._next = 0  # the index in _ends of the next line's end
+        self._pos = 0  # where the next line starts in _buf
+
+    def take(self, n: int) -> bytes:
+        """The next ``n`` lines, or those left, the last of which may lack
+        its line end; b"" once none is left."""
+        while len(self._ends) - self._next < n:
+            piece = next(self._pieces, None)
+            rest = self._buf[self._pos:]
+            if piece is None:
+                self._buf, self._pos, self._ends, self._next = b"", 0, self._ends[:0], 0
+                return rest
+            data = np.frombuffer(piece, dtype=np.uint8)
+            is_end = data == ord("\n")  # and a CR with no newline after it
+            is_end[:-1] |= (data[:-1] == ord("\r")) & ~is_end[1:]
+            is_end[-1:] |= data[-1:] == ord("\r")
+            self._ends = np.concatenate(
+                (self._ends[self._next:] - self._pos, np.flatnonzero(is_end) + (len(rest) + 1))
+            )
+            self._buf, self._pos, self._next = rest + piece, 0, 0
+        end = int(self._ends[self._next + n - 1])
+        lines = self._buf[self._pos:end]
+        self._pos, self._next = end, self._next + n
+        return lines
+
+
+def _text_lines(raw: bytes) -> list[str]:
+    """The lines of ``raw`` as text, cut as text mode with newline="" cuts
+    them: after a newline, a CR-LF pair or a lone CR."""
+    return io.StringIO(raw.decode("utf-8", "surrogatepass"), newline="").readlines()
+
+
+def _rows_of(block: bytes, lines: _Lines) -> Iterator[list[str]]:
     """csv rows of the block's lines; a quoted field still open at the
     block's end reads on from ``lines``."""
     ended = 0  # lines read when the last row ended
 
     def rest():
-        while reader.line_num > ended:  # a record is open
-            line = next(lines, None)
-            if line is None:
-                return
-            yield line
+        while reader.line_num > ended and (line := lines.take(1)):  # a record is open
+            yield from _text_lines(line)
 
-    reader = csv.reader(chain(block, rest()))
+    reader = csv.reader(chain(_text_lines(block), rest()))
     for row in reader:
         ended = reader.line_num
         yield row
 
 
-def parse_csv(lines: Iterable[str]) -> tuple[Cells, IngestReport]:
-    """Parse tower records from CSV text lines, such as a file opened by
-    :func:`read_cells`; bad rows are counted, not fatal."""
-    lines = iter(lines)
+def _parse(lines: _Lines) -> tuple[Cells, IngestReport]:
+    """Parse tower records from an export's lines, the header first."""
+    rows = _rows_of(lines.take(1), lines)
     try:
-        header = next(csv.reader(lines))
+        header = next(rows)
     except (StopIteration, csv.Error):
         raise GnbdimError("input has no header row") from None
     if tuple(h.strip() for h in header) != EXPECTED_HEADER:
         raise GnbdimError(f"header mismatch: expected {','.join(EXPECTED_HEADER)}")
 
     out = _Columns()
-    while block := list(islice(lines, BLOCK_LINES)):
-        text = "".join(block)
-        if '"' in text:  # a quoted field may run on past the block
+    while block := lines.take(BLOCK_LINES):
+        if b'"' in block or b"\r" in block or b"\x00" in block:
             out.add_rows(_rows_of(block, lines))
-        elif not _split_block(out, block, text):
-            out.add_rows(csv.reader(block))
+        else:
+            _split_block(out, block)
     return out.result()
+
+
+def parse_csv(lines: Iterable[str]) -> tuple[Cells, IngestReport]:
+    """Parse tower records from CSV text lines, each item one line whose
+    line end may be left off; bad rows are counted, not fatal."""
+    lines = iter(lines)
+
+    def pieces():
+        while batch := list(islice(lines, BLOCK_LINES)):
+            text = "".join(line if line.endswith(("\n", "\r")) else line + "\n" for line in batch)
+            yield text.encode("utf-8", "surrogatepass")
+
+    return _parse(_Lines(pieces()))
+
+
+READ_SIZE = 1 << 17  # bytes read from a file at a time
+
+
+def _whole_lines(read: Callable[[int], bytes]) -> Iterator[bytes]:
+    """What ``read`` gives, in pieces cut after its last newline, or its
+    last CR where it has no newline; the last piece may lack a line end."""
+    head = []  # bytes read since the last cut
+    while chunk := read(READ_SIZE):
+        cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r") + 1
+        if cut:
+            yield b"".join([*head, chunk[:cut]])
+            head.clear()
+        head.append(chunk[cut:])
+    yield b"".join(head)
+
+
+def _checked(pieces: Iterator[bytes]) -> Iterator[bytes]:
+    """``pieces`` of UTF-8 text, a leading BOM left out, each checked: an
+    undecodable byte raises UnicodeDecodeError. A piece ends at the end of
+    a character, as a piece of whole lines does."""
+    first = next(pieces).removeprefix(codecs.BOM_UTF8)
+    for piece in chain((first,), pieces):
+        if not piece.isascii():
+            piece.decode("utf-8")
+        yield piece
 
 
 def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
@@ -481,36 +548,39 @@ def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
     """
     opener = gzip.open if Path(path).name.endswith(".gz") else open
     try:
-        with opener(path, "rt", encoding="utf-8-sig", newline="") as fh:
-            return parse_csv(fh)
+        with opener(path, "rb") as fh:
+            return _parse(_Lines(_checked(_whole_lines(fh.read))))
     except FileNotFoundError:
         raise GnbdimError(f"input file not found: {path}") from None
     except GnbdimError as exc:
         raise GnbdimError(f"{path}: {exc}") from None
     except (OSError, EOFError, UnicodeDecodeError, zlib.error, csv.Error) as exc:
-        # Undecodable text, a corrupt or truncated .gz, or a path that is
-        # not a readable file.
+        # Undecodable text, a corrupt or truncated .gz, a path that is not a
+        # readable file, or a field over the csv field limit.
         raise GnbdimError(f"cannot read input {path}: {exc}") from None
 
 
 def write_cells(path: str | Path, records: Cells) -> None:
-    """Write records back out in the canonical 14-column layout."""
-    rows = zip(
-        records.radio.tolist(), records.plmn, records.area, records.cell,
-        records.lon.tolist(), records.lat.tolist(), records.range_m.tolist(),
-        records.samples, records.created, records.updated,
-        records.avg_signal.tolist(),
-    )
+    """Write records back out in the canonical 14-column layout, as
+    csv.writer writes them: floats by repr, so values round-trip exactly,
+    and CR-LF line ends. No field holds a character that needs quoting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EXPECTED_HEADER)
-        # csv writes a float as its repr, so values round-trip exactly.
-        writer.writerows(
-            (RADIOS[code], plmn[:3], plmn[3:], area, cell, "", lon, lat, range_m,
-             samples, "", created, updated, "" if signal != signal else signal)
-            for code, plmn, area, cell, lon, lat, range_m, samples, created,
-            updated, signal in rows
-        )
+        fh.write(",".join(EXPECTED_HEADER) + "\r\n")
+        for start in range(0, len(records), BLOCK_LINES):  # a block's text at a time
+            rows = slice(start, start + BLOCK_LINES)
+            plmn = records.plmn[rows]
+            signal = list(map(float.__repr__, records.avg_signal[rows].tolist()))
+            columns = (
+                map(RADIOS.__getitem__, records.radio[rows].tolist()),
+                [p[:3] for p in plmn], [p[3:] for p in plmn],
+                map(str, records.area[rows]), map(str, records.cell[rows]), repeat(""),
+                *(map(float.__repr__, column[rows].tolist())
+                  for column in (records.lon, records.lat, records.range_m)),
+                map(str, records.samples[rows]), repeat(""),
+                map(str, records.created[rows]), map(str, records.updated[rows]),
+                map({"nan": ""}.get, signal, signal),  # an absent signal is empty
+            )
+            fh.write("".join([line + "\r\n" for line in map(",".join, zip(*columns))]))
 
 
 Bbox = tuple[float, float, float, float]  # (min_lon, min_lat, max_lon, max_lat)

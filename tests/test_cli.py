@@ -104,6 +104,18 @@ class TestIngest:
         result = runner.invoke(main, ["ingest", "--input", str(src)])
         assert result.exit_code == 2
 
+    def test_an_unquoted_field_longer_than_the_csv_limit_is_read(self, runner, tmp_path):
+        """A 200000-character ``unit`` field, past csv.field_size_limit(), in a
+        column the parser ignores: its row is kept, and so are the others."""
+        src = tmp_path / "big.csv"
+        rows = [GOOD_ROW] * 7
+        rows[3] = GOOD_ROW.replace(",12345678,,", ",12345678," + "u" * 200_000 + ",")
+        src.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["ingest", "--input", str(src), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert (report["rows_read"], report["rows_kept"]) == (7, 7)
+
 
 def _non_utf8(path):
     path.write_bytes((HEADER + "\n" + GOOD_ROW + "\n").encode() + b"LTE,\xff\xfe\n")

@@ -189,7 +189,9 @@ class TestFiles:
 
 def csv_split_only():
     """Every block is split by csv.reader, as a block with a quote is."""
-    return patch.object(ingest, "_split_block", lambda out, block, text: False)
+    return patch.object(
+        ingest, "_split_block", lambda out, block: out.add_rows(csv.reader(ingest._text_lines(block)))
+    )
 
 
 def outcome(read, *args):
@@ -218,8 +220,8 @@ def reference_outcome(lines):
     return [repr(r) for r in records], dict(reasons)
 
 
-# 300 rows with a reject of each reason every five rows, about 28 kB: more
-# than the 8 kB a text file decodes at a time.
+# 300 rows with a reject of each reason every five rows, about 28 kB, read
+# in pieces of 4 kB.
 BODY_ROWS = [
     GOOD_ROW, GOOD_ROW.replace(",57,", ",many,"), GOOD_ROW.replace("LTE,", "GSM,"),
     "junk", GOOD_ROW.replace(",41.8,", ",95,"), GOOD_ROW.replace("LTE,", "WIFI,"),
@@ -241,9 +243,10 @@ def export_bytes(case: str) -> bytes:
 
 
 class TestBlockFiles:
-    """Files at the byte splitter's edges, read in blocks of 4 lines: the
-    same Cells and report as with csv.reader splitting every block, or the
-    same error, and the kept rows and reasons of the reference parse."""
+    """Files at the byte splitter's edges, read in pieces of 4 kB and blocks
+    of 4 lines: the same Cells and report as with csv.reader splitting every
+    block, or the same error, and the kept rows and reasons of the reference
+    parse."""
 
     @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
     @pytest.mark.parametrize("case", ["crlf", "bom", "no-final-newline", "quoted", "bad-byte"])
@@ -251,7 +254,7 @@ class TestBlockFiles:
         data = export_bytes(case)
         path = tmp_path / ("export.csv.gz" if gz else "export.csv")
         path.write_bytes(gzip.compress(data) if gz else data)
-        with patch.object(ingest, "BLOCK_LINES", 4):
+        with patch.object(ingest, "BLOCK_LINES", 4), patch.object(ingest, "READ_SIZE", 4096):
             got = outcome(read_cells, path)
             with csv_split_only():
                 want = outcome(read_cells, path)
@@ -278,17 +281,20 @@ class TestBlockFiles:
         [HEADER + "\n", GOOD_ROW.replace("1000", "1" * 2000) + "\n"],  # over the field limit
     ])
     def test_lines_from_any_iterable_parse_as_the_row_loop_parses_them(self, lines):
+        """Each item is a line, its newline supplied where it has none, and an
+        item that holds newlines reads as the lines it holds. The byte split
+        needs no csv field limit: a line longer than the limit parses."""
         limit = csv.field_size_limit(1000)
         try:
             with patch.object(ingest, "BLOCK_LINES", 2):
                 got = outcome(parse_csv, iter(lines))
-                with csv_split_only():
-                    want = outcome(parse_csv, iter(lines))
-            reference = reference_outcome(iter(lines))
         finally:
             csv.field_size_limit(limit)
+        with patch.object(ingest, "BLOCK_LINES", 2), csv_split_only():
+            want = outcome(parse_csv, iter(lines))
+        text = "".join(line if line.endswith("\n") else line + "\n" for line in lines)
         assert got == want
-        assert kept_and_reasons(got) == reference
+        assert kept_and_reasons(got) == reference_outcome(io.StringIO(text, newline=""))
 
 
 class TestCellsEquality:

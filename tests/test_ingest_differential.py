@@ -11,13 +11,17 @@ reject-reason histogram.
 from __future__ import annotations
 
 import csv
+import gzip
 import io
 import math
 import sys
+import tempfile
 from collections import Counter
+from pathlib import Path
 from typing import Iterable
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,7 +36,10 @@ from gnbdim.ingest import (
     EXPECTED_HEADER,
     LTE_CELL_LIMIT,
     RADIOS,
+    Cells,
     parse_csv,
+    read_cells,
+    write_cells,
 )
 
 # A kept row: radio name, MCC+MNC, area, cell, lon, lat, range, samples,
@@ -451,3 +458,167 @@ def test_a_lone_surrogate_is_read_as_the_reference_reads_it(quoted):
         got, want = parse_and_reference(lines_of(rows))
     assert got == want
     assert want[1] == {BAD_COORDINATE: 1, BAD_NUMERIC: 4, BAD_RADIO: 1}
+
+
+# --- the byte reader -------------------------------------------------------------
+#
+# ``read_cells`` reads a file as bytes, ``READ_SIZE`` at a time, cuts it into
+# pieces of whole lines, checks them as UTF-8 and takes blocks of
+# ``BLOCK_LINES`` lines. The reference is ``reference_parse`` over the same file opened in
+# text mode. Both sizes are patched small, so piece edges fall inside
+# multi-byte characters, CR-LF pairs and the BOM, and block edges inside
+# quoted fields that hold newlines.
+
+RAW_TEXT = st.sampled_from([
+    "", "x", "é", "€uro", "\U0001d11e", "a,b", 'say "hi"', "two\nlines", "two\r\nlines",
+    "lone\rcr", "\n", "nul\x00", "\x00", "\ufeff",
+])
+LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+BAD_BYTES = st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"])
+
+
+def csv_field(text: str) -> str:
+    """``text`` as csv.writer's minimal quoting writes it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def raw_exports(draw) -> bytes:
+    """Export bytes: rows with multi-byte, quoted and NUL texts, each line
+    ended by LF, CR-LF or a lone CR, blank lines, maybe a BOM, no final
+    line end or an undecodable byte."""
+    lines = [",".join(EXPECTED_HEADER)]
+    for row in draw(st.lists(export_rows(), max_size=12)):
+        lines += [""] * draw(st.sampled_from([0] * 6 + [1]))
+        for i in draw(st.lists(st.sampled_from([0, 5, 10, 13]), max_size=2)):
+            if i < len(row):
+                row[i] = draw(RAW_TEXT) if i in (5, 10) else row[i] + draw(RAW_TEXT)
+        lines.append(",".join(map(csv_field, row)))
+    text = "".join(line + draw(LINE_ENDS) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(BAD_BYTES) + data[at:]
+    return b"\xef\xbb\xbf" + data if draw(st.booleans()) else data
+
+
+def read_outcome(path: Path):
+    """Kept rows and reasons of ``read_cells``, or its error text."""
+    try:
+        cells, report = read_cells(path)
+    except GnbdimError as exc:
+        return str(exc)
+    assert report.rows_kept == len(cells)
+    return cell_rows(cells), report.reject_reasons
+
+
+def reference_read_outcome(path: Path):
+    """Kept rows and reasons of ``reference_parse`` over the file in text
+    mode, or the error it raises."""
+    opener = gzip.open if path.name.endswith(".gz") else open
+    try:
+        with opener(path, "rt", encoding="utf-8-sig", newline="") as fh:
+            records, reasons = reference_parse(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        return exc
+    return [repr(r) for r in records], dict(reasons)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_exports(), st.integers(1, 64), st.integers(1, 9))
+# A BOM split over pieces, a header ended by a lone CR, a quoted field of a
+# 3-byte character and newlines run past a block of one line, no final newline.
+@example(b"\xef\xbb\xbf" + ",".join(EXPECTED_HEADER).encode() + b"\r" + ",".join(GOOD_ROW).encode()
+         + b"\r\n" + ",".join(edited(5, '"\xe2\x82\xac\n\n"')).encode(), 2, 1)
+# An undecodable byte in a column the parser ignores.
+@example((",".join(EXPECTED_HEADER) + "\n" + ",".join(GOOD_ROW) + "\n").encode()
+         + ",".join(edited(5, "\udcff")).encode("utf-8", "surrogateescape") + b"\n", 64, 9)
+def test_byte_reader_matches_text_mode_reference(data, read_size, block_lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        for path, payload in [
+            (Path(tmp) / "export.csv", data),
+            (Path(tmp) / "export.csv.gz", gzip.compress(data)),
+        ]:
+            path.write_bytes(payload)
+            with patch.object(ingest, "READ_SIZE", read_size), \
+                    patch.object(ingest, "BLOCK_LINES", block_lines):
+                got = read_outcome(path)
+            want = reference_read_outcome(path)
+            if isinstance(want, UnicodeDecodeError):
+                assert got.startswith(f"cannot read input {path}: 'utf-8' codec ")
+            elif isinstance(want, csv.Error):  # NUL, before Python 3.11
+                assert got == f"cannot read input {path}: {want}"
+            else:
+                assert got == want
+
+
+# --- the records.csv writer --------------------------------------------------------
+
+def csv_writer_cells(path: Path, records: Cells) -> None:
+    """``write_cells`` as csv.writer wrote it, a row at a time."""
+    rows = zip(
+        records.radio.tolist(), records.plmn, records.area, records.cell,
+        records.lon.tolist(), records.lat.tolist(), records.range_m.tolist(),
+        records.samples, records.created, records.updated,
+        records.avg_signal.tolist(),
+    )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(EXPECTED_HEADER)
+        writer.writerows(
+            (RADIOS[code], plmn[:3], plmn[3:], area, cell, "", lon, lat, range_m,
+             samples, "", created, updated, "" if signal != signal else signal)
+            for code, plmn, area, cell, lon, lat, range_m, samples, created,
+            updated, signal in rows
+        )
+
+
+BIG_INTS = st.one_of(
+    st.integers(0, 2**70),
+    st.sampled_from([0, 2**63 - 1, 2**63, 2**64 + 1, 10**30, 10**100]),
+)
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+        0.30000000000000004, 41.83920384729384, -87.59594560000001, 1e308,
+        1.7976931348623157e308, 1e16, 1e-5, 123456789012345680.0,
+    ]),
+)
+
+
+@st.composite
+def cells_tables(draw) -> Cells:
+    n = draw(st.integers(0, 20))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    return Cells(
+        radio=np.array(column(st.integers(0, len(RADIOS) - 1)), dtype=np.int8),
+        plmn=column(st.text("0123456789", min_size=5, max_size=6)),
+        area=column(BIG_INTS),
+        cell=column(BIG_INTS),
+        lon=np.array(column(EDGE_FLOATS), dtype=np.float64),
+        lat=np.array(column(EDGE_FLOATS), dtype=np.float64),
+        range_m=np.array(column(EDGE_FLOATS), dtype=np.float64),
+        samples=column(BIG_INTS),
+        created=column(BIG_INTS),
+        updated=column(BIG_INTS),
+        avg_signal=np.array(column(st.one_of(st.just(math.nan), EDGE_FLOATS)), dtype=np.float64),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells_tables(), st.integers(1, 9))
+def test_write_cells_writes_the_bytes_csv_writer_wrote(records, block_lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        with patch.object(ingest, "BLOCK_LINES", block_lines):
+            write_cells(got, records)
+        csv_writer_cells(want, records)
+        assert got.read_bytes() == want.read_bytes()
