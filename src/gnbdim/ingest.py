@@ -50,6 +50,7 @@ import sys
 import zlib
 from array import array
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -441,24 +442,32 @@ class _Lines:
     def take(self, n: int) -> bytes:
         """The next ``n`` lines, or those left, the last of which may lack
         its line end; b"" once none is left."""
-        while len(self._ends) - self._next < n:
-            piece = next(self._pieces, None)
+        if len(self._ends) - self._next < n:  # read on, joining the new pieces once
+            buf, ends = [self._buf[self._pos:]], [self._ends[self._next:] - self._pos]
+            size, found = len(buf[0]), len(ends[0])
+            while found < n and (piece := next(self._pieces, None)) is not None:
+                data = np.frombuffer(piece, dtype=np.uint8)
+                is_end = data == ord("\n")  # and a CR with no newline after it
+                is_end[:-1] |= (data[:-1] == ord("\r")) & ~is_end[1:]
+                is_end[-1:] |= data[-1:] == ord("\r")
+                ends.append(np.flatnonzero(is_end) + (size + 1))
+                buf.append(piece)
+                size, found = size + len(piece), found + len(ends[-1])
+            self._buf, self._pos, self._ends, self._next = b"".join(buf), 0, np.concatenate(ends), 0
+        if len(self._ends) - self._next < n:  # the input ran out
             rest = self._buf[self._pos:]
-            if piece is None:
-                self._buf, self._pos, self._ends, self._next = b"", 0, self._ends[:0], 0
-                return rest
-            data = np.frombuffer(piece, dtype=np.uint8)
-            is_end = data == ord("\n")  # and a CR with no newline after it
-            is_end[:-1] |= (data[:-1] == ord("\r")) & ~is_end[1:]
-            is_end[-1:] |= data[-1:] == ord("\r")
-            self._ends = np.concatenate(
-                (self._ends[self._next:] - self._pos, np.flatnonzero(is_end) + (len(rest) + 1))
-            )
-            self._buf, self._pos, self._next = rest + piece, 0, 0
+            self._buf, self._pos, self._ends, self._next = b"", 0, self._ends[:0], 0
+            return rest
         end = int(self._ends[self._next + n - 1])
         lines = self._buf[self._pos:end]
         self._pos, self._next = end, self._next + n
         return lines
+
+
+def _needs_csv(raw: bytes) -> bool:
+    """Whether csv.reader may split ``raw`` otherwise than at its commas
+    and newlines: where it holds a quote, CR or NUL."""
+    return b'"' in raw or b"\r" in raw or b"\x00" in raw
 
 
 def _text_lines(raw: bytes) -> list[str]:
@@ -467,51 +476,60 @@ def _text_lines(raw: bytes) -> list[str]:
     return io.StringIO(raw.decode("utf-8", "surrogatepass"), newline="").readlines()
 
 
-def _rows_of(block: bytes, lines: _Lines) -> Iterator[list[str]]:
+def _rows_of(block: list[str], lines: Iterator[str]) -> Iterator[list[str]]:
     """csv rows of the block's lines; a quoted field still open at the
     block's end reads on from ``lines``."""
     ended = 0  # lines read when the last row ended
 
     def rest():
-        while reader.line_num > ended and (line := lines.take(1)):  # a record is open
-            yield from _text_lines(line)
+        while reader.line_num > ended:  # a record is open
+            if (line := next(lines, None)) is None:
+                return
+            yield line
 
-    reader = csv.reader(chain(_text_lines(block), rest()))
+    reader = csv.reader(chain(block, rest()))
     for row in reader:
         ended = reader.line_num
         yield row
 
 
-def _parse(lines: _Lines) -> tuple[Cells, IngestReport]:
-    """Parse tower records from an export's lines, the header first."""
-    rows = _rows_of(lines.take(1), lines)
+def _parse(
+    lines: Iterator[str], blocks: Iterable[bytes | list[str]]
+) -> tuple[Cells, IngestReport]:
+    """Parse tower records: the header from the text ``lines``, then the
+    ``blocks`` of lines after it. A block of bytes goes to the byte
+    splitter; a list of text lines to csv.reader, which reads on from
+    ``lines`` while a quoted field is open."""
     try:
-        header = next(rows)
+        header = next(csv.reader(lines))
     except (StopIteration, csv.Error):
         raise GnbdimError("input has no header row") from None
     if tuple(h.strip() for h in header) != EXPECTED_HEADER:
         raise GnbdimError(f"header mismatch: expected {','.join(EXPECTED_HEADER)}")
 
     out = _Columns()
-    while block := lines.take(BLOCK_LINES):
-        if b'"' in block or b"\r" in block or b"\x00" in block:
-            out.add_rows(_rows_of(block, lines))
-        else:
+    for block in blocks:
+        if isinstance(block, bytes):
             _split_block(out, block)
+        else:
+            out.add_rows(_rows_of(block, lines))
     return out.result()
 
 
 def parse_csv(lines: Iterable[str]) -> tuple[Cells, IngestReport]:
-    """Parse tower records from CSV text lines, each item one line whose
-    line end may be left off; bad rows are counted, not fatal."""
+    """Parse tower records from CSV text lines, each item one line as
+    csv.reader reads it; bad rows are counted, not fatal."""
     lines = iter(lines)
 
-    def pieces():
+    def blocks():
         while batch := list(islice(lines, BLOCK_LINES)):
-            text = "".join(line if line.endswith(("\n", "\r")) else line + "\n" for line in batch)
-            yield text.encode("utf-8", "surrogatepass")
+            text = "".join(line if line.endswith("\n") else line + "\n" for line in batch)
+            raw = text.encode("utf-8", "surrogatepass")
+            # The byte splitter reads the items as csv.reader reads them only
+            # where each item has no line end but its last character.
+            yield batch if _needs_csv(raw) or raw.count(b"\n") > len(batch) else raw
 
-    return _parse(_Lines(pieces()))
+    return _parse(lines, blocks())
 
 
 READ_SIZE = 1 << 17  # bytes read from a file at a time
@@ -541,6 +559,13 @@ def _checked(pieces: Iterator[bytes]) -> Iterator[bytes]:
         yield piece
 
 
+def _blocks(lines: _Lines) -> Iterator[bytes | list[str]]:
+    """Blocks of ``BLOCK_LINES`` lines: the bytes of a block with no quote,
+    CR or NUL, the text lines of any other."""
+    while block := lines.take(BLOCK_LINES):
+        yield _text_lines(block) if _needs_csv(block) else block
+
+
 def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
     """Read a tower CSV file; names ending in .gz are decompressed.
 
@@ -549,7 +574,9 @@ def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
     opener = gzip.open if Path(path).name.endswith(".gz") else open
     try:
         with opener(path, "rb") as fh:
-            return _parse(_Lines(_checked(_whole_lines(fh.read))))
+            lines = _Lines(_checked(_whole_lines(fh.read)))
+            text = chain.from_iterable(map(_text_lines, iter(partial(lines.take, 1), b"")))
+            return _parse(text, _blocks(lines))
     except FileNotFoundError:
         raise GnbdimError(f"input file not found: {path}") from None
     except GnbdimError as exc:

@@ -270,6 +270,20 @@ class TestBlockFiles:
             assert len(records) == 100
             assert kept_and_reasons(got) == reference_outcome(data.decode("utf-8-sig"))
 
+    @pytest.mark.parametrize("block_lines", [9, 1024])
+    def test_blocks_of_lines_wider_than_a_piece(self, tmp_path, block_lines):
+        """Lines of 3 kB, and a quoted field of 1500 lines, read 256 bytes at
+        a time: a block spans many pieces."""
+        wide = GOOD_ROW.replace(",12345678,,", ",12345678," + "u" * 3000 + ",")
+        tall = GOOD_ROW.replace(",12345678,,", ',12345678,"' + "u\n" * 1500 + '",')
+        data = (HEADER + "\n" + "\n".join([wide] * 20 + ["junk"] + [tall] * 3 + [wide]) + "\n").encode()
+        path = tmp_path / "export.csv"
+        path.write_bytes(data)
+        with patch.object(ingest, "BLOCK_LINES", block_lines), patch.object(ingest, "READ_SIZE", 256):
+            got = outcome(read_cells, path)
+        assert kept_and_reasons(got) == reference_outcome(io.StringIO(data.decode(), newline=""))
+        assert got[1].rows_kept == 24
+
     @pytest.mark.parametrize("lines", [
         [HEADER, GOOD_ROW, GOOD_ROW],               # no newlines at all
         [HEADER + "\n", GOOD_ROW, GOOD_ROW + "\n"],  # one line without its newline
@@ -279,11 +293,13 @@ class TestBlockFiles:
         [HEADER + "\n", GOOD_ROW + "\n" + GOOD_ROW, GOOD_ROW + "\n"],  # as many newlines as lines
         [HEADER + "\n", GOOD_ROW.replace("LTE", "L\ud800") + "\n"],  # a lone surrogate
         [HEADER + "\n", GOOD_ROW.replace("1000", "1" * 2000) + "\n"],  # over the field limit
+        [HEADER + "\n", *GOOD_ROW.replace(",12345678,", ',"1234|5678",').split("|")],  # a quoted field
     ])
     def test_lines_from_any_iterable_parse_as_the_row_loop_parses_them(self, lines):
-        """Each item is a line, its newline supplied where it has none, and an
-        item that holds newlines reads as the lines it holds. The byte split
-        needs no csv field limit: a line longer than the limit parses."""
+        """Each item is a line as csv.reader reads it: an item that holds a
+        newline before its end is an error, and a quoted field runs on into
+        the next item with no newline between. The byte split needs no csv
+        field limit: a line longer than the limit parses."""
         limit = csv.field_size_limit(1000)
         try:
             with patch.object(ingest, "BLOCK_LINES", 2):
@@ -292,9 +308,8 @@ class TestBlockFiles:
             csv.field_size_limit(limit)
         with patch.object(ingest, "BLOCK_LINES", 2), csv_split_only():
             want = outcome(parse_csv, iter(lines))
-        text = "".join(line if line.endswith("\n") else line + "\n" for line in lines)
         assert got == want
-        assert kept_and_reasons(got) == reference_outcome(io.StringIO(text, newline=""))
+        assert kept_and_reasons(got) == reference_outcome(iter(lines))
 
 
 class TestCellsEquality:
