@@ -155,7 +155,7 @@ def bin_records(records: Cells, spec: GridSpec) -> DensityGrid:
     The grid holds the rows that some in-grid record falls in, so its
     size follows the occupied rows, not n_rows.
     """
-    samples = np.array(records.samples, dtype=np.float64)
+    samples = np.asarray(records.samples, dtype=np.float64)
     x, y = project(records.lon, records.lat, spec)
     col = np.floor(x / spec.tile_km).astype(np.int64)
     row = np.floor(y / spec.tile_km).astype(np.int64)

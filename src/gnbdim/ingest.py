@@ -7,10 +7,9 @@ The expected layout is the public cell-tower export format:
 ``unit`` and ``changeable`` are ignored. Crowdsourced rows are dirty by
 nature, so a bad row is counted and skipped, never fatal. Only a missing
 or garbled header aborts the ingest, or one field longer than
-csv.field_size_limit() in a block that csv.reader splits (below): a
-quoted field, or any field of a block with a CR or NUL. Fields are
-checked left to right in column order and the first failure decides the
-reject reason.
+csv.field_size_limit() in a block that csv.reader splits (below). Fields
+are checked left to right in column order and the first failure decides
+the reject reason.
 
 A row's operator is its PLMN: the 3-digit MCC followed by the 2- or
 3-digit MNC, kept as that digit string. Digits stay strings throughout:
@@ -19,18 +18,24 @@ lose the leading zero. A single-digit ``net`` column is zero-padded to the
 2-digit minimum MNC width (exports strip leading zeros); wider values are
 kept verbatim.
 
-Kept rows land in a columnar :class:`Cells` table, built in one pass over
-the rows with no per-row object. It is the one representation of tower
-rows.
+Kept rows land in a columnar :class:`Cells` table of numpy arrays, one
+per field, with no per-row object: ``radio`` int8, ``plmn`` object (the
+digit strings), the decimals float64, and the integers int64, or object
+where a column holds a value beyond int64 (:func:`int_column`). It is the
+one representation of tower rows.
 
 A file is read as bytes, :data:`READ_SIZE` at a time, in pieces of whole
 lines, each checked as UTF-8; a leading BOM is left out, and an
 undecodable byte aborts the read. A line ends at a newline, a CR-LF pair
-or a lone CR, as text mode with newline="" cuts it. The lines are parsed
-in blocks of :data:`BLOCK_LINES`. A block with no quote, CR or NUL splits
-at every comma and newline of its bytes, as csv.reader splits it, with no
-limit on a line's length. Any other block is decoded and split by
-csv.reader, and its fields are joined by commas into one such buffer.
+or a lone CR, as text mode with newline="" cuts it. Each piece is a
+block: the header is cut at its first line end, and a quoted field left
+open at a piece's end reads on into the next piece, whose rest is a block
+of its own. :func:`parse_csv` parses its lines in blocks of
+:data:`BLOCK_LINES`, and :func:`write_cells` formats as many rows at a
+time. A block with no quote, NUL or lone CR splits at every comma and
+line end of its bytes, as csv.reader splits it, with no limit on a line's
+length. Any other block is decoded and split by csv.reader, and its
+fields are joined by commas into one such buffer.
 Either way one decoder reads the fields column by column in numpy:
 integers of up to 18 digits; decimals whose digits, point left out, form
 an integer up to 2**53 with at most 22 of them after the point, whose
@@ -48,10 +53,8 @@ import gzip
 import io
 import sys
 import zlib
-from array import array
-from dataclasses import dataclass, fields
-from functools import partial
-from itertools import chain, compress, islice, repeat
+from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -85,24 +88,24 @@ _NAN = float("nan")
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Cells:
-    """Kept tower rows as typed columns, in input order.
+    """Kept tower rows as numpy columns, in input order, typed as the module
+    docstring says.
 
     ``radio`` holds each row's position in :data:`RADIOS`, ``plmn`` the
     MCC+MNC digit string (the MCC is always 3 digits), and ``avg_signal``
-    NaN where the export left the field empty. Integer columns are Python
-    ints, so values beyond 64 bits are kept exactly.
+    NaN where the export left the field empty.
     """
 
-    radio: np.ndarray  # int8
-    plmn: list[str]
-    area: list[int]
-    cell: list[int]
-    lon: np.ndarray  # float64
+    radio: np.ndarray
+    plmn: np.ndarray
+    area: np.ndarray
+    cell: np.ndarray
+    lon: np.ndarray
     lat: np.ndarray
     range_m: np.ndarray
-    samples: list[int]
-    created: list[int]
-    updated: list[int]
+    samples: np.ndarray
+    created: np.ndarray
+    updated: np.ndarray
     avg_signal: np.ndarray
 
     def __len__(self) -> int:
@@ -112,26 +115,26 @@ class Cells:
         """Column-wise equality; absent signals (NaN) compare equal."""
         if not isinstance(other, Cells):
             return NotImplemented
-        for field in fields(self):
-            mine, theirs = getattr(self, field.name), getattr(other, field.name)
-            if isinstance(mine, np.ndarray):
-                same = np.array_equal(mine, theirs, equal_nan=True)
-            else:
-                same = mine == theirs
-            if not same:
-                return False
-        return True
+        return all(
+            np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f")
+            for mine, theirs in zip(vars(self).values(), vars(other).values())
+        )
 
     def __repr__(self) -> str:
         return f"Cells({len(self)} rows)"
 
     def take(self, keep: np.ndarray) -> Cells:
         """The rows where the boolean mask ``keep`` is true, in order."""
-        flags = keep.tolist()
-        return Cells(**{
-            name: column[keep] if isinstance(column, np.ndarray) else list(compress(column, flags))
-            for name, column in vars(self).items()
-        })
+        return Cells(**{name: column[keep] for name, column in vars(self).items()})
+
+
+def int_column(values) -> np.ndarray:
+    """An integer column of :class:`Cells`: int64, or an object array of the
+    exact Python ints where some value is beyond int64."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,7 @@ def _plmn_digits(mcc_text: str, net_text: str) -> str | None:
     return plmn if len(mcc) == 3 and is_plmn(plmn) else None
 
 
-BLOCK_LINES = 1024  # lines decoded together; sets the decoder's working memory
+BLOCK_LINES = 1024  # lines of parse_csv decoded, or rows of write_cells formatted, together
 
 _INTS = (3, 4, 9, 11, 12)  # area, cell, samples, created, updated
 _DECIMALS = (6, 7, 8, 13)  # lon, lat, range, averageSignal
@@ -173,16 +176,24 @@ _MANTISSA_MAX = 2**53
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(8)], dtype=np.uint64)
 
 
+# The dtype of each Cells column; result() passes the integer ones through int_column.
+_DTYPES = dict(
+    radio=np.int8, plmn=object, area=np.int64, cell=np.int64, lon=np.float64, lat=np.float64,
+    range_m=np.float64, samples=np.int64, created=np.int64, updated=np.int64,
+    avg_signal=np.float64,
+)
+_INT_NAMES = ("area", "cell", "samples", "created", "updated")  # the columns of _INTS
+
+
 class _Columns:
-    """The kept rows' columns, appended block by block, and the reject counts."""
+    """The kept rows' columns, as arrays block by block, and the reject counts."""
 
     def __init__(self) -> None:
-        self.radio, self.lon, self.lat, self.range_m, self.signal = (
-            array("b"), array("d"), array("d"), array("d"), array("d")
-        )
-        self.plmn, self.area, self.cell, self.samples, self.created, self.updated = (
-            [], [], [], [], [], []
-        )
+        self.parts = {name: [np.empty(0, dtype)] for name, dtype in _DTYPES.items()}
+        # glibc returns a freed heap top over twice the largest block it has
+        # unmapped to the OS, so each block's decoder scratch would be faulted
+        # in anew; unmapping one untouched 4 MiB block keeps it in the heap.
+        np.empty(1 << 22, dtype=np.uint8)
         self.rows_read = 0
         self.rejects = dict.fromkeys((BAD_SHAPE, BAD_RADIO, BAD_NUMERIC, BAD_COORDINATE), 0)
 
@@ -291,18 +302,14 @@ class _Columns:
         self.rejects[BAD_COORDINATE] += int(np.count_nonzero(ids_ok & ~place_ok))
         self.rejects[BAD_NUMERIC] += int(np.count_nonzero(ids_ok & place_ok & ~rest_ok))
 
-        self.radio.frombytes(code[keep].tobytes())
-        self.plmn += plmn[keep].tolist()
-        for column, values in zip((self.lon, self.lat, self.range_m, self.signal), decimals):
-            column.frombytes(values[keep].tobytes())
-        for values, by_int, column in zip(
-            ints, patched, (self.area, self.cell, self.samples, self.created, self.updated)
-        ):
-            if by_int:
+        columns = dict(radio=code, plmn=plmn, lon=lon, lat=lat, range_m=range_m, avg_signal=signal)
+        for name, values, by_int in zip(_INT_NAMES, ints, patched):
+            if by_int:  # the values int() read, where _check_value stood in for them
                 values = values.astype(object)
-                for r, value in by_int.items():
-                    values[r] = value
-            column += values[keep].tolist()
+                values[list(by_int)] = list(by_int.values())
+            columns[name] = values
+        for name, values in columns.items():
+            self.parts[name].append(values[keep])
 
     def result(self) -> tuple[Cells, IngestReport]:
         reasons = {reason: n for reason, n in self.rejects.items() if n}
@@ -313,20 +320,9 @@ class _Columns:
             rows_rejected=rejected,
             reject_reasons=reasons,
         )
-        cells = Cells(
-            radio=np.frombuffer(self.radio, dtype=np.int8),
-            plmn=self.plmn,
-            area=self.area,
-            cell=self.cell,
-            lon=np.frombuffer(self.lon, dtype=np.float64),
-            lat=np.frombuffer(self.lat, dtype=np.float64),
-            range_m=np.frombuffer(self.range_m, dtype=np.float64),
-            samples=self.samples,
-            created=self.created,
-            updated=self.updated,
-            avg_signal=np.frombuffer(self.signal, dtype=np.float64),
-        )
-        return cells, report
+        columns = {name: np.concatenate(parts) for name, parts in self.parts.items()}
+        columns.update((name, int_column(columns[name])) for name in _INT_NAMES)
+        return Cells(**columns), report
 
 
 def _text(data: np.ndarray, start: int, end: int) -> str:
@@ -424,50 +420,16 @@ def _split_block(out: _Columns, raw: bytes) -> None:
     out.add(data, around[:-1] + 1, around[1:], int(np.count_nonzero(~blank & ~shaped)))
 
 
-class _Lines:
-    """UTF-8 bytes, given in pieces and taken some lines at a time.
-
-    A line ends after a newline, or after a CR that no newline follows in
-    its piece: where a piece ends between the two, the pair ends a line
-    and a blank one, which csv.reader reads as it reads the pair.
-    """
-
-    def __init__(self, pieces: Iterable[bytes]) -> None:
-        self._pieces = iter(pieces)
-        self._buf = b""
-        self._ends = np.empty(0, dtype=np.intp)  # the index past each line end in _buf
-        self._next = 0  # the index in _ends of the next line's end
-        self._pos = 0  # where the next line starts in _buf
-
-    def take(self, n: int) -> bytes:
-        """The next ``n`` lines, or those left, the last of which may lack
-        its line end; b"" once none is left."""
-        if len(self._ends) - self._next < n:  # read on, joining the new pieces once
-            buf, ends = [self._buf[self._pos:]], [self._ends[self._next:] - self._pos]
-            size, found = len(buf[0]), len(ends[0])
-            while found < n and (piece := next(self._pieces, None)) is not None:
-                data = np.frombuffer(piece, dtype=np.uint8)
-                is_end = data == ord("\n")  # and a CR with no newline after it
-                is_end[:-1] |= (data[:-1] == ord("\r")) & ~is_end[1:]
-                is_end[-1:] |= data[-1:] == ord("\r")
-                ends.append(np.flatnonzero(is_end) + (size + 1))
-                buf.append(piece)
-                size, found = size + len(piece), found + len(ends[-1])
-            self._buf, self._pos, self._ends, self._next = b"".join(buf), 0, np.concatenate(ends), 0
-        if len(self._ends) - self._next < n:  # the input ran out
-            rest = self._buf[self._pos:]
-            self._buf, self._pos, self._ends, self._next = b"", 0, self._ends[:0], 0
-            return rest
-        end = int(self._ends[self._next + n - 1])
-        lines = self._buf[self._pos:end]
-        self._pos, self._next = end, self._next + n
-        return lines
-
-
-def _needs_csv(raw: bytes) -> bool:
-    """Whether csv.reader may split ``raw`` otherwise than at its commas
-    and newlines: where it holds a quote, CR or NUL."""
-    return b'"' in raw or b"\r" in raw or b"\x00" in raw
+def _splittable(raw: bytes) -> bytes | None:
+    """Whole lines ``raw`` as the byte splitter takes them, each CR-LF pair
+    made a newline; None where csv.reader may split them otherwise than at
+    their commas and line ends: where they hold a quote, a NUL or a CR that
+    no newline follows."""
+    if b'"' in raw or b"\x00" in raw:
+        return None
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+    return None if b"\r" in raw else raw
 
 
 def _text_lines(raw: bytes) -> list[str]:
@@ -527,12 +489,13 @@ def parse_csv(lines: Iterable[str]) -> tuple[Cells, IngestReport]:
             raw = text.encode("utf-8", "surrogatepass")
             # The byte splitter reads the items as csv.reader reads them only
             # where each item has no line end but its last character.
-            yield batch if _needs_csv(raw) or raw.count(b"\n") > len(batch) else raw
+            split = _splittable(raw)
+            yield batch if split is None or raw.count(b"\n") > len(batch) else split
 
     return _parse(lines, blocks())
 
 
-READ_SIZE = 1 << 17  # bytes read from a file at a time
+READ_SIZE = 1 << 17  # bytes read from a file at a time; sets the decoder's working memory
 
 
 def _whole_lines(read: Callable[[int], bytes]) -> Iterator[bytes]:
@@ -559,11 +522,47 @@ def _checked(pieces: Iterator[bytes]) -> Iterator[bytes]:
         yield piece
 
 
-def _blocks(lines: _Lines) -> Iterator[bytes | list[str]]:
-    """Blocks of ``BLOCK_LINES`` lines: the bytes of a block with no quote,
-    CR or NUL, the text lines of any other."""
-    while block := lines.take(BLOCK_LINES):
-        yield _text_lines(block) if _needs_csv(block) else block
+class _Pieces:
+    """Pieces of whole lines, taken a line at a time for the header and for
+    a quoted field that reads on past a piece's end, and else as blocks: the
+    unread rest of each piece.
+
+    A line ends as text mode with newline="" ends it: after a newline, a
+    CR-LF pair or a lone CR. A piece that ends between CR and newline ends
+    a line and a blank one, which csv.reader reads as it reads the pair.
+    """
+
+    def __init__(self, pieces: Iterator[bytes]) -> None:
+        self._pieces = pieces
+        self._piece, self._pos = b"", 0  # the last piece taken, and where its unread rest starts
+
+    def _unread(self) -> bool:
+        """Whether bytes are left to read, taking the next piece once the last is read."""
+        while self._pos == len(self._piece):
+            if (piece := next(self._pieces, None)) is None:
+                return False
+            self._piece, self._pos = piece, 0
+        return True
+
+    def lines(self) -> Iterator[str]:
+        """The lines read next, as text."""
+        while self._unread():
+            piece, pos = self._piece, self._pos
+            newline = piece.find(b"\n", pos)
+            end = len(piece) if newline < 0 else newline + 1
+            # A CR that no newline follows ends a line too.
+            cr = piece.find(b"\r", pos, end if newline < 0 else max(pos, newline - 1))
+            self._pos = end = cr + 1 if cr >= 0 else end
+            yield piece[pos:end].decode("utf-8", "surrogatepass")
+
+    def blocks(self) -> Iterator[bytes | list[str]]:
+        """The unread rest of each piece: its bytes for the byte splitter,
+        or its text lines for csv.reader where :func:`_splittable` refuses it."""
+        while self._unread():
+            raw = self._piece[self._pos:]
+            self._pos = len(self._piece)
+            split = _splittable(raw)
+            yield _text_lines(raw) if split is None else split
 
 
 def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
@@ -574,9 +573,8 @@ def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
     opener = gzip.open if Path(path).name.endswith(".gz") else open
     try:
         with opener(path, "rb") as fh:
-            lines = _Lines(_checked(_whole_lines(fh.read)))
-            text = chain.from_iterable(map(_text_lines, iter(partial(lines.take, 1), b"")))
-            return _parse(text, _blocks(lines))
+            pieces = _Pieces(_checked(_whole_lines(fh.read)))
+            return _parse(pieces.lines(), pieces.blocks())
     except FileNotFoundError:
         raise GnbdimError(f"input file not found: {path}") from None
     except GnbdimError as exc:
@@ -594,17 +592,15 @@ def write_cells(path: str | Path, records: Cells) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(EXPECTED_HEADER) + "\r\n")
         for start in range(0, len(records), BLOCK_LINES):  # a block's text at a time
-            rows = slice(start, start + BLOCK_LINES)
-            plmn = records.plmn[rows]
-            signal = list(map(float.__repr__, records.avg_signal[rows].tolist()))
+            radio, plmn, area, cell, lon, lat, range_m, samples, created, updated, signal = (
+                column[start:start + BLOCK_LINES].tolist() for column in vars(records).values()
+            )
+            signal = list(map(float.__repr__, signal))
             columns = (
-                map(RADIOS.__getitem__, records.radio[rows].tolist()),
-                [p[:3] for p in plmn], [p[3:] for p in plmn],
-                map(str, records.area[rows]), map(str, records.cell[rows]), repeat(""),
-                *(map(float.__repr__, column[rows].tolist())
-                  for column in (records.lon, records.lat, records.range_m)),
-                map(str, records.samples[rows]), repeat(""),
-                map(str, records.created[rows]), map(str, records.updated[rows]),
+                map(RADIOS.__getitem__, radio), [p[:3] for p in plmn], [p[3:] for p in plmn],
+                map(str, area), map(str, cell), repeat(""),
+                *(map(float.__repr__, column) for column in (lon, lat, range_m)),
+                map(str, samples), repeat(""), map(str, created), map(str, updated),
                 map({"nan": ""}.get, signal, signal),  # an absent signal is empty
             )
             fh.write("".join([line + "\r\n" for line in map(",".join, zip(*columns))]))
@@ -634,5 +630,5 @@ def filter_records(
     if radio is not None:
         keep &= records.radio == _RADIO_CODE[radio]
     if plmn is not None:
-        keep &= np.fromiter((p == plmn for p in records.plmn), dtype=bool, count=len(records))
+        keep &= records.plmn == plmn
     return records if keep.all() else records.take(keep)

@@ -9,7 +9,7 @@ import pytest
 
 from gnbdim.config import load_config_dict
 from gnbdim.density import DensityGrid, GridSpec, unproject
-from gnbdim.ingest import RADIOS, Cells
+from gnbdim.ingest import RADIOS, Cells, int_column
 
 # Reference urban scenario: 7x7 km2, FR1 at 3.5 GHz with a single 100 MHz
 # eMBB bandwidth part, deep-indoor margins. Chosen so the converged plan is
@@ -91,15 +91,15 @@ def towers(lon, lat, samples) -> Cells:
     n = len(samples)
     return Cells(
         radio=np.full(n, RADIOS.index("LTE"), dtype=np.int8),
-        plmn=["310260"] * n,
-        area=[100] * n,
-        cell=list(range(n)),
+        plmn=np.full(n, "310260", dtype=object),
+        area=np.full(n, 100, dtype=np.int64),
+        cell=np.arange(n, dtype=np.int64),
         lon=np.array(lon, dtype=np.float64),
         lat=np.array(lat, dtype=np.float64),
         range_m=np.full(n, 500.0),
-        samples=list(samples),
-        created=[1_600_000_000] * n,
-        updated=[1_700_000_000] * n,
+        samples=int_column(list(samples)),
+        created=np.full(n, 1_600_000_000, dtype=np.int64),
+        updated=np.full(n, 1_700_000_000, dtype=np.int64),
         avg_signal=np.full(n, np.nan),  # absent
     )
 
@@ -130,11 +130,7 @@ def records_to_csv_text(records: Cells) -> str:
     lines = [
         "radio,mcc,net,area,cell,unit,lon,lat,range,samples,changeable,created,updated,averageSignal"
     ]
-    rows = zip(
-        records.radio.tolist(), records.plmn, records.area, records.cell,
-        records.lon.tolist(), records.lat.tolist(), records.range_m.tolist(),
-        records.samples, records.created, records.updated, records.avg_signal.tolist(),
-    )
+    rows = zip(*(column.tolist() for column in vars(records).values()))
     for code, plmn, area, cell, lon, lat, range_m, samples, created, updated, signal in rows:
         signal = "" if signal != signal else repr(signal)
         lines.append(

@@ -364,7 +364,7 @@ class TestDimension:
         csv_path = tmp_path / "towers.csv"
         csv_path.write_text(records_to_csv_text(towers(
             np.concatenate((records.lon, heavy[0])), np.concatenate((records.lat, heavy[1])),
-            records.samples + [1000, 1000],
+            [*records.samples.tolist(), 1000, 1000],
         )), encoding="utf-8")
         base_config_dict.update(input=str(csv_path), out=str(tmp_path / "out"))
         cfg = tmp_path / "cfg.json"

@@ -169,6 +169,29 @@ class TestFiles:
         assert back == records
         assert report.rows_rejected == 0
 
+    def test_integers_beyond_int64_round_trip(self, tmp_path):
+        """One piece holds a GSM row with ``cell`` 10**20 and ``created``
+        2**64, the other pieces only int64 values: those two columns hold the
+        exact Python ints, and records.csv reads back as the same Cells."""
+        big = GOOD_ROW.replace("LTE,", "GSM,").replace(",12345678,", f",{10**20},")
+        big = big.replace(",1600000000,", f",{2**64},")
+        path, out = tmp_path / "export.csv", tmp_path / "records.csv"
+        rows = [GOOD_ROW] * 200 + [big] + [GOOD_ROW] * 200
+        path.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with patch.object(ingest, "READ_SIZE", 4096):  # the export is about 30 kB
+            records, _ = read_cells(path)
+            write_cells(out, records)
+            back, _ = read_cells(out)
+        assert back == records
+        assert records.cell.tolist() == [12345678] * 200 + [10**20] + [12345678] * 200
+        assert records.created.tolist() == [1600000000] * 200 + [2**64] + [1600000000] * 200
+        assert {type(v) for v in records.cell.tolist() + records.created.tolist()} == {int}
+        assert records.area.dtype == records.samples.dtype == np.int64
+        # An object column equals an int64 column that holds the same values.
+        lte = filter_records(records, radio="LTE")
+        assert lte.cell.dtype == lte.created.dtype == object
+        assert lte == parse_text(HEADER + "\n" + "\n".join([GOOD_ROW] * 400) + "\n")[0]
+
     def test_every_failure_names_the_path(self, tmp_path):
         missing = tmp_path / "absent.csv"
         headless = tmp_path / "headless.csv"
@@ -243,8 +266,8 @@ def export_bytes(case: str) -> bytes:
 
 
 class TestBlockFiles:
-    """Files at the byte splitter's edges, read in pieces of 4 kB and blocks
-    of 4 lines: the same Cells and report as with csv.reader splitting every
+    """Files at the byte splitter's edges, read in pieces of 4 kB, each a
+    block: the same Cells and report as with csv.reader splitting every
     block, or the same error, and the kept rows and reasons of the reference
     parse."""
 
@@ -254,7 +277,7 @@ class TestBlockFiles:
         data = export_bytes(case)
         path = tmp_path / ("export.csv.gz" if gz else "export.csv")
         path.write_bytes(gzip.compress(data) if gz else data)
-        with patch.object(ingest, "BLOCK_LINES", 4), patch.object(ingest, "READ_SIZE", 4096):
+        with patch.object(ingest, "READ_SIZE", 4096):
             got = outcome(read_cells, path)
             with csv_split_only():
                 want = outcome(read_cells, path)
@@ -270,19 +293,55 @@ class TestBlockFiles:
             assert len(records) == 100
             assert kept_and_reasons(got) == reference_outcome(data.decode("utf-8-sig"))
 
-    @pytest.mark.parametrize("block_lines", [9, 1024])
-    def test_blocks_of_lines_wider_than_a_piece(self, tmp_path, block_lines):
-        """Lines of 3 kB, and a quoted field of 1500 lines, read 256 bytes at
-        a time: a block spans many pieces."""
+    @pytest.mark.parametrize("read_size", [9, 1024])
+    def test_blocks_of_lines_wider_than_a_piece(self, tmp_path, read_size):
+        """Lines of 3 kB, and a quoted field of 1500 lines, read ``read_size``
+        bytes at a time: a line or a quoted field spans many pieces."""
         wide = GOOD_ROW.replace(",12345678,,", ",12345678," + "u" * 3000 + ",")
         tall = GOOD_ROW.replace(",12345678,,", ',12345678,"' + "u\n" * 1500 + '",')
         data = (HEADER + "\n" + "\n".join([wide] * 20 + ["junk"] + [tall] * 3 + [wide]) + "\n").encode()
         path = tmp_path / "export.csv"
         path.write_bytes(data)
-        with patch.object(ingest, "BLOCK_LINES", block_lines), patch.object(ingest, "READ_SIZE", 256):
+        with patch.object(ingest, "READ_SIZE", read_size):
             got = outcome(read_cells, path)
         assert kept_and_reasons(got) == reference_outcome(io.StringIO(data.decode(), newline=""))
         assert got[1].rows_kept == 24
+
+    def test_the_rest_of_a_piece_after_a_quoted_read_on_is_byte_split(self, tmp_path):
+        """A quoted field of 900 lines opens in the first of two pieces and
+        closes in the second, whose rest is a line wider than the csv field
+        limit: the byte splitter reads that line, and csv.reader the field."""
+        tall = GOOD_ROW.replace(",12345678,,", ',12345678,"' + "u\n" * 900 + '",')
+        wide = GOOD_ROW.replace(",12345678,,", ",12345678," + "u" * 2500 + ",")
+        data = (HEADER + "\n" + "\n".join([GOOD_ROW] * 30 + [tall, wide]) + "\n").encode()
+        path = tmp_path / "export.csv"
+        path.write_bytes(data)
+        limit = csv.field_size_limit(2000)
+        try:
+            with patch.object(ingest, "READ_SIZE", 4000):
+                first, second = filter(None, ingest._whole_lines(io.BytesIO(data).read))
+                got = outcome(read_cells, path)
+        finally:
+            csv.field_size_limit(limit)
+        assert first.count(b'"') == second.count(b'"') == 1
+        assert second.endswith(b"\n" + wide.encode() + b"\n")
+        assert kept_and_reasons(got) == reference_outcome(data.decode())
+        assert got[1].rows_kept == 32
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+    def test_a_crlf_export_with_a_wide_field_reads_as_its_lf_copy(self, tmp_path, gz):
+        """An 8-line CRLF export with one 200000-character ``unit`` field,
+        past csv.field_size_limit(): each CR-LF pair is a newline to the byte
+        splitter, so the file gives the Cells and report of its LF copy."""
+        rows = [GOOD_ROW] * 7
+        rows[3] = GOOD_ROW.replace(",12345678,,", ",12345678," + "u" * 200_000 + ",")
+        data = (HEADER + "\n" + "\n".join(rows) + "\n").encode()
+        lf, crlf = (tmp_path / f"{name}.csv{'.gz' if gz else ''}" for name in ("lf", "crlf"))
+        for path, payload in ((lf, data), (crlf, data.replace(b"\n", b"\r\n"))):
+            path.write_bytes(gzip.compress(payload) if gz else payload)
+        records, report = read_cells(crlf)
+        assert (records, report) == read_cells(lf)
+        assert report.rows_kept == len(records) == 7
 
     @pytest.mark.parametrize("lines", [
         [HEADER, GOOD_ROW, GOOD_ROW],               # no newlines at all

@@ -37,6 +37,7 @@ from gnbdim.ingest import (
     LTE_CELL_LIMIT,
     RADIOS,
     Cells,
+    int_column,
     parse_csv,
     read_cells,
     write_cells,
@@ -235,12 +236,7 @@ def test_columnar_parse_matches_reference(rows):
     want_records, want_reasons = reference_parse(text)
     cells, report = parse_csv(io.StringIO(text))
 
-    rows = zip(
-        [RADIOS[code] for code in cells.radio], cells.plmn, cells.area, cells.cell,
-        cells.lon.tolist(), cells.lat.tolist(), cells.range_m.tolist(), cells.samples,
-        cells.created, cells.updated, cells.avg_signal.tolist(),
-    )
-    assert [repr(r) for r in rows] == [repr(r) for r in want_records]
+    assert cell_rows(cells) == [repr(r) for r in want_records]
     assert report.reject_reasons == dict(want_reasons)
     assert report.rows_kept == len(cells) == len(want_records)
     assert report.rows_read == len(want_records) + sum(want_reasons.values())
@@ -320,12 +316,10 @@ def unquoted_exports(draw):
 
 
 def cell_rows(cells) -> list[str]:
-    """``repr`` of each kept row, in the reference's tuple layout."""
-    return [repr(row) for row in zip(
-        [RADIOS[code] for code in cells.radio], cells.plmn, cells.area, cells.cell,
-        cells.lon.tolist(), cells.lat.tolist(), cells.range_m.tolist(), cells.samples,
-        cells.created, cells.updated, cells.avg_signal.tolist(),
-    )]
+    """``repr`` of each kept row, in the reference's tuple layout: the
+    columns' Python values, in field order, the radio by name."""
+    radio, *columns = (column.tolist() for column in vars(cells).values())
+    return [repr(row) for row in zip([RADIOS[code] for code in radio], *columns)]
 
 
 def parse_in_blocks(text: str, block_lines: int, csv_split):
@@ -400,9 +394,9 @@ def test_only_a_block_with_a_quote_goes_to_the_row_loop():
 
 # --- the csv split -------------------------------------------------------------
 #
-# A block with a quote, CR or NUL is split by csv.reader, and its rows of 14
-# fields are joined by commas into one buffer for the decoder. The fields
-# then hold what the byte split never meets: commas, NUL, any character.
+# A block with a quote, a NUL or a lone CR is split by csv.reader, and its
+# rows of 14 fields are joined by commas into one buffer for the decoder. The
+# fields then hold what the byte split never meets: commas, NUL, any character.
 
 def parse_and_reference(lines: list[str]):
     """Kept rows and reject reasons of ``parse_csv`` and of
@@ -463,11 +457,11 @@ def test_a_lone_surrogate_is_read_as_the_reference_reads_it(quoted):
 # --- the byte reader -------------------------------------------------------------
 #
 # ``read_cells`` reads a file as bytes, ``READ_SIZE`` at a time, cuts it into
-# pieces of whole lines, checks them as UTF-8 and takes blocks of
-# ``BLOCK_LINES`` lines. The reference is ``reference_parse`` over the same file opened in
-# text mode. Both sizes are patched small, so piece edges fall inside
-# multi-byte characters, CR-LF pairs and the BOM, and block edges inside
-# quoted fields that hold newlines.
+# pieces of whole lines, checks them as UTF-8 and parses each piece as a
+# block. The reference is ``reference_parse`` over the same file opened in
+# text mode. The read size is patched small, so piece edges fall inside
+# multi-byte characters, CR-LF pairs, the BOM and quoted fields that hold
+# newlines, or to a few hundred bytes, so a piece holds several lines.
 
 RAW_TEXT = st.sampled_from([
     "", "x", "é", "€uro", "\U0001d11e", "a,b", 'say "hi"', "two\nlines", "two\r\nlines",
@@ -529,23 +523,25 @@ def reference_read_outcome(path: Path):
 
 
 @settings(max_examples=150, deadline=None)
-@given(raw_exports(), st.integers(1, 64), st.integers(1, 9))
+@given(raw_exports(), st.integers(1, 64) | st.integers(65, 1024))
 # A BOM split over pieces, a header ended by a lone CR, a quoted field of a
-# 3-byte character and newlines run past a block of one line, no final newline.
+# 3-byte character and newlines run past a piece, no final newline.
 @example(b"\xef\xbb\xbf" + ",".join(EXPECTED_HEADER).encode() + b"\r" + ",".join(GOOD_ROW).encode()
-         + b"\r\n" + ",".join(edited(5, '"\xe2\x82\xac\n\n"')).encode(), 2, 1)
+         + b"\r\n" + ",".join(edited(5, '"\xe2\x82\xac\n\n"')).encode(), 2)
+# A lone CR and a CR-LF pair between unquoted rows of one piece.
+@example((",".join(EXPECTED_HEADER) + "\n" + "\r".join([",".join(GOOD_ROW)] * 2) + "\r\n"
+          + ",".join(GOOD_ROW) + "\n").encode(), 1024)
 # An undecodable byte in a column the parser ignores.
 @example((",".join(EXPECTED_HEADER) + "\n" + ",".join(GOOD_ROW) + "\n").encode()
-         + ",".join(edited(5, "\udcff")).encode("utf-8", "surrogateescape") + b"\n", 64, 9)
-def test_byte_reader_matches_text_mode_reference(data, read_size, block_lines):
+         + ",".join(edited(5, "\udcff")).encode("utf-8", "surrogateescape") + b"\n", 64)
+def test_byte_reader_matches_text_mode_reference(data, read_size):
     with tempfile.TemporaryDirectory() as tmp:
         for path, payload in [
             (Path(tmp) / "export.csv", data),
             (Path(tmp) / "export.csv.gz", gzip.compress(data)),
         ]:
             path.write_bytes(payload)
-            with patch.object(ingest, "READ_SIZE", read_size), \
-                    patch.object(ingest, "BLOCK_LINES", block_lines):
+            with patch.object(ingest, "READ_SIZE", read_size):
                 got = read_outcome(path)
             want = reference_read_outcome(path)
             if isinstance(want, UnicodeDecodeError):
@@ -560,12 +556,7 @@ def test_byte_reader_matches_text_mode_reference(data, read_size, block_lines):
 
 def csv_writer_cells(path: Path, records: Cells) -> None:
     """``write_cells`` as csv.writer wrote it, a row at a time."""
-    rows = zip(
-        records.radio.tolist(), records.plmn, records.area, records.cell,
-        records.lon.tolist(), records.lat.tolist(), records.range_m.tolist(),
-        records.samples, records.created, records.updated,
-        records.avg_signal.tolist(),
-    )
+    rows = zip(*(column.tolist() for column in vars(records).values()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EXPECTED_HEADER)
@@ -600,15 +591,15 @@ def cells_tables(draw) -> Cells:
 
     return Cells(
         radio=np.array(column(st.integers(0, len(RADIOS) - 1)), dtype=np.int8),
-        plmn=column(st.text("0123456789", min_size=5, max_size=6)),
-        area=column(BIG_INTS),
-        cell=column(BIG_INTS),
+        plmn=np.array(column(st.text("0123456789", min_size=5, max_size=6)), dtype=object),
+        area=int_column(column(BIG_INTS)),
+        cell=int_column(column(BIG_INTS)),
         lon=np.array(column(EDGE_FLOATS), dtype=np.float64),
         lat=np.array(column(EDGE_FLOATS), dtype=np.float64),
         range_m=np.array(column(EDGE_FLOATS), dtype=np.float64),
-        samples=column(BIG_INTS),
-        created=column(BIG_INTS),
-        updated=column(BIG_INTS),
+        samples=int_column(column(BIG_INTS)),
+        created=int_column(column(BIG_INTS)),
+        updated=int_column(column(BIG_INTS)),
         avg_signal=np.array(column(st.one_of(st.just(math.nan), EDGE_FLOATS)), dtype=np.float64),
     )
 
