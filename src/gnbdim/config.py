@@ -88,26 +88,33 @@ def one_of(*choices: str) -> Kind:
 
 
 def list_of(kind: Kind, length: int | None = None) -> Kind:
-    """A JSON array of ``kind`` items, of the given length if there is one."""
+    """A JSON array of ``kind`` items, of the given length if there is one.
 
-    def check(value: Any, key: str) -> list:
-        if not isinstance(value, list) or (length is not None and len(value) != length):
-            raise _bad(key, "a list" if length is None else f"a list of {length}", value)
-        return [kind(item, f"{key}[{i}]") for i, item in enumerate(value)]
+    A partial, so the item kind reads back as ``args[0]``.
+    """
+    return functools.partial(_items, kind, length)
 
-    return check
+
+def _items(kind: Kind, length: int | None, value: Any, key: str) -> list:
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        raise _bad(key, "a list" if length is None else f"a list of {length}", value)
+    return [kind(item, f"{key}[{i}]") for i, item in enumerate(value)]
 
 
 def section(rows: dict[str, tuple[Kind, Any]]) -> Kind:
-    """A JSON object with the keys of ``rows``: name -> (kind, default)."""
-    return lambda value, key: _walk(rows, value, key)
+    """A JSON object with the keys of ``rows``: name -> (kind, default).
+
+    A partial, so the rows read back as ``args[0]``.
+    """
+    return functools.partial(_walk, rows)
 
 
 def _walk(rows: dict[str, tuple[Kind, Any]], value: Any, key: str) -> dict:
     """``value`` checked against ``rows``, defaults filled in: the resolved object.
 
-    Defaults pass through their kind too, so a default section resolves
-    to all of its own defaults.
+    A default section, ``{}``, is walked too, so it resolves to all of
+    its own defaults. Every other default is stored as it is: each is
+    already what its kind makes of it, the same value of the same type.
     """
     if not isinstance(value, dict):
         raise _bad(key or "config root", "an object", value)
@@ -121,8 +128,10 @@ def _walk(rows: dict[str, tuple[Kind, Any]], value: Any, key: str) -> dict:
             resolved[name] = kind(value[name], prefix + name)
         elif default is REQUIRED:
             raise ConfigError(f"missing config key {prefix}{name}")
-        elif default is not ABSENT:
+        elif isinstance(default, dict):
             resolved[name] = kind(default, prefix + name)
+        elif default is not ABSENT:
+            resolved[name] = default
     return resolved
 
 

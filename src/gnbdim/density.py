@@ -11,8 +11,9 @@ some record falls in, so binning and the search work in O(occupied rows
 * n_cols): a row whose weights are all +0.0 adds nothing to a prefix
 sum. Weights are sums of sample counts, never negative; the search
 rejects a weight whose sign bit is set, -0.0 included. It makes the
-prefix rows one band at a time, so beyond the grid it holds
-O((band + h) * n_cols) floats, not two full-grid tables.
+prefix rows one band of window anchors at a time, so beyond the grid it
+holds at most twice _BAND_BYTES, whatever the window height, not two
+full-grid tables.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ MAX_TILES = 100_000_000
 MAX_EXTENT_KM = 2.0 * math.pi * EARTH_RADIUS_KM  # once around the Earth
 # Above this size, tile indices over MAX_EXTENT_KM are exact integers.
 MIN_TILE_KM = MAX_EXTENT_KM / 2**53
-_BAND_BYTES = 2 << 20  # bytes of prefix rows per band of the window search
+_BAND_BYTES = 2 << 20  # bytes of prefix rows, and of window sums, in the window search
+_ROW_CALL_COLS = 256  # from this many columns, prefix rows are made a row per call
 
 _DEG = math.pi / 180.0
 KM_PER_DEG = EARTH_RADIUS_KM * _DEG  # along a meridian
@@ -197,13 +199,22 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
     row r equals prefix row k(r), made from the first k(r) listed rows
     only. The sum of the window anchored at row a then depends only on
     (k(a), k(a + h_rows)), and of each run of anchors sharing that pair
-    only the first, which wins the tie, is scored.
+    only the first, which wins the tie, is scored. From one scored
+    anchor to the next, k(a) and k(a + h_rows) each move on by at most
+    one listed row.
 
-    The prefix table is never held whole: its rows are made one band of
-    scored anchors at a time in a buffer that slides north, so the search
-    holds O((band + h_rows) * n_cols) floats. Every sum is added in the
-    same order as over the full table, so the answer is the same to the
-    bit.
+    The prefix table is never held whole. Anchors are scored one band at
+    a time, and a band needs the prefix rows k(a) of its anchors, its
+    bottoms, and k(a + h_rows), its tops: each a run of at most one row
+    per anchor. While the window's listed rows fill at most half of the
+    _BAND_BYTES of prefix rows, one buffer from the bottoms to the tops
+    serves both and slides north from band to band. A taller window
+    gives the bottoms and the tops each their own run, made from their
+    own column carry, so every prefix row is made twice. The search
+    holds at most _BAND_BYTES of prefix rows and as much again of window
+    sums and gathered rows, whatever h_rows and the number of listed
+    rows. Every sum is added in the same order as over the full table,
+    so the answer is the same to the bit.
     """
     weight = grid.weight
     rows, cols = grid.spec.n_rows, grid.spec.n_cols
@@ -213,9 +224,10 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
         negative = weight[np.signbit(weight)][0].item()
         raise GnbdimError(f"tile weights must not be negative, got {negative!r}")
     n_anchors = rows - h_rows + 1
-    if len(weight) == rows:  # every row listed: every anchor starts a run
-        anchor = np.arange(n_anchors)
-        k0, k1 = anchor, anchor + h_rows
+    every_row = len(weight) == rows
+    if every_row:  # every anchor starts a run
+        anchor = k0 = range(n_anchors)
+        k1 = range(h_rows, rows + 1)
     else:
         is_listed = np.zeros(rows, dtype=bool)
         is_listed[grid.rows] = True
@@ -228,51 +240,79 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
         k0, k1 = k[anchor], k[anchor + h_rows]
     n_scored, span = len(anchor), min(h_rows, len(weight))
     # On an all-empty grid span is 0 and one anchor is scored.
-    band = min(n_scored, max(span, 1, _BAND_BYTES // ((cols + 1) * 8)))
-    # Row j holds prefix row base + j; column 0 and prefix row 0 stay zero.
-    # A band's anchors need prefix rows k0 of its first to k1 of its last,
-    # at most band + span rows.
-    prefix = np.zeros((band + span, cols + 1), dtype=np.float64)
+    row_bytes = (cols + 1) * 8
+    held = max(2, _BAND_BYTES // row_bytes)  # prefix rows
+    # Per anchor: a row of window sums and, unless every row is listed,
+    # a gathered top and bottom prefix row.
+    per_anchor = (cols - w_cols + 1) * 8 + (0 if every_row else 2 * row_bytes)
+    one_run = 2 * span <= held
+    band = max(1, min(n_scored, held - span if one_run else held // 2, _BAND_BYTES // per_anchor))
+    # A run is [buffer, base, made, carry]: buffer row j holds prefix row
+    # base + j for rows base..made, and carry the column sums of the
+    # weight rows below prefix row made. Column 0 and prefix row 0 stay
+    # zero. One run needs up to band + span rows, two runs band rows each.
+    prefix = np.zeros((band + span if one_run else 2 * band, cols + 1), dtype=np.float64)
+    if one_run:
+        bottom = top = [prefix, 0, 0, None]
+    else:
+        bottom, top = [prefix[:band], 0, 0, None], [prefix[band:], 0, 0, None]
     sums = np.empty((band, cols - w_cols + 1), dtype=np.float64)
-    base = made = 0  # prefix rows base..made are in the buffer
-    carry = None  # column sums of the weight rows up to prefix row `made`
+    gathered = None if every_row else np.empty((2, band, cols + 1), dtype=np.float64)
     best = None
     # An overflow shows in the total, checked after the last band.
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n_scored, band):
             n = min(band, n_scored - i0)
-            q0, q1 = int(k0[i0]), int(k1[i0 + n - 1])
-            if q1 - q0 == n - 1 + h_rows:  # all the band's rows listed: k0, k1 step by 1
-                lo, hi = slice(0, n), slice(h_rows, n + h_rows)
-            else:
-                lo, hi = k0[i0 : i0 + n] - q0, k1[i0 : i0 + n] - q0
-            if q0 > base:  # slide the rows still needed to the front
-                prefix[: made - q0 + 1] = prefix[q0 - base : made - base + 1]
-                base = q0
-            if q1 > made:  # a band may only move k0 on and need no new row
-                new = prefix[made - base + 1 : q1 - base + 1, 1:]
-                src = weight[made:q1]
-                if carry is None:
-                    np.add.accumulate(src, axis=0, out=new)
-                else:  # carry + W[r] is the full table's out[r-1] + W[r]
-                    np.add(carry, src[0], out=new[0])
-                    new[1:] = src[1:]
-                    np.add.accumulate(new, axis=0, out=new)
-                if i0 + n < n_scored:
-                    carry = new[-1].copy()
-                np.add.accumulate(new, axis=1, out=new)
-                made = q1
+            q0, b1 = int(k0[i0]), int(k0[i0 + n - 1])  # the bottoms' prefix rows
+            t0, q1 = int(k1[i0]), int(k1[i0 + n - 1])  # the tops'
+            runs = ((top, q0, q1),) if one_run else ((bottom, q0, b1), (top, t0, q1))
+            for run, lo_row, hi_row in runs:
+                buf, base, made, carry = run
+                while hi_row > made:  # a band may only move k0 on and need no new row
+                    # A run that starts past made + 1 (the tops', at first) makes
+                    # the rows below it too, for its carry only.
+                    keep = lo_row if lo_row <= made else made + 1
+                    if keep > base:  # slide the rows still needed to the front
+                        buf[: made - keep + 1] = buf[keep - base : made - base + 1]
+                        base = keep
+                    stop = hi_row if hi_row < base + len(buf) else base + len(buf) - 1
+                    new = buf[made - base + 1 : stop - base + 1, 1:]
+                    src = weight[made:stop]
+                    if cols < _ROW_CALL_COLS:  # one call adds down every column
+                        if carry is None:
+                            np.add.accumulate(src, axis=0, out=new)
+                        else:  # carry + W[r] is the full table's out[r-1] + W[r]
+                            np.add(carry, src[0], out=new[0])
+                            new[1:] = src[1:]
+                            np.add.accumulate(new, axis=0, out=new)
+                    else:  # the same additions, a whole row per call: faster on wide rows
+                        np.add(0.0 if carry is None else carry, src[0], out=new[0])
+                        for r in range(1, len(new)):
+                            np.add(new[r - 1], src[r], out=new[r])
+                    if stop < hi_row or i0 + n < n_scored:
+                        carry = new[-1].copy()
+                    np.add.accumulate(new, axis=1, out=new)
+                    made = stop
+                run[1:] = base, made, carry
+            bottoms, b_base = bottom[0], bottom[1]
+            tops, t_base = top[0], top[1]
+            if b1 - q0 == n - 1 and q1 - t0 == n - 1:  # k0 and k1 step by 1: slices
+                lo = bottoms[q0 - b_base : q0 - b_base + n]
+                hi = tops[t0 - t_base : t0 - t_base + n]
+            else:  # "clip" writes straight into out; the indices are in range
+                lo = np.take(bottoms, k0[i0 : i0 + n] - b_base, 0, gathered[0, :n], "clip")
+                hi = np.take(tops, k1[i0 : i0 + n] - t_base, 0, gathered[1, :n], "clip")
             # In the order (a - b) - c + d, as over the full table.
-            top, bottom = prefix[hi], prefix[lo]
             s = sums[:n]
-            np.subtract(top[:, w_cols:], bottom[:, w_cols:], out=s)
-            s -= top[:, :-w_cols]
-            s += bottom[:, :-w_cols]
+            np.subtract(hi[:, w_cols:], lo[:, w_cols:], out=s)
+            s -= hi[:, :-w_cols]
+            s += lo[:, :-w_cols]
             flat = int(s.argmax())  # row-major: smallest row0 first, then col0
             value = s.item(flat)
             if best is None or value > best[0]:  # an equal later band loses the tie
                 best = (value, i0 * s.shape[1] + flat)
-    total = float(prefix[made - base, -1])
+    tops, t_base, made, _ = top
+    total = float(tops[made - t_base, -1])  # prefix row k(n_rows): the grid total
     if not math.isfinite(total):
         raise GnbdimError(
             f"binned samples overflow: the grid's total weight is {total}, "

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 import re
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnbdim.balance import MAX_ITER
-from gnbdim.config import load_config, load_config_dict
+from gnbdim.config import ABSENT, REQUIRED, SCHEMA, load_config, load_config_dict
 from gnbdim.density import EARTH_RADIUS_KM, MIN_TILE_KM
 from gnbdim.errors import ConfigError
 from gnbdim.ingest import RADIOS
@@ -381,3 +382,32 @@ def test_echo_reloads_to_the_same_config(doc):
     # NrConfig.allowed does not take part in ==, so the echoes are compared too.
     assert again.to_dict() == cfg.to_dict()
     assert ("allowed_bandwidths" in echo["nr"]) == ("allowed_bandwidths" in doc["nr"])
+
+
+def _stored_defaults(rows, prefix=""):
+    """(dotted key, kind, default) of each default stored without its kind.
+
+    Sections and lists of sections are partials whose rows or item kind
+    is their first argument; their keys are followed down.
+    """
+    for name, (kind, default) in rows.items():
+        inner = kind
+        while isinstance(inner, functools.partial):
+            inner = inner.args[0]
+            if isinstance(inner, dict):
+                yield from _stored_defaults(inner, f"{prefix}{name}.")
+                break
+        if not (default is REQUIRED or default is ABSENT or isinstance(default, dict)):
+            yield prefix + name, kind, default
+
+
+def test_stored_defaults_are_fixed_points_of_their_kind():
+    # A default is stored as it is, so the echo holds the same bytes only
+    # if its kind would give back the same value of the same type.
+    stored = list(_stored_defaults(SCHEMA))
+    assert {"nr.bwps.purpose", "filters.bbox", "balance.max_iter", "input"} <= {
+        key for key, _, _ in stored
+    }
+    for key, kind, default in stored:
+        resolved = kind(default, key)
+        assert resolved == default and type(resolved) is type(default), key

@@ -5,11 +5,13 @@
 time, from the listed rows only. Together they must pick exactly the
 anchor and the window weight (to the bit) that the full-table search
 over the full raster picks, kept here as ``reference_find_5gda``, and
-raise the same overflow error, whatever the band height and however
-many rows are empty. The search's memory must stay far below the grid's
-own size, and on a mostly empty grid far below its dense band buffers;
-binning and searching a tall, mostly empty grid must stay far below the
-size of its raster.
+raise the same overflow error, whatever the band height, however many
+rows are empty, and whether the prefix rows are made down the columns
+at once or a row per call. The search's memory must stay far below the
+grid's own size, and on a mostly empty grid far below its dense band
+buffers; binning and searching a tall, mostly empty grid must stay far
+below the size of its raster, and the search alone within one fixed
+bound whatever the window height.
 """
 
 from __future__ import annotations
@@ -118,15 +120,21 @@ def searches(draw):
 @example((np.array([[3.0, 1.0, 4.0, 1.0, 5.0, 9.0]]), 2, 1, 1))  # single row
 @example((np.array([[3.0], [1.0], [4.0], [1.0], [5.0], [9.0]]), 1, 2, 1))  # single column
 @example((np.array([[1e308, 0.0], [0.0, 1e308]]), 1, 1, 1))  # overflows in the last band
+@example((np.arange(30.0).reshape(10, 3), 2, 6, 4))  # window taller than the band: two runs
+@example((np.array([[5.0], [0.0], [0.0]] * 3), 1, 3, 2))  # equal maxima, one band each
+@example((np.array([[1e308], [0.0], [0.0], [1e308], [0.0]]), 1, 4, 2))  # overflow, two runs
 def test_banded_search_matches_the_full_table(case):
     weights, w_cols, h_rows, band_rows = case
     grid = grid_of(weights)
     expected = _outcome(reference_find_5gda, grid, w_cols, h_rows)
-    # A band is at least h_rows anchor rows, so band_rows <= h_rows gives
-    # one band per h_rows rows and band_rows == rows a single band.
+    # With _BAND_BYTES at band_rows prefix rows, a band scores at most
+    # max(band_rows, 2) anchors, and a window of more than half that many
+    # listed rows gives each band two runs of prefix rows.
     band_bytes = band_rows * (weights.shape[1] + 1) * 8
     with mock.patch.object(density, "_BAND_BYTES", band_bytes):
         assert _outcome(find_5gda, grid, w_cols, h_rows) == expected
+        with mock.patch.object(density, "_ROW_CALL_COLS", 1):  # a prefix row per call
+            assert _outcome(find_5gda, grid, w_cols, h_rows) == expected
 
 
 def test_search_memory_is_a_fraction_of_the_grid():
@@ -169,6 +177,13 @@ def _one_row(rows, cols, at, value=1.0):
     return weights
 
 
+def _counted_rows(rows, cols, at):
+    """Zeros but for the rows ``at``, which count on from 1."""
+    weights = np.zeros((rows, cols))
+    weights[at] = np.arange(1.0, len(at) * cols + 1).reshape(len(at), cols)
+    return weights
+
+
 @settings(max_examples=400, deadline=None)
 @given(sparse_searches())
 @example((np.zeros((6, 3)), [], 2, 2, 1))  # all empty: one scored anchor
@@ -179,12 +194,15 @@ def _one_row(rows, cols, at, value=1.0):
 @example((_one_row(12, 2, [0, 11]), [0, 11], 2, 2, 2))  # bands start inside the empty run
 @example((_one_row(8, 2, [1, 6]), [1, 3, 6], 1, 2, 1))  # a listed row of zeros
 @example((np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), [0, 2], 1, 2, 1))
+@example((_counted_rows(14, 2, [1, 2, 5, 8, 9, 13]), [1, 2, 5, 8, 9, 13], 1, 6, 6))  # two runs
 def test_row_skipping_matches_the_full_table(case):
     weights, listed, w_cols, h_rows, band_rows = case
     expected = _outcome(reference_find_5gda, grid_of(weights), w_cols, h_rows)
     band_bytes = band_rows * (weights.shape[1] + 1) * 8
     with mock.patch.object(density, "_BAND_BYTES", band_bytes):
         assert _outcome(find_5gda, grid_of(weights, listed), w_cols, h_rows) == expected
+        with mock.patch.object(density, "_ROW_CALL_COLS", 1):  # a prefix row per call
+            assert _outcome(find_5gda, grid_of(weights, listed), w_cols, h_rows) == expected
 
 
 def test_search_memory_on_a_mostly_empty_grid():
@@ -200,9 +218,9 @@ def test_search_memory_on_a_mostly_empty_grid():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # What the search holds when every row is occupied: the prefix buffer
-    # of band + h_rows rows and the band's window sums. Here it scores at
-    # most 21 anchors, from 11 prefix rows.
+    # A yardstick from a fully occupied grid: _BAND_BYTES of prefix rows,
+    # h_rows more, and the window sums of as many anchors. Here the search
+    # scores at most 21 anchors, from 11 prefix rows.
     band = density._BAND_BYTES // ((cols + 1) * 8)
     dense = (band + h_rows) * (cols + 1) * 8 + band * (cols - w_cols + 1) * 8
     assert peak < dense / 2
@@ -313,10 +331,12 @@ def test_binning_the_occupied_rows_matches_the_full_raster(case):
     band_bytes = band_rows * (spec.n_cols + 1) * 8
     with mock.patch.object(density, "_BAND_BYTES", band_bytes):
         assert _outcome(find_5gda, grid, w_cols, h_rows) == expected
+        with mock.patch.object(density, "_ROW_CALL_COLS", 1):  # a prefix row per call
+            assert _outcome(find_5gda, grid, w_cols, h_rows) == expected
 
 
-def test_binning_and_search_memory_on_a_tall_sparse_grid():
-    # The raster would be 4000 * 4000 * 8 bytes = 128 MB, twice over.
+def _tall_sparse_records():
+    """20000 records in 120 rows of a 4000 x 4000 grid."""
     spec = GridSpec(origin_lon=0.0, origin_lat=0.0, n_cols=4000, n_rows=4000)
     rng = np.random.default_rng(47)
     rows = rng.choice(spec.n_rows, size=120, replace=False)
@@ -324,7 +344,12 @@ def test_binning_and_search_memory_on_a_tall_sparse_grid():
     x_km = rng.integers(0, spec.n_cols, size=n) + 0.5
     y_km = rows[rng.integers(0, len(rows), size=n)] + 0.5
     lon, lat = unproject(x_km, y_km, spec)
-    records = towers(lon, lat, rng.integers(0, 1000, size=n).tolist())
+    return spec, towers(lon, lat, rng.integers(0, 1000, size=n).tolist())
+
+
+def test_binning_and_search_memory_on_a_tall_sparse_grid():
+    # The raster would be 4000 * 4000 * 8 bytes = 128 MB, twice over.
+    spec, records = _tall_sparse_records()
     tracemalloc.start()
     try:
         grid = bin_records(records, spec)
@@ -333,4 +358,19 @@ def test_binning_and_search_memory_on_a_tall_sparse_grid():
     finally:
         tracemalloc.stop()
     assert len(grid.rows) == 120
-    assert peak < 64 << 20
+    assert peak < 16 << 20
+
+
+def test_search_memory_does_not_grow_with_the_window_height():
+    # Shorter windows share one buffer of prefix rows, taller ones take two runs.
+    spec, records = _tall_sparse_records()
+    grid = bin_records(records, spec)
+    bound = 2 * density._BAND_BYTES + (1 << 20)
+    for h_rows in (30, 120, 300, 1000):
+        tracemalloc.start()
+        try:
+            find_5gda(grid, 300, h_rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (h_rows, peak)
