@@ -212,9 +212,10 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
     gives the bottoms and the tops each their own run, made from their
     own column carry, so every prefix row is made twice. The search
     holds at most _BAND_BYTES of prefix rows and as much again of window
-    sums and gathered rows, whatever h_rows and the number of listed
-    rows. Every sum is added in the same order as over the full table,
-    so the answer is the same to the bit.
+    sums and gathered rows (but never fewer than two prefix rows and one
+    anchor's), whatever h_rows and the number of listed rows. Every sum
+    is added in the same order as over the full table, so the answer is
+    the same to the bit.
     """
     weight = grid.weight
     rows, cols = grid.spec.n_rows, grid.spec.n_cols
