@@ -30,12 +30,10 @@ undecodable byte aborts the read. A line ends at a newline, a CR-LF pair
 or a lone CR, as text mode with newline="" cuts it. Each piece is a
 block: the header is cut at its first line end, and a quoted field left
 open at a piece's end reads on into the next piece, whose rest is a block
-of its own. :func:`parse_csv` parses its lines in blocks of
-:data:`BLOCK_LINES`, and :func:`write_cells` formats as many rows at a
-time. A block with no quote, NUL or lone CR splits at every comma and
-line end of its bytes, as csv.reader splits it, with no limit on a line's
-length. Any other block is decoded and split by csv.reader, and its
-fields are joined by commas into one such buffer.
+of its own. A block with no quote, NUL or lone CR splits at every comma
+and line end of its bytes, as csv.reader splits it, with no limit on a
+line's length. Any other block is decoded and split by csv.reader, and
+its fields are joined by commas into one such buffer.
 Either way one decoder reads the fields column by column in numpy:
 integers of up to 18 digits; decimals whose digits, point left out, form
 an integer up to 2**53 with at most 22 of them after the point, whose
@@ -54,9 +52,9 @@ import io
 import sys
 import zlib
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -164,7 +162,7 @@ def _plmn_digits(mcc_text: str, net_text: str) -> str | None:
     return plmn if len(mcc) == 3 and is_plmn(plmn) else None
 
 
-BLOCK_LINES = 1024  # lines of parse_csv decoded, or rows of write_cells formatted, together
+BLOCK_LINES = 1024  # rows write_cells formats at a time
 
 _INTS = (3, 4, 9, 11, 12)  # area, cell, samples, created, updated
 _DECIMALS = (6, 7, 8, 13)  # lon, lat, range, averageSignal
@@ -197,7 +195,7 @@ class _Columns:
         self.rows_read = 0
         self.rejects = dict.fromkeys((BAD_SHAPE, BAD_RADIO, BAD_NUMERIC, BAD_COORDINATE), 0)
 
-    def add_rows(self, rows: Iterable[list[str]]) -> None:
+    def add_rows(self, rows: Iterator[list[str]]) -> None:
         """Add csv rows: the fields of each row of 14 are joined by commas
         into one UTF-8 buffer for :meth:`add`, which decodes them."""
         n_fields = len(EXPECTED_HEADER)
@@ -208,12 +206,9 @@ class _Columns:
             elif row:  # a blank line is not a data row
                 misshapen += 1
         joined = ",".join(fields)
-        if joined.isascii():
-            length = map(len, fields)
-        else:  # a lone surrogate is kept, as its 3-byte UTF-8 form
-            length = (len(f.encode("utf-8", "surrogatepass")) for f in fields)
+        length = map(len, fields) if joined.isascii() else (len(f.encode()) for f in fields)
         length = np.fromiter(length, dtype=np.intp, count=len(fields))
-        raw = joined.encode("utf-8", "surrogatepass")
+        raw = joined.encode()
         end = (np.cumsum(length + 1) + (_PAD - 1)).reshape(-1, n_fields).T
         start = end - length.reshape(-1, n_fields).T
         data = np.frombuffer(bytes(_PAD) + raw + bytes(8), dtype=np.uint8)
@@ -326,7 +321,7 @@ class _Columns:
 
 
 def _text(data: np.ndarray, start: int, end: int) -> str:
-    return data[start:end].tobytes().decode("utf-8", "surrogatepass")
+    return data[start:end].tobytes().decode()
 
 
 def _spellings(
@@ -435,7 +430,7 @@ def _splittable(raw: bytes) -> bytes | None:
 def _text_lines(raw: bytes) -> list[str]:
     """The lines of ``raw`` as text, cut as text mode with newline="" cuts
     them: after a newline, a CR-LF pair or a lone CR."""
-    return io.StringIO(raw.decode("utf-8", "surrogatepass"), newline="").readlines()
+    return io.StringIO(raw.decode(), newline="").readlines()
 
 
 def _rows_of(block: list[str], lines: Iterator[str]) -> Iterator[list[str]]:
@@ -453,46 +448,6 @@ def _rows_of(block: list[str], lines: Iterator[str]) -> Iterator[list[str]]:
     for row in reader:
         ended = reader.line_num
         yield row
-
-
-def _parse(
-    lines: Iterator[str], blocks: Iterable[bytes | list[str]]
-) -> tuple[Cells, IngestReport]:
-    """Parse tower records: the header from the text ``lines``, then the
-    ``blocks`` of lines after it. A block of bytes goes to the byte
-    splitter; a list of text lines to csv.reader, which reads on from
-    ``lines`` while a quoted field is open."""
-    try:
-        header = next(csv.reader(lines))
-    except (StopIteration, csv.Error):
-        raise GnbdimError("input has no header row") from None
-    if tuple(h.strip() for h in header) != EXPECTED_HEADER:
-        raise GnbdimError(f"header mismatch: expected {','.join(EXPECTED_HEADER)}")
-
-    out = _Columns()
-    for block in blocks:
-        if isinstance(block, bytes):
-            _split_block(out, block)
-        else:
-            out.add_rows(_rows_of(block, lines))
-    return out.result()
-
-
-def parse_csv(lines: Iterable[str]) -> tuple[Cells, IngestReport]:
-    """Parse tower records from CSV text lines, each item one line as
-    csv.reader reads it; bad rows are counted, not fatal."""
-    lines = iter(lines)
-
-    def blocks():
-        while batch := list(islice(lines, BLOCK_LINES)):
-            text = "".join(line if line.endswith("\n") else line + "\n" for line in batch)
-            raw = text.encode("utf-8", "surrogatepass")
-            # The byte splitter reads the items as csv.reader reads them only
-            # where each item has no line end but its last character.
-            split = _splittable(raw)
-            yield batch if split is None or raw.count(b"\n") > len(batch) else split
-
-    return _parse(lines, blocks())
 
 
 READ_SIZE = 1 << 17  # bytes read from a file at a time; sets the decoder's working memory
@@ -553,16 +508,38 @@ class _Pieces:
             # A CR that no newline follows ends a line too.
             cr = piece.find(b"\r", pos, end if newline < 0 else max(pos, newline - 1))
             self._pos = end = cr + 1 if cr >= 0 else end
-            yield piece[pos:end].decode("utf-8", "surrogatepass")
+            yield piece[pos:end].decode()
 
-    def blocks(self) -> Iterator[bytes | list[str]]:
-        """The unread rest of each piece: its bytes for the byte splitter,
-        or its text lines for csv.reader where :func:`_splittable` refuses it."""
+    def blocks(self) -> Iterator[bytes]:
+        """The unread rest of each piece."""
         while self._unread():
             raw = self._piece[self._pos:]
             self._pos = len(self._piece)
-            split = _splittable(raw)
-            yield _text_lines(raw) if split is None else split
+            yield raw
+
+
+def _parse(fh: BinaryIO) -> tuple[Cells, IngestReport]:
+    """Parse the tower records of the open binary file ``fh``: the header
+    from its first line, then each block after it, by the byte splitter
+    where :func:`_splittable` takes it, else by csv.reader, which reads on
+    past the block while a quoted field is open."""
+    pieces = _Pieces(_checked(_whole_lines(fh.read)))
+    lines = pieces.lines()
+    try:
+        header = next(csv.reader(lines))
+    except (StopIteration, csv.Error):
+        raise GnbdimError("input has no header row") from None
+    if tuple(h.strip() for h in header) != EXPECTED_HEADER:
+        raise GnbdimError(f"header mismatch: expected {','.join(EXPECTED_HEADER)}")
+
+    out = _Columns()
+    for raw in pieces.blocks():
+        split = _splittable(raw)
+        if split is None:
+            out.add_rows(_rows_of(_text_lines(raw), lines))
+        else:
+            _split_block(out, split)
+    return out.result()
 
 
 def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
@@ -573,8 +550,7 @@ def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
     opener = gzip.open if Path(path).name.endswith(".gz") else open
     try:
         with opener(path, "rb") as fh:
-            pieces = _Pieces(_checked(_whole_lines(fh.read)))
-            return _parse(pieces.lines(), pieces.blocks())
+            return _parse(fh)
     except FileNotFoundError:
         raise GnbdimError(f"input file not found: {path}") from None
     except GnbdimError as exc:

@@ -18,12 +18,11 @@ from gnbdim.ingest import (
     EXPECTED_HEADER,
     RADIOS,
     filter_records,
-    parse_csv,
     read_cells,
     write_cells,
 )
 
-from test_ingest_differential import cell_rows, reference_parse
+from test_ingest_differential import cell_rows, parse_bytes, reference_parse
 
 HEADER = ",".join(EXPECTED_HEADER)
 
@@ -31,7 +30,7 @@ GOOD_ROW = "LTE,310,260,6699,12345678,,-87.6,41.8,1000,57,1,1600000000,170000000
 
 
 def parse_text(text: str):
-    return parse_csv(io.StringIO(text))
+    return parse_bytes(text.encode())
 
 
 class TestParseCsv:
@@ -342,33 +341,6 @@ class TestBlockFiles:
         records, report = read_cells(crlf)
         assert (records, report) == read_cells(lf)
         assert report.rows_kept == len(records) == 7
-
-    @pytest.mark.parametrize("lines", [
-        [HEADER, GOOD_ROW, GOOD_ROW],               # no newlines at all
-        [HEADER + "\n", GOOD_ROW, GOOD_ROW + "\n"],  # one line without its newline
-        [HEADER + "\n", "", GOOD_ROW + "\n"],       # an empty line
-        [HEADER + "\n", GOOD_ROW + "\n" + GOOD_ROW + "\n"],  # two records in one line
-        [HEADER + "\n", GOOD_ROW + "\n" + GOOD_ROW],
-        [HEADER + "\n", GOOD_ROW + "\n" + GOOD_ROW, GOOD_ROW + "\n"],  # as many newlines as lines
-        [HEADER + "\n", GOOD_ROW.replace("LTE", "L\ud800") + "\n"],  # a lone surrogate
-        [HEADER + "\n", GOOD_ROW.replace("1000", "1" * 2000) + "\n"],  # over the field limit
-        [HEADER + "\n", *GOOD_ROW.replace(",12345678,", ',"1234|5678",').split("|")],  # a quoted field
-    ])
-    def test_lines_from_any_iterable_parse_as_the_row_loop_parses_them(self, lines):
-        """Each item is a line as csv.reader reads it: an item that holds a
-        newline before its end is an error, and a quoted field runs on into
-        the next item with no newline between. The byte split needs no csv
-        field limit: a line longer than the limit parses."""
-        limit = csv.field_size_limit(1000)
-        try:
-            with patch.object(ingest, "BLOCK_LINES", 2):
-                got = outcome(parse_csv, iter(lines))
-        finally:
-            csv.field_size_limit(limit)
-        with patch.object(ingest, "BLOCK_LINES", 2), csv_split_only():
-            want = outcome(parse_csv, iter(lines))
-        assert got == want
-        assert kept_and_reasons(got) == reference_outcome(iter(lines))
 
 
 class TestCellsEquality:

@@ -38,7 +38,6 @@ from gnbdim.ingest import (
     RADIOS,
     Cells,
     int_column,
-    parse_csv,
     read_cells,
     write_cells,
 )
@@ -234,7 +233,7 @@ def render(rows: list[list[str]]) -> str:
 def test_columnar_parse_matches_reference(rows):
     text = render(rows)
     want_records, want_reasons = reference_parse(text)
-    cells, report = parse_csv(io.StringIO(text))
+    cells, report = parse_bytes(text.encode())
 
     assert cell_rows(cells) == [repr(r) for r in want_records]
     assert report.reject_reasons == dict(want_reasons)
@@ -244,11 +243,12 @@ def test_columnar_parse_matches_reference(rows):
 
 # --- the numpy block decoder -------------------------------------------------
 #
-# ``parse_csv`` splits blocks of unquoted lines at their bytes' commas and
+# The parser splits blocks of unquoted lines at their bytes' commas and
 # newlines and hands any other block to csv.reader; both splits go to the one
 # numpy decoder, ``_Columns.add``. The exports below are written line
 # by line with no csv quoting, so every block reaches the decoder, and
-# ``BLOCK_LINES`` is patched small so each export spans several blocks.
+# ``READ_SIZE`` is patched small so each export spans several pieces, each
+# a block.
 
 def number_texts(max_digits: int = 26):
     """Digit runs with an optional sign and point: every shape the decoder
@@ -322,20 +322,29 @@ def cell_rows(cells) -> list[str]:
     return [repr(row) for row in zip([RADIOS[code] for code in radio], *columns)]
 
 
-def parse_in_blocks(text: str, block_lines: int, csv_split):
-    """``parse_csv`` with blocks of ``block_lines`` lines and ``csv_split``
-    in place of ``_Columns.add_rows``, which adds the rows csv.reader split."""
-    with patch.object(ingest, "BLOCK_LINES", block_lines), \
+def parse_bytes(data: bytes):
+    """The parse ``read_cells`` makes of a file that holds ``data``."""
+    return ingest._parse(io.BytesIO(data))
+
+
+READ_SIZES = st.integers(1, 64) | st.integers(65, 1024)
+
+
+def parse_in_pieces(text: str, read_size: int, csv_split):
+    """The parse of ``text`` read ``read_size`` bytes at a time, with
+    ``csv_split`` in place of ``_Columns.add_rows``, which adds the rows
+    csv.reader split."""
+    with patch.object(ingest, "READ_SIZE", read_size), \
             patch.object(ingest._Columns, "add_rows", csv_split):
-        return parse_csv(io.StringIO(text))
+        return parse_bytes(text.encode())
 
 
 def no_csv_split(self, rows):
-    raise AssertionError("a block without quotes, CR or NUL went to csv.reader")
+    raise AssertionError("a piece without quotes, CR or NUL went to csv.reader")
 
 
 @settings(max_examples=100, deadline=None)
-@given(unquoted_exports(), st.integers(1, 9))
+@given(unquoted_exports(), READ_SIZES)
 @example(
     "\n".join(map(",".join, [EXPECTED_HEADER, *(edited(i, value) for i, value in [
         (6, "-0"), (7, "-0.0"), (8, ".5"), (8, "5."), (9, "+5"), (3, "1_000"), (3, "1-"),
@@ -349,11 +358,11 @@ def no_csv_split(self, rows):
     ])])) + "\n\n" + "\n".join(
         ",".join(edited(2, net)).replace("310,", " 310,", 1) for net in (" 260", " 261", " 26")
     ) + "\n",
-    3,
+    300,
 )
-def test_block_decoder_matches_reference(text, block_lines):
+def test_block_decoder_matches_reference(text, read_size):
     want_records, want_reasons = reference_parse(text)
-    cells, report = parse_in_blocks(text, block_lines, csv_split=no_csv_split)
+    cells, report = parse_in_pieces(text, read_size, csv_split=no_csv_split)
     assert cell_rows(cells) == [repr(r) for r in want_records]
     assert report.reject_reasons == dict(want_reasons)
     assert report.rows_kept == len(cells) == len(want_records)
@@ -361,12 +370,12 @@ def test_block_decoder_matches_reference(text, block_lines):
 
 
 @settings(max_examples=300, deadline=None)
-@given(number_texts(30), st.sampled_from(sorted(NUMBER_COLUMNS)))
-def test_each_number_decodes_as_int_or_float_reads_it(number, column):
+@given(number_texts(30), st.sampled_from(sorted(NUMBER_COLUMNS)), READ_SIZES)
+def test_each_number_decodes_as_int_or_float_reads_it(number, column, read_size):
     """One number field in an otherwise valid row."""
     text = ",".join(EXPECTED_HEADER) + "\n" + ",".join(edited(column, number)) + "\n"
     want_records, want_reasons = reference_parse(text)
-    cells, report = parse_in_blocks(text, 1, csv_split=no_csv_split)
+    cells, report = parse_in_pieces(text, read_size, csv_split=no_csv_split)
     assert cell_rows(cells) == [repr(r) for r in want_records]
     assert report.reject_reasons == dict(want_reasons)
 
@@ -382,11 +391,12 @@ def test_only_a_block_with_a_quote_goes_to_the_row_loop():
         seen.append(list(rows))
         add_rows(self, seen[-1])
 
-    cells, report = parse_in_blocks(text, 4, csv_split=csv_split)
-    # In blocks of four lines, the fourth holds the one quoted field.
+    cells, report = parse_in_pieces(text, 300, csv_split=csv_split)
+    # Read 300 bytes at a time, the file is cut into pieces of 3, 8, 6 and 2
+    # lines; the third holds the one quoted field, in its last line.
     assert len(seen) == 1
-    assert [len(row) for row in seen[0]] == [14, 2, 0, 14]
-    assert seen[0][3][5] == "a,b"
+    assert [len(row) for row in seen[0]] == [14, 14, 14, 2, 0, 14]
+    assert seen[0][5][5] == "a,b"
     want_records, want_reasons = reference_parse(text)
     assert cell_rows(cells) == [repr(r) for r in want_records]
     assert report.reject_reasons == dict(want_reasons)
@@ -399,17 +409,20 @@ def test_only_a_block_with_a_quote_goes_to_the_row_loop():
 # fields then hold what the byte split never meets: commas, NUL, any character.
 
 def parse_and_reference(lines: list[str]):
-    """Kept rows and reject reasons of ``parse_csv`` and of
-    ``reference_parse`` on ``lines``, or the csv.Error each raises."""
-    def both(parse, rows_of):
+    """Kept rows and reject reasons of the parse of a file that holds
+    ``lines`` and of ``reference_parse`` on them, or the csv.Error each
+    raises."""
+    def both(parse, source, rows_of):
         try:
-            return rows_of(*parse(iter(lines)))
+            return rows_of(*parse(source))
         except csv.Error as exc:
             return repr(exc)
 
     return (
-        both(parse_csv, lambda cells, report: (cell_rows(cells), report.reject_reasons)),
-        both(reference_parse, lambda rows, reasons: ([repr(r) for r in rows], dict(reasons))),
+        both(parse_bytes, "".join(lines).encode(),
+             lambda cells, report: (cell_rows(cells), report.reject_reasons)),
+        both(reference_parse, iter(lines),
+             lambda rows, reasons: ([repr(r) for r in rows], dict(reasons))),
     )
 
 
@@ -439,19 +452,6 @@ def test_a_comma_in_a_quoted_mcc_or_net_is_a_bad_plmn():
     got, want = parse_and_reference(render(rows).splitlines(keepends=True))
     assert got == want
     assert want[1] == {BAD_NUMERIC: 8}
-
-
-@pytest.mark.parametrize("quoted", [False, True], ids=["byte-split", "csv-split"])
-def test_a_lone_surrogate_is_read_as_the_reference_reads_it(quoted):
-    rows = [GOOD_ROW, edited(6, "-87.\ud800"), edited(3, "66\ud800"), edited(9, "\ud80057"),
-            edited(13, "-9\udfff5"), edited(0, "LTE\ud800"), edited(1, "3\udc8010"), GOOD_ROW]
-    if quoted:
-        rows[-1] = edited(5, '"x"')  # the block goes to csv.reader
-    csv_split = ingest._Columns.add_rows if quoted else no_csv_split
-    with patch.object(ingest._Columns, "add_rows", csv_split):
-        got, want = parse_and_reference(lines_of(rows))
-    assert got == want
-    assert want[1] == {BAD_COORDINATE: 1, BAD_NUMERIC: 4, BAD_RADIO: 1}
 
 
 # --- the byte reader -------------------------------------------------------------
@@ -534,6 +534,10 @@ def reference_read_outcome(path: Path):
 # An undecodable byte in a column the parser ignores.
 @example((",".join(EXPECTED_HEADER) + "\n" + ",".join(GOOD_ROW) + "\n").encode()
          + ",".join(edited(5, "\udcff")).encode("utf-8", "surrogateescape") + b"\n", 64)
+# A surrogate in lon, UTF-8-encoded (ED A0 80): strict UTF-8 rejects it, so
+# no surrogate reaches the parser.
+@example((",".join(EXPECTED_HEADER) + "\n").encode()
+         + ",".join(edited(6, "-87.6\ud800")).encode("utf-8", "surrogatepass") + b"\n", 64)
 def test_byte_reader_matches_text_mode_reference(data, read_size):
     with tempfile.TemporaryDirectory() as tmp:
         for path, payload in [
