@@ -165,8 +165,13 @@ def dimension(config_path, input_path, out_dir, window, radio, plmn, bbox) -> No
             "summary.json": pipeline.dump_json(summary),
             "sites.geojson": pipeline.dump_json(sites),
         })
-        if not outcome.result.converged:
-            click.echo("warning: load fixed point did not converge", err=True)
+        result = outcome.result
+        if not result.converged:
+            click.echo(
+                f"warning: load fixed point did not converge after {result.iterations} "
+                f"iterations (assumed {result.assumed_load:.3f}, actual {result.actual_load:.3f})",
+                err=True,
+            )
 
 
 if __name__ == "__main__":

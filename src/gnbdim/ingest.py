@@ -7,7 +7,7 @@ The expected layout is the public cell-tower export format:
 ``unit`` and ``changeable`` are ignored. Crowdsourced rows are dirty by
 nature, so a bad row is counted and skipped, never fatal. Only a missing
 or garbled header aborts the ingest, or one field longer than
-csv.field_size_limit() in a block that csv.reader splits (below). Fields
+csv.field_size_limit() in a piece that csv.reader splits (below). Fields
 are checked left to right in column order and the first failure decides
 the reject reason.
 
@@ -27,13 +27,14 @@ one representation of tower rows.
 A file is read as bytes, :data:`READ_SIZE` at a time, in pieces of whole
 lines, each checked as UTF-8; a leading BOM is left out, and an
 undecodable byte aborts the read. A line ends at a newline, a CR-LF pair
-or a lone CR, as text mode with newline="" cuts it. Each piece is a
-block: the header is cut at its first line end, and a quoted field left
-open at a piece's end reads on into the next piece, whose rest is a block
-of its own. A block with no quote, NUL or lone CR splits at every comma
-and line end of its bytes, as csv.reader splits it, with no limit on a
-line's length. Any other block is decoded and split by csv.reader, and
-its fields are joined by commas into one such buffer.
+or a lone CR, as text mode with newline="" cuts it. The header is the
+first csv row. A piece with no quote or NUL splits at every comma and line
+end of its bytes, each CR-LF pair and lone CR a newline, as csv.reader
+splits it, with no limit on a line's length. A piece with a quote or a NUL
+is decoded and split by csv.reader, and its fields are joined by commas
+into one such buffer; a quoted field left open at its end reads on, a line
+at a time, into the next pieces, and the rest of the last piece read is
+routed as a piece of its own.
 Either way one decoder reads the fields column by column in numpy:
 integers of up to 18 digits; decimals whose digits, point left out, form
 an integer up to 2**53 with at most 22 of them after the point, whose
@@ -52,7 +53,7 @@ import io
 import sys
 import zlib
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
 
@@ -195,7 +196,7 @@ class _Columns:
         self.rows_read = 0
         self.rejects = dict.fromkeys((BAD_SHAPE, BAD_RADIO, BAD_NUMERIC, BAD_COORDINATE), 0)
 
-    def add_rows(self, rows: Iterator[list[str]]) -> None:
+    def add_rows(self, rows: list[list[str]]) -> None:
         """Add csv rows: the fields of each row of 14 are joined by commas
         into one UTF-8 buffer for :meth:`add`, which decodes them."""
         n_fields = len(EXPECTED_HEADER)
@@ -417,14 +418,11 @@ def _split_block(out: _Columns, raw: bytes) -> None:
 
 def _splittable(raw: bytes) -> bytes | None:
     """Whole lines ``raw`` as the byte splitter takes them, each CR-LF pair
-    made a newline; None where csv.reader may split them otherwise than at
-    their commas and line ends: where they hold a quote, a NUL or a CR that
-    no newline follows."""
+    and each lone CR made a newline; None where they hold a quote or a NUL,
+    which csv.reader may split otherwise than at commas and line ends."""
     if b'"' in raw or b"\x00" in raw:
         return None
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n")
-    return None if b"\r" in raw else raw
+    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
 
 
 def _text_lines(raw: bytes) -> list[str]:
@@ -433,21 +431,36 @@ def _text_lines(raw: bytes) -> list[str]:
     return io.StringIO(raw.decode(), newline="").readlines()
 
 
-def _rows_of(block: list[str], lines: Iterator[str]) -> Iterator[list[str]]:
-    """csv rows of the block's lines; a quoted field still open at the
-    block's end reads on from ``lines``."""
-    ended = 0  # lines read when the last row ended
+def _csv_rows(
+    piece: bytes, pieces: Iterator[bytes], limit: int | None = None
+) -> tuple[list[list[str]], bytes]:
+    """Up to ``limit`` csv rows of the lines of ``piece``, read on a line at
+    a time into ``pieces`` while a quoted field is open, and the unread
+    bytes of the last piece read.
 
-    def rest():
+    A piece that ends between CR and newline ends a line and a blank one,
+    which csv.reader reads as it reads the pair.
+    """
+    lines = _text_lines(piece)
+    before = ended = 0  # lines read before ``lines``, and when the last row ended
+
+    def read_on():
+        nonlocal lines, before
         while reader.line_num > ended:  # a record is open
-            if (line := next(lines, None)) is None:
+            if reader.line_num - before < len(lines):
+                yield lines[reader.line_num - before]
+            elif (next_piece := next(pieces, None)) is None:
                 return
-            yield line
+            else:
+                before += len(lines)
+                lines = _text_lines(next_piece)
 
-    reader = csv.reader(chain(block, rest()))
-    for row in reader:
+    reader = csv.reader(chain(lines, read_on()))
+    rows = []
+    for row in islice(reader, limit):
         ended = reader.line_num
-        yield row
+        rows.append(row)
+    return rows, "".join(lines[reader.line_num - before:]).encode()
 
 
 READ_SIZE = 1 << 17  # bytes read from a file at a time; sets the decoder's working memory
@@ -477,68 +490,30 @@ def _checked(pieces: Iterator[bytes]) -> Iterator[bytes]:
         yield piece
 
 
-class _Pieces:
-    """Pieces of whole lines, taken a line at a time for the header and for
-    a quoted field that reads on past a piece's end, and else as blocks: the
-    unread rest of each piece.
-
-    A line ends as text mode with newline="" ends it: after a newline, a
-    CR-LF pair or a lone CR. A piece that ends between CR and newline ends
-    a line and a blank one, which csv.reader reads as it reads the pair.
-    """
-
-    def __init__(self, pieces: Iterator[bytes]) -> None:
-        self._pieces = pieces
-        self._piece, self._pos = b"", 0  # the last piece taken, and where its unread rest starts
-
-    def _unread(self) -> bool:
-        """Whether bytes are left to read, taking the next piece once the last is read."""
-        while self._pos == len(self._piece):
-            if (piece := next(self._pieces, None)) is None:
-                return False
-            self._piece, self._pos = piece, 0
-        return True
-
-    def lines(self) -> Iterator[str]:
-        """The lines read next, as text."""
-        while self._unread():
-            piece, pos = self._piece, self._pos
-            newline = piece.find(b"\n", pos)
-            end = len(piece) if newline < 0 else newline + 1
-            # A CR that no newline follows ends a line too.
-            cr = piece.find(b"\r", pos, end if newline < 0 else max(pos, newline - 1))
-            self._pos = end = cr + 1 if cr >= 0 else end
-            yield piece[pos:end].decode()
-
-    def blocks(self) -> Iterator[bytes]:
-        """The unread rest of each piece."""
-        while self._unread():
-            raw = self._piece[self._pos:]
-            self._pos = len(self._piece)
-            yield raw
-
-
 def _parse(fh: BinaryIO) -> tuple[Cells, IngestReport]:
     """Parse the tower records of the open binary file ``fh``: the header
-    from its first line, then each block after it, by the byte splitter
-    where :func:`_splittable` takes it, else by csv.reader, which reads on
-    past the block while a quoted field is open."""
-    pieces = _Pieces(_checked(_whole_lines(fh.read)))
-    lines = pieces.lines()
+    from its first csv row, then each piece after it, by the byte splitter
+    where :func:`_splittable` takes it, else by :func:`_csv_rows`, whose
+    read-on hands back the rest of the last piece it read, which is routed
+    in turn."""
+    pieces = _checked(_whole_lines(fh.read))
     try:
-        header = next(csv.reader(lines))
-    except (StopIteration, csv.Error):
-        raise GnbdimError("input has no header row") from None
-    if tuple(h.strip() for h in header) != EXPECTED_HEADER:
+        rows, rest = _csv_rows(next(pieces), pieces, limit=1)
+    except csv.Error:
+        rows = []
+    if not rows:
+        raise GnbdimError("input has no header row")
+    if tuple(h.strip() for h in rows[0]) != EXPECTED_HEADER:
         raise GnbdimError(f"header mismatch: expected {','.join(EXPECTED_HEADER)}")
 
     out = _Columns()
-    for raw in pieces.blocks():
-        split = _splittable(raw)
-        if split is None:
-            out.add_rows(_rows_of(_text_lines(raw), lines))
-        else:
-            _split_block(out, split)
+    for piece in chain([rest], pieces):
+        while piece:
+            if (split := _splittable(piece)) is not None:
+                _split_block(out, split)
+                break
+            rows, piece = _csv_rows(piece, pieces)
+            out.add_rows(rows)
     return out.result()
 
 

@@ -78,12 +78,6 @@ def run_dimension(cfg: RunConfig, records: Cells) -> DimensionOutcome:
         thresholds=cfg.thresholds,
         sensitivity_prbs=cfg.sensitivity_prbs,
     )
-    if not result.converged:
-        log.warning(
-            "load fixed point not converged after %d iterations "
-            "(assumed %.3f, actual %.3f)",
-            result.iterations, result.assumed_load, result.actual_load,
-        )
 
     try:
         cost = cost_per_bit(result, result.cell_capacity_mbps, cfg.cost, cfg.duty_fraction)

@@ -580,6 +580,30 @@ def test_log_level_from_environment(config_file, level, logs_info):
     assert ("INFO gnbdim" in proc.stderr) is logs_info, proc.stderr
 
 
+def test_a_fixed_point_that_does_not_converge_warns_once(tmp_path, config_file):
+    # The undamped 2-cycle (damping 1, eta 0.99) stops at max_iter: the run
+    # succeeds, and stderr holds one line with the iteration count and loads.
+    doc = json.loads(config_file.read_text(encoding="utf-8"))
+    doc["balance"].update(damping=1, eta=0.99, max_iter=50)
+    config_file.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(gnbdim.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "GNBDIM_LOG": "WARNING",
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "gnbdim.cli", "dimension", "--config", str(config_file)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(
+        r"warning: load fixed point did not converge after 50 iterations "
+        r"\(assumed \d\.\d{3}, actual \d\.\d{3}\)\n",
+        proc.stderr,
+    ), proc.stderr
+
+
 def test_traced_functions_exist():
     # bench/tracer.py rebinds each function in TRACED with a bare getattr,
     # so a renamed or deleted one breaks every traced run.

@@ -330,16 +330,21 @@ class TestBlockFiles:
     @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
     def test_a_crlf_export_with_a_wide_field_reads_as_its_lf_copy(self, tmp_path, gz):
         """An 8-line CRLF export with one 200000-character ``unit`` field,
-        past csv.field_size_limit(): each CR-LF pair is a newline to the byte
-        splitter, so the file gives the Cells and report of its LF copy."""
+        past csv.field_size_limit(), and its lone-CR copy: each CR-LF pair
+        and each lone CR is a newline to the byte splitter, so either file
+        gives the Cells and report of its LF copy."""
         rows = [GOOD_ROW] * 7
         rows[3] = GOOD_ROW.replace(",12345678,,", ",12345678," + "u" * 200_000 + ",")
         data = (HEADER + "\n" + "\n".join(rows) + "\n").encode()
-        lf, crlf = (tmp_path / f"{name}.csv{'.gz' if gz else ''}" for name in ("lf", "crlf"))
-        for path, payload in ((lf, data), (crlf, data.replace(b"\n", b"\r\n"))):
+        got = {}
+        for name, end in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+            path = tmp_path / f"{name}.csv{'.gz' if gz else ''}"
+            payload = data.replace(b"\n", end)
             path.write_bytes(gzip.compress(payload) if gz else payload)
-        records, report = read_cells(crlf)
-        assert (records, report) == read_cells(lf)
+            got[name] = read_cells(path)
+        assert got["crlf"] == got["lf"]
+        assert got["cr"] == got["lf"]
+        records, report = got["lf"]
         assert report.rows_kept == len(records) == 7
 
 

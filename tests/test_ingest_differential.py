@@ -243,12 +243,12 @@ def test_columnar_parse_matches_reference(rows):
 
 # --- the numpy block decoder -------------------------------------------------
 #
-# The parser splits blocks of unquoted lines at their bytes' commas and
-# newlines and hands any other block to csv.reader; both splits go to the one
-# numpy decoder, ``_Columns.add``. The exports below are written line
-# by line with no csv quoting, so every block reaches the decoder, and
-# ``READ_SIZE`` is patched small so each export spans several pieces, each
-# a block.
+# The parser splits a piece with no quote or NUL at its bytes' commas and
+# line ends, each CR-LF pair and lone CR a newline, and hands any other piece
+# to csv.reader; both splits go to the one numpy decoder, ``_Columns.add``.
+# The exports below are written line by line with no csv quoting, so every
+# piece reaches the decoder, and ``READ_SIZE`` is patched small so each
+# export spans several pieces.
 
 def number_texts(max_digits: int = 26):
     """Digit runs with an optional sign and point: every shape the decoder
@@ -307,12 +307,14 @@ def unquoted_rows(draw):
 
 @st.composite
 def unquoted_exports(draw):
-    """Export text with blank lines between rows, and maybe no final newline."""
+    """Export text with blank lines between rows, each line ended by LF,
+    CR-LF or a lone CR, and maybe no final line end."""
     lines = [",".join(EXPECTED_HEADER)]
     for row in draw(st.lists(unquoted_rows(), max_size=40)):
         lines += [""] * draw(st.sampled_from([0] * 6 + [1, 2]))
         lines.append(",".join(row))
-    return "\n".join(lines) + draw(st.sampled_from(["\n", "\n", ""]))
+    text = "".join(line + draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"])) for line in lines)
+    return text if draw(st.integers(0, 2)) else text.rstrip("\r\n")
 
 
 def cell_rows(cells) -> list[str]:
@@ -340,7 +342,7 @@ def parse_in_pieces(text: str, read_size: int, csv_split):
 
 
 def no_csv_split(self, rows):
-    raise AssertionError("a piece without quotes, CR or NUL went to csv.reader")
+    raise AssertionError("a piece without a quote or NUL went to csv.reader")
 
 
 @settings(max_examples=100, deadline=None)
@@ -361,7 +363,7 @@ def no_csv_split(self, rows):
     300,
 )
 def test_block_decoder_matches_reference(text, read_size):
-    want_records, want_reasons = reference_parse(text)
+    want_records, want_reasons = reference_parse(io.StringIO(text, newline=""))
     cells, report = parse_in_pieces(text, read_size, csv_split=no_csv_split)
     assert cell_rows(cells) == [repr(r) for r in want_records]
     assert report.reject_reasons == dict(want_reasons)
@@ -404,9 +406,9 @@ def test_only_a_block_with_a_quote_goes_to_the_row_loop():
 
 # --- the csv split -------------------------------------------------------------
 #
-# A block with a quote, a NUL or a lone CR is split by csv.reader, and its
-# rows of 14 fields are joined by commas into one buffer for the decoder. The
-# fields then hold what the byte split never meets: commas, NUL, any character.
+# A piece with a quote or a NUL is split by csv.reader, and its rows of 14
+# fields are joined by commas into one buffer for the decoder. The fields
+# then hold what the byte split never meets: commas, NUL, any character.
 
 def parse_and_reference(lines: list[str]):
     """Kept rows and reject reasons of the parse of a file that holds
@@ -531,6 +533,10 @@ def reference_read_outcome(path: Path):
 # A lone CR and a CR-LF pair between unquoted rows of one piece.
 @example((",".join(EXPECTED_HEADER) + "\n" + "\r".join([",".join(GOOD_ROW)] * 2) + "\r\n"
           + ",".join(GOOD_ROW) + "\n").encode(), 1024)
+# A header whose first field is quoted across a line, read 3 bytes at a
+# time: the header's csv row reads on into the next pieces.
+@example(b'"radio\n",' + ",".join(EXPECTED_HEADER[1:]).encode() + b"\n"
+         + ",".join(GOOD_ROW).encode() + b"\n", 3)
 # An undecodable byte in a column the parser ignores.
 @example((",".join(EXPECTED_HEADER) + "\n" + ",".join(GOOD_ROW) + "\n").encode()
          + ",".join(edited(5, "\udcff")).encode("utf-8", "surrogateescape") + b"\n", 64)
