@@ -6,10 +6,9 @@ The expected layout is the public cell-tower export format:
 
 ``unit`` and ``changeable`` are ignored. Crowdsourced rows are dirty by
 nature, so a bad row is counted and skipped, never fatal. Only a missing
-or garbled header aborts the ingest, or one field longer than
-csv.field_size_limit() in a piece that csv.reader splits (below). Fields
-are checked left to right in column order and the first failure decides
-the reject reason.
+or garbled header aborts the ingest; no field is too long. Fields are
+checked left to right in column order and the first failure decides the
+reject reason.
 
 A row's operator is its PLMN: the 3-digit MCC followed by the 2- or
 3-digit MNC, kept as that digit string. Digits stay strings throughout:
@@ -28,13 +27,12 @@ A file is read as bytes, :data:`READ_SIZE` at a time, in pieces of whole
 lines, each checked as UTF-8; a leading BOM is left out, and an
 undecodable byte aborts the read. A line ends at a newline, a CR-LF pair
 or a lone CR, as text mode with newline="" cuts it. The header is the
-first csv row. A piece with no quote or NUL splits at every comma and line
-end of its bytes, each CR-LF pair and lone CR a newline, as csv.reader
-splits it, with no limit on a line's length. A piece with a quote or a NUL
-is decoded and split by csv.reader, and its fields are joined by commas
-into one such buffer; a quoted field left open at its end reads on, a line
-at a time, into the next pieces, and the rest of the last piece read is
-routed as a piece of its own.
+first csv row. Up to the first piece with a quote or a NUL, each piece
+splits at every comma and line end of its bytes, each CR-LF pair and lone
+CR a newline, as csv.reader splits it, with no limit on a line's length.
+From that piece to the end of the file, one csv.reader splits the decoded
+lines, with its field limit lifted for the parse, and the fields of each
+block of rows are joined by commas into one such buffer.
 Either way one decoder reads the fields column by column in numpy:
 integers of up to 18 digits; decimals whose digits, point left out, form
 an integer up to 2**53 with at most 22 of them after the point, whose
@@ -50,6 +48,7 @@ import codecs
 import csv
 import gzip
 import io
+import struct
 import sys
 import zlib
 from dataclasses import dataclass
@@ -163,7 +162,7 @@ def _plmn_digits(mcc_text: str, net_text: str) -> str | None:
     return plmn if len(mcc) == 3 and is_plmn(plmn) else None
 
 
-BLOCK_LINES = 1024  # rows write_cells formats at a time
+BLOCK_LINES = 1024  # rows write_cells formats, and add_rows decodes, at a time
 
 _INTS = (3, 4, 9, 11, 12)  # area, cell, samples, created, updated
 _DECIMALS = (6, 7, 8, 13)  # lon, lat, range, averageSignal
@@ -431,39 +430,8 @@ def _text_lines(raw: bytes) -> list[str]:
     return io.StringIO(raw.decode(), newline="").readlines()
 
 
-def _csv_rows(
-    piece: bytes, pieces: Iterator[bytes], limit: int | None = None
-) -> tuple[list[list[str]], bytes]:
-    """Up to ``limit`` csv rows of the lines of ``piece``, read on a line at
-    a time into ``pieces`` while a quoted field is open, and the unread
-    bytes of the last piece read.
-
-    A piece that ends between CR and newline ends a line and a blank one,
-    which csv.reader reads as it reads the pair.
-    """
-    lines = _text_lines(piece)
-    before = ended = 0  # lines read before ``lines``, and when the last row ended
-
-    def read_on():
-        nonlocal lines, before
-        while reader.line_num > ended:  # a record is open
-            if reader.line_num - before < len(lines):
-                yield lines[reader.line_num - before]
-            elif (next_piece := next(pieces, None)) is None:
-                return
-            else:
-                before += len(lines)
-                lines = _text_lines(next_piece)
-
-    reader = csv.reader(chain(lines, read_on()))
-    rows = []
-    for row in islice(reader, limit):
-        ended = reader.line_num
-        rows.append(row)
-    return rows, "".join(lines[reader.line_num - before:]).encode()
-
-
 READ_SIZE = 1 << 17  # bytes read from a file at a time; sets the decoder's working memory
+_LONG_MAX = (1 << 8 * struct.calcsize("l") - 1) - 1  # the largest csv.field_size_limit()
 
 
 def _whole_lines(read: Callable[[int], bytes]) -> Iterator[bytes]:
@@ -491,30 +459,41 @@ def _checked(pieces: Iterator[bytes]) -> Iterator[bytes]:
 
 
 def _parse(fh: BinaryIO) -> tuple[Cells, IngestReport]:
-    """Parse the tower records of the open binary file ``fh``: the header
-    from its first csv row, then each piece after it, by the byte splitter
-    where :func:`_splittable` takes it, else by :func:`_csv_rows`, whose
-    read-on hands back the rest of the last piece it read, which is routed
-    in turn."""
+    """Parse the tower records of the open binary file ``fh``: its pieces by
+    the byte splitter up to the first that :func:`_splittable` refuses, and
+    from that piece to the end of the file by one csv.reader. The header is
+    the first piece's first line, split at commas, or where that piece goes
+    to csv.reader, the reader's first row."""
     pieces = _checked(_whole_lines(fh.read))
+    out = _Columns()
+    header, reader = None, iter(())
+    for piece in pieces:
+        if (split := _splittable(piece)) is None:
+            reader = csv.reader(chain.from_iterable(map(_text_lines, chain([piece], pieces))))
+            break
+        if header is None:
+            line, _, split = split.partition(b"\n")  # an empty first piece is an empty file
+            header = _checked_header([line.decode().split(",")] if piece else [])
+        _split_block(out, split)
+    limit = csv.field_size_limit(_LONG_MAX)  # no field limit, as the byte splitter has none
     try:
-        rows, rest = _csv_rows(next(pieces), pieces, limit=1)
-    except csv.Error:
-        rows = []
+        if header is None:
+            _checked_header(list(islice(reader, 1)))
+        while rows := list(islice(reader, BLOCK_LINES)):
+            out.add_rows(rows)
+    finally:
+        csv.field_size_limit(limit)
+    return out.result()
+
+
+def _checked_header(rows: list[list[str]]) -> list[list[str]]:
+    """``rows``, a file's first csv row or none, if that row names the
+    columns of EXPECTED_HEADER."""
     if not rows:
         raise GnbdimError("input has no header row")
     if tuple(h.strip() for h in rows[0]) != EXPECTED_HEADER:
         raise GnbdimError(f"header mismatch: expected {','.join(EXPECTED_HEADER)}")
-
-    out = _Columns()
-    for piece in chain([rest], pieces):
-        while piece:
-            if (split := _splittable(piece)) is not None:
-                _split_block(out, split)
-                break
-            rows, piece = _csv_rows(piece, pieces)
-            out.add_rows(rows)
-    return out.result()
+    return rows
 
 
 def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
@@ -532,7 +511,7 @@ def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
         raise GnbdimError(f"{path}: {exc}") from None
     except (OSError, EOFError, UnicodeDecodeError, zlib.error, csv.Error) as exc:
         # Undecodable text, a corrupt or truncated .gz, a path that is not a
-        # readable file, or a field over the csv field limit.
+        # readable file, or a NUL, which csv.reader refuses before Python 3.11.
         raise GnbdimError(f"cannot read input {path}: {exc}") from None
 
 

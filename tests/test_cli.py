@@ -104,12 +104,16 @@ class TestIngest:
         result = runner.invoke(main, ["ingest", "--input", str(src)])
         assert result.exit_code == 2
 
-    def test_an_unquoted_field_longer_than_the_csv_limit_is_read(self, runner, tmp_path):
+    @pytest.mark.parametrize("unit", ["", '"x"'], ids=["no-quote", "quote-after"])
+    def test_an_unquoted_field_longer_than_the_csv_limit_is_read(self, runner, tmp_path, unit):
         """A 200000-character ``unit`` field, past csv.field_size_limit(), in a
-        column the parser ignores: its row is kept, and so are the others."""
+        column the parser ignores: its row is kept, and so are the others,
+        also where the next row's ``unit`` is quoted, so csv.reader splits
+        the piece that holds the long field."""
         src = tmp_path / "big.csv"
         rows = [GOOD_ROW] * 7
         rows[3] = GOOD_ROW.replace(",12345678,,", ",12345678," + "u" * 200_000 + ",")
+        rows[4] = GOOD_ROW.replace(",12345678,,", ",12345678," + unit + ",")
         src.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
         result = runner.invoke(main, ["ingest", "--input", str(src), "--out", str(tmp_path / "o")])
         assert result.exit_code == 0, result.output

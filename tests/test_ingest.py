@@ -3,6 +3,7 @@ import gzip
 import io
 import math
 import re
+import sys
 from unittest.mock import patch
 
 import numpy as np
@@ -71,6 +72,9 @@ class TestParseCsv:
             parse_text("radio,mcc\n")
         with pytest.raises(GnbdimError, match="^header mismatch: expected radio,mcc,"):
             parse_text(GOOD_ROW + "\n")
+        for quote in ("", '"'):  # a blank first line, byte split or read by csv.reader
+            with pytest.raises(GnbdimError, match="^header mismatch: expected radio,mcc,"):
+                parse_text(f"\n{quote}radio{quote}" + HEADER[5:] + "\n")
 
     def test_unknown_radio(self):
         records, report = parse_text(HEADER + "\nWIMAX" + GOOD_ROW[3:] + "\n")
@@ -208,9 +212,23 @@ class TestFiles:
             with pytest.raises(GnbdimError, match="^" + re.escape(text)):
                 read_cells(path)
 
+    def test_a_header_with_a_quote_and_a_nul_is_not_taken_for_no_header(self, tmp_path):
+        """csv.reader reads the header of a file whose first line holds a
+        quote; it reads a NUL on Python 3.11 and later, and refuses it before.
+        Either way the error names the cause."""
+        path = tmp_path / "nul.csv"
+        path.write_text('"radio",mc\x00c' + HEADER[9:] + "\n" + GOOD_ROW + "\n", encoding="utf-8")
+        if sys.version_info >= (3, 11):
+            text = f"{path}: header mismatch: expected {HEADER}"
+        else:
+            text = f"cannot read input {path}: line contains NUL"
+        with pytest.raises(GnbdimError, match="^" + re.escape(text) + "$"):
+            read_cells(path)
+
 
 def csv_split_only():
-    """Every block is split by csv.reader, as a block with a quote is."""
+    """Every block is split by csv.reader, as the pieces from the first
+    with a quote on are."""
     return patch.object(
         ingest, "_split_block", lambda out, block: out.add_rows(csv.reader(ingest._text_lines(block)))
     )
@@ -306,10 +324,11 @@ class TestBlockFiles:
         assert kept_and_reasons(got) == reference_outcome(io.StringIO(data.decode(), newline=""))
         assert got[1].rows_kept == 24
 
-    def test_the_rest_of_a_piece_after_a_quoted_read_on_is_byte_split(self, tmp_path):
+    def test_a_line_past_the_csv_limit_after_a_quoted_field_is_read(self, tmp_path):
         """A quoted field of 900 lines opens in the first of two pieces and
-        closes in the second, whose rest is a line wider than the csv field
-        limit: the byte splitter reads that line, and csv.reader the field."""
+        closes in the second, whose rest is a line wider than the field limit
+        of 2000 set here: csv.reader reads both pieces with no field limit,
+        and the caller's limit holds again after the read."""
         tall = GOOD_ROW.replace(",12345678,,", ',12345678,"' + "u\n" * 900 + '",')
         wide = GOOD_ROW.replace(",12345678,,", ",12345678," + "u" * 2500 + ",")
         data = (HEADER + "\n" + "\n".join([GOOD_ROW] * 30 + [tall, wide]) + "\n").encode()
@@ -320,6 +339,7 @@ class TestBlockFiles:
             with patch.object(ingest, "READ_SIZE", 4000):
                 first, second = filter(None, ingest._whole_lines(io.BytesIO(data).read))
                 got = outcome(read_cells, path)
+            assert csv.field_size_limit() == 2000
         finally:
             csv.field_size_limit(limit)
         assert first.count(b'"') == second.count(b'"') == 1

@@ -244,8 +244,9 @@ def test_columnar_parse_matches_reference(rows):
 # --- the numpy block decoder -------------------------------------------------
 #
 # The parser splits a piece with no quote or NUL at its bytes' commas and
-# line ends, each CR-LF pair and lone CR a newline, and hands any other piece
-# to csv.reader; both splits go to the one numpy decoder, ``_Columns.add``.
+# line ends, each CR-LF pair and lone CR a newline, and hands the first other
+# piece, and every piece after it, to csv.reader; both splits go to the one
+# numpy decoder, ``_Columns.add``.
 # The exports below are written line by line with no csv quoting, so every
 # piece reaches the decoder, and ``READ_SIZE`` is patched small so each
 # export spans several pieces.
@@ -383,6 +384,8 @@ def test_each_number_decodes_as_int_or_float_reads_it(number, column, read_size)
 
 
 def test_only_a_block_with_a_quote_goes_to_the_row_loop():
+    """The pieces before the first quote are byte split; from the piece
+    that holds it to the end of the file, every row goes to csv.reader."""
     rows = [GOOD_ROW, edited(3, "70000"), edited(6, "far"), ["WIFI", "x"], []] * 3
     rows += [edited(5, '"a,b"'), GOOD_ROW, GOOD_ROW]
     text = "\n".join(map(",".join, [EXPECTED_HEADER, *rows])) + "\n"
@@ -395,9 +398,10 @@ def test_only_a_block_with_a_quote_goes_to_the_row_loop():
 
     cells, report = parse_in_pieces(text, 300, csv_split=csv_split)
     # Read 300 bytes at a time, the file is cut into pieces of 3, 8, 6 and 2
-    # lines; the third holds the one quoted field, in its last line.
+    # lines; the third holds the one quoted field, in its last line. No row
+    # of the first two reaches add_rows, and every row of the last two does.
     assert len(seen) == 1
-    assert [len(row) for row in seen[0]] == [14, 14, 14, 2, 0, 14]
+    assert [len(row) for row in seen[0]] == [14, 14, 14, 2, 0, 14, 14, 14]
     assert seen[0][5][5] == "a,b"
     want_records, want_reasons = reference_parse(text)
     assert cell_rows(cells) == [repr(r) for r in want_records]
@@ -406,8 +410,9 @@ def test_only_a_block_with_a_quote_goes_to_the_row_loop():
 
 # --- the csv split -------------------------------------------------------------
 #
-# A piece with a quote or a NUL is split by csv.reader, and its rows of 14
-# fields are joined by commas into one buffer for the decoder. The fields
+# From the first piece with a quote or a NUL on, csv.reader splits the file,
+# and its rows of 14 fields are joined by commas into one buffer for the
+# decoder. The fields
 # then hold what the byte split never meets: commas, NUL, any character.
 
 def parse_and_reference(lines: list[str]):
@@ -534,7 +539,7 @@ def reference_read_outcome(path: Path):
 @example((",".join(EXPECTED_HEADER) + "\n" + "\r".join([",".join(GOOD_ROW)] * 2) + "\r\n"
           + ",".join(GOOD_ROW) + "\n").encode(), 1024)
 # A header whose first field is quoted across a line, read 3 bytes at a
-# time: the header's csv row reads on into the next pieces.
+# time: the header's csv row spans several pieces.
 @example(b'"radio\n",' + ",".join(EXPECTED_HEADER[1:]).encode() + b"\n"
          + ",".join(GOOD_ROW).encode() + b"\n", 3)
 # An undecodable byte in a column the parser ignores.
