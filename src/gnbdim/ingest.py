@@ -27,9 +27,9 @@ A file is read as bytes, :data:`READ_SIZE` at a time, in pieces of whole
 lines, each checked as UTF-8; a leading BOM is left out, and an
 undecodable byte aborts the read. A line ends at a newline, a CR-LF pair
 or a lone CR, as text mode with newline="" cuts it. The header is the
-first csv row. Up to the first piece with a quote or a NUL, each piece
-splits at every comma and line end of its bytes, each CR-LF pair and lone
-CR a newline, as csv.reader splits it, with no limit on a line's length.
+first csv row. Up to the first piece with a quote, each piece splits at
+every comma and line end of its bytes, each CR-LF pair and lone CR a
+newline, as csv.reader splits it, with no limit on a line's length.
 From that piece to the end of the file, one csv.reader splits the decoded
 lines, with its field limit lifted for the parse, and the fields of each
 block of rows are joined by commas into one such buffer.
@@ -397,9 +397,9 @@ def _check_value(column: int, value: int) -> int:
 
 
 def _split_block(out: _Columns, raw: bytes) -> None:
-    """Add the rows of ``raw``, whole lines with no quote, CR or NUL (the
-    last may lack its newline), to ``out``, split at every comma and
-    newline of its bytes as csv.reader splits such lines."""
+    """Add the rows of ``raw``, whole lines with no quote or CR (the last
+    may lack its newline), to ``out``, split at every comma and newline of
+    its bytes as csv.reader splits such lines."""
     if not raw.endswith(b"\n"):
         raw += b"\n"
     data = np.frombuffer(bytes(_PAD) + raw + bytes(8), dtype=np.uint8)
@@ -417,9 +417,9 @@ def _split_block(out: _Columns, raw: bytes) -> None:
 
 def _splittable(raw: bytes) -> bytes | None:
     """Whole lines ``raw`` as the byte splitter takes them, each CR-LF pair
-    and each lone CR made a newline; None where they hold a quote or a NUL,
-    which csv.reader may split otherwise than at commas and line ends."""
-    if b'"' in raw or b"\x00" in raw:
+    and each lone CR made a newline; None where they hold a quote, which
+    csv.reader may split otherwise than at commas and line ends."""
+    if b'"' in raw:
         return None
     return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
 
@@ -511,7 +511,7 @@ def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
         raise GnbdimError(f"{path}: {exc}") from None
     except (OSError, EOFError, UnicodeDecodeError, zlib.error, csv.Error) as exc:
         # Undecodable text, a corrupt or truncated .gz, a path that is not a
-        # readable file, or a NUL, which csv.reader refuses before Python 3.11.
+        # readable file, or a row csv.reader refuses.
         raise GnbdimError(f"cannot read input {path}: {exc}") from None
 
 

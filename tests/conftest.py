@@ -143,8 +143,3 @@ def records_to_csv_text(records: Cells) -> str:
 @pytest.fixture
 def dense_records(base_config) -> Cells:
     return tile_center_records(base_config.grid, samples=100)
-
-
-@pytest.fixture
-def sparse_records(base_config) -> Cells:
-    return tile_center_records(base_config.grid, samples=10)

@@ -3,7 +3,6 @@ import gzip
 import io
 import math
 import re
-import sys
 from unittest.mock import patch
 
 import numpy as np
@@ -214,14 +213,10 @@ class TestFiles:
 
     def test_a_header_with_a_quote_and_a_nul_is_not_taken_for_no_header(self, tmp_path):
         """csv.reader reads the header of a file whose first line holds a
-        quote; it reads a NUL on Python 3.11 and later, and refuses it before.
-        Either way the error names the cause."""
+        quote, NUL and all, and the error names the mismatch."""
         path = tmp_path / "nul.csv"
         path.write_text('"radio",mc\x00c' + HEADER[9:] + "\n" + GOOD_ROW + "\n", encoding="utf-8")
-        if sys.version_info >= (3, 11):
-            text = f"{path}: header mismatch: expected {HEADER}"
-        else:
-            text = f"cannot read input {path}: line contains NUL"
+        text = f"{path}: header mismatch: expected {HEADER}"
         with pytest.raises(GnbdimError, match="^" + re.escape(text) + "$"):
             read_cells(path)
 

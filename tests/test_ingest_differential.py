@@ -243,7 +243,7 @@ def test_columnar_parse_matches_reference(rows):
 
 # --- the numpy block decoder -------------------------------------------------
 #
-# The parser splits a piece with no quote or NUL at its bytes' commas and
+# The parser splits a piece with no quote at its bytes' commas and
 # line ends, each CR-LF pair and lone CR a newline, and hands the first other
 # piece, and every piece after it, to csv.reader; both splits go to the one
 # numpy decoder, ``_Columns.add``.
@@ -267,7 +267,7 @@ def number_texts(max_digits: int = 26):
     )
 
 
-# Fields at the decoder's edges; none holds a quote, CR, NUL, comma or newline.
+# Fields at the decoder's edges; none holds a quote, CR, comma or newline.
 EDGE_NUMBERS = st.sampled_from([
     "123456789012345", "1234567890123456", "12345678901234567",        # 15-17 digits
     "0.123456789012345", "0.1234567890123456", "0.12345678901234567",
@@ -284,7 +284,7 @@ EDGE_NUMBERS = st.sampled_from([
     str(LTE_CELL_LIMIT - 1), str(LTE_CELL_LIMIT), "65535", "65536", "180", "-180.0",
     "180.0000001", "90", "-90.00000000000001", "", " ",
 ])
-PLAIN_TEXT = st.sampled_from(["", "x", "1", "é", " ", "x y"])
+PLAIN_TEXT = st.sampled_from(["", "x", "1", "é", " ", "x y", "nul\x00", "\x00"])
 NUMBER_COLUMNS = {3, 4, 6, 7, 8, 9, 11, 12, 13}
 
 
@@ -343,7 +343,7 @@ def parse_in_pieces(text: str, read_size: int, csv_split):
 
 
 def no_csv_split(self, rows):
-    raise AssertionError("a piece without a quote or NUL went to csv.reader")
+    raise AssertionError("a piece without a quote went to csv.reader")
 
 
 @settings(max_examples=100, deadline=None)
@@ -410,27 +410,17 @@ def test_only_a_block_with_a_quote_goes_to_the_row_loop():
 
 # --- the csv split -------------------------------------------------------------
 #
-# From the first piece with a quote or a NUL on, csv.reader splits the file,
-# and its rows of 14 fields are joined by commas into one buffer for the
-# decoder. The fields
-# then hold what the byte split never meets: commas, NUL, any character.
+# From the first piece with a quote on, csv.reader splits the file, and its
+# rows of 14 fields are joined by commas into one buffer for the decoder.
+# The fields then hold what the byte split never meets: commas, quotes, CRs
+# and newlines.
 
 def parse_and_reference(lines: list[str]):
     """Kept rows and reject reasons of the parse of a file that holds
-    ``lines`` and of ``reference_parse`` on them, or the csv.Error each
-    raises."""
-    def both(parse, source, rows_of):
-        try:
-            return rows_of(*parse(source))
-        except csv.Error as exc:
-            return repr(exc)
-
-    return (
-        both(parse_bytes, "".join(lines).encode(),
-             lambda cells, report: (cell_rows(cells), report.reject_reasons)),
-        both(reference_parse, iter(lines),
-             lambda rows, reasons: ([repr(r) for r in rows], dict(reasons))),
-    )
+    ``lines`` and of ``reference_parse`` on them."""
+    cells, report = parse_bytes("".join(lines).encode())
+    rows, reasons = reference_parse(iter(lines))
+    return (cell_rows(cells), report.reject_reasons), ([repr(r) for r in rows], dict(reasons))
 
 
 def lines_of(rows: list[list[str]], quote: str = "") -> list[str]:
@@ -441,16 +431,12 @@ def lines_of(rows: list[list[str]], quote: str = "") -> list[str]:
 
 @pytest.mark.parametrize("quote", ['"', ""], ids=["quoted", "unquoted"])
 def test_nul_in_radio_mcc_and_net_is_read_as_the_reference_reads_it(quote):
-    """A text that ends in NUL is another spelling than the text without it.
-    csv.reader before Python 3.11 raises on NUL, and both sides raise alike."""
+    """A text that ends in NUL is another spelling than the text without it."""
     rows = [GOOD_ROW, edited(0, "LTE\x00"), edited(0, "\x00LTE"), edited(1, "310\x00"),
             edited(2, "26\x00"), edited(2, "26"), edited(2, "260\x00"), edited(1, "\x00310")]
     got, want = parse_and_reference(lines_of(rows, quote))
     assert got == want
-    if isinstance(want, str):
-        assert "NUL" in want
-    else:
-        assert want[1] == {BAD_RADIO: 2, BAD_NUMERIC: 4}
+    assert want[1] == {BAD_RADIO: 2, BAD_NUMERIC: 4}
 
 
 def test_a_comma_in_a_quoted_mcc_or_net_is_a_bad_plmn():
@@ -524,7 +510,7 @@ def reference_read_outcome(path: Path):
     try:
         with opener(path, "rt", encoding="utf-8-sig", newline="") as fh:
             records, reasons = reference_parse(fh)
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
         return exc
     return [repr(r) for r in records], dict(reasons)
 
@@ -561,8 +547,6 @@ def test_byte_reader_matches_text_mode_reference(data, read_size):
             want = reference_read_outcome(path)
             if isinstance(want, UnicodeDecodeError):
                 assert got.startswith(f"cannot read input {path}: 'utf-8' codec ")
-            elif isinstance(want, csv.Error):  # NUL, before Python 3.11
-                assert got == f"cannot read input {path}: {want}"
             else:
                 assert got == want
 
