@@ -25,14 +25,17 @@ one representation of tower rows.
 
 A file is read as bytes, :data:`READ_SIZE` at a time, in pieces of whole
 lines, each checked as UTF-8; a leading BOM is left out, and an
-undecodable byte aborts the read. A line ends at a newline, a CR-LF pair
-or a lone CR, as text mode with newline="" cuts it. The header is the
-first csv row. Up to the first piece with a quote, each piece splits at
-every comma and line end of its bytes, each CR-LF pair and lone CR a
-newline, as csv.reader splits it, with no limit on a line's length.
-From that piece to the end of the file, one csv.reader splits the decoded
-lines, with its field limit lifted for the parse, and the fields of each
-block of rows are joined by commas into one such buffer.
+undecodable byte aborts the read. A second thread reads, inflates, cuts
+and checks pieces while the decoder works, up to :data:`_AHEAD` + 1
+pieces of READ_SIZE and a line ahead; results and errors are as on one
+thread. A line ends at a newline, a CR-LF pair or a lone CR, as text mode
+with newline="" cuts it. The header is the first csv row. Up to the first
+piece with a quote, each piece splits at every comma and line end of its
+bytes, each CR-LF pair and lone CR a newline, as csv.reader splits it,
+with no limit on a line's length. From that piece to the end of the file,
+one csv.reader splits the decoded lines, with its field limit lifted for
+the parse, and the fields of each block of rows are joined by commas into
+one such buffer.
 Either way one decoder reads the fields column by column in numpy:
 integers of up to 18 digits; decimals whose digits, point left out, form
 an integer up to 2**53 with at most 22 of them after the point, whose
@@ -48,8 +51,10 @@ import codecs
 import csv
 import gzip
 import io
+import queue
 import struct
 import sys
+import threading
 import zlib
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -430,7 +435,8 @@ def _text_lines(raw: bytes) -> list[str]:
     return io.StringIO(raw.decode(), newline="").readlines()
 
 
-READ_SIZE = 1 << 17  # bytes read from a file at a time; sets the decoder's working memory
+READ_SIZE = 1 << 17  # bytes read at a time: a piece is at most this and one line
+_AHEAD = 2  # pieces queued for the decoder; the reader holds one more, waiting to queue it
 _LONG_MAX = (1 << 8 * struct.calcsize("l") - 1) - 1  # the largest csv.field_size_limit()
 
 
@@ -458,30 +464,59 @@ def _checked(pieces: Iterator[bytes]) -> Iterator[bytes]:
         yield piece
 
 
+def _read_ahead(pieces: Iterator[bytes]) -> Iterator[bytes]:
+    """``pieces`` as one thread queues them, up to :data:`_AHEAD`, and its
+    exception last; ending or closing the generator stops and joins it."""
+    ready, stop = queue.Queue(_AHEAD), threading.Event()
+
+    def draw() -> None:  # stop is checked after each put, so one more put fits a drained queue
+        try:
+            for piece in chain(pieces, [None]):
+                ready.put(piece)
+                if stop.is_set():
+                    return
+        except BaseException as exc:
+            ready.put(exc)
+
+    thread = threading.Thread(target=draw, daemon=True)
+    thread.start()
+    try:
+        while (piece := ready.get()) is not None:
+            if isinstance(piece, BaseException):
+                raise piece
+            yield piece
+    finally:
+        stop.set()
+        while not ready.empty():
+            ready.get_nowait()
+        thread.join()
+
+
 def _parse(fh: BinaryIO) -> tuple[Cells, IngestReport]:
     """Parse the tower records of the open binary file ``fh``: its pieces by
     the byte splitter up to the first that :func:`_splittable` refuses, and
     from that piece to the end of the file by one csv.reader. The header is
     the first piece's first line, split at commas, or where that piece goes
     to csv.reader, the reader's first row."""
-    pieces = _checked(_whole_lines(fh.read))
+    pieces = _read_ahead(_checked(_whole_lines(fh.read)))
     out = _Columns()
     header, reader = None, iter(())
-    for piece in pieces:
-        if (split := _splittable(piece)) is None:
-            reader = csv.reader(chain.from_iterable(map(_text_lines, chain([piece], pieces))))
-            break
-        if header is None:
-            line, _, split = split.partition(b"\n")  # an empty first piece is an empty file
-            header = _checked_header([line.decode().split(",")] if piece else [])
-        _split_block(out, split)
     limit = csv.field_size_limit(_LONG_MAX)  # no field limit, as the byte splitter has none
     try:
+        for piece in pieces:
+            if (split := _splittable(piece)) is None:
+                reader = csv.reader(chain.from_iterable(map(_text_lines, chain([piece], pieces))))
+                break
+            if header is None:
+                line, _, split = split.partition(b"\n")  # an empty first piece is an empty file
+                header = _checked_header([line.decode().split(",")] if piece else [])
+            _split_block(out, split)
         if header is None:
             _checked_header(list(islice(reader, 1)))
         while rows := list(islice(reader, BLOCK_LINES)):
             out.add_rows(rows)
     finally:
+        pieces.close()  # before the caller closes fh
         csv.field_size_limit(limit)
     return out.result()
 

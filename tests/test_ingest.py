@@ -3,6 +3,9 @@ import gzip
 import io
 import math
 import re
+import sys
+import threading
+import zlib
 from unittest.mock import patch
 
 import numpy as np
@@ -361,6 +364,90 @@ class TestBlockFiles:
         assert got["cr"] == got["lf"]
         records, report = got["lf"]
         assert report.rows_kept == len(records) == 7
+
+
+def failing_export(case: str) -> bytes:
+    """BODY_ROWS, about 28 kB, with the fault ``case`` names, if any."""
+    rows, header = list(BODY_ROWS), HEADER
+    if case == "header-mismatch":
+        header = HEADER.replace(",lat,", ",latitude,")
+    if case in ("bad-byte-last", "quoted-first"):
+        rows[-1] = rows[-1].replace("-87.6", "-87.\udcff")
+    if case == "quoted-first":
+        rows[0] = rows[0].replace(",12345678,,", ',12345678,"u",')
+    data = (header + "\n" + "\n".join(rows) + "\n").encode("utf-8", "surrogateescape")
+    if not case.endswith("-gz"):
+        return data
+    data = bytearray(gzip.compress(data, mtime=0))
+    if case == "truncated-gz":
+        return bytes(data[:len(data) // 2])
+    data[len(data) // 2] ^= 0xFF
+    return bytes(data)
+
+
+class TestReadAhead:
+    """Pieces are read and decompressed on a thread ahead of the decoder.
+    Read in pieces of 512 bytes, about 55 to a file, so several are in
+    flight when a read fails: each failure raises the error a read on one
+    thread raised, and no thread outlives read_cells."""
+
+    @pytest.mark.parametrize("case, error", [
+        ("truncated-gz", "Compressed file ended before the end-of-stream marker was reached"),
+        ("corrupt-gz", "Error -3 while decompressing data: "),
+        ("bad-byte-last", "'utf-8' codec can't decode byte 0xff in position 480: invalid start byte"),
+        ("quoted-first", "'utf-8' codec can't decode byte 0xff in position 480: invalid start byte"),
+        ("header-mismatch", None),
+    ])
+    def test_a_failed_read_raises_its_error_and_leaves_no_thread(self, tmp_path, case, error):
+        path = tmp_path / ("export.csv.gz" if case.endswith("-gz") else "export.csv")
+        path.write_bytes(failing_export(case))
+        if case == "corrupt-gz":  # the inflate error's text depends on the zlib build
+            with pytest.raises(zlib.error) as inflate, gzip.open(path) as fh:
+                while fh.read(512):
+                    pass
+            assert str(inflate.value).startswith(error)
+            error = str(inflate.value)
+        text = f"cannot read input {path}: {error}" if error else (
+            f"{path}: header mismatch: expected {HEADER}"
+        )
+        before = threading.enumerate()
+        with patch.object(ingest, "READ_SIZE", 512), \
+                pytest.raises(GnbdimError, match="^" + re.escape(text) + "$") as raised:
+            read_cells(path)
+        assert threading.enumerate() == before  # while ``raised`` holds the failed frames
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+    def test_an_interrupt_in_the_decoder_stops_the_reader(self, tmp_path, gz):
+        """An interrupt at the decoder's first, third or a late block, with the
+        threads switched every microsecond, leaves no thread behind, and the
+        next read of the file gives every row."""
+        data = failing_export("plain")
+        path = tmp_path / ("export.csv.gz" if gz else "export.csv")
+        path.write_bytes(gzip.compress(data) if gz else data)
+        split_block = ingest._split_block
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for stop_at in (1, 3, len(data) // 512):
+                calls = []
+
+                def interrupted(out, raw):
+                    calls.append(raw)
+                    if len(calls) == stop_at:
+                        raise KeyboardInterrupt
+                    split_block(out, raw)
+
+                before = threading.enumerate()
+                with patch.object(ingest, "READ_SIZE", 512), \
+                        patch.object(ingest, "_split_block", interrupted), \
+                        pytest.raises(KeyboardInterrupt) as raised:
+                    read_cells(path)
+                assert threading.enumerate() == before  # while ``raised`` holds the failed frames
+                assert len(calls) == stop_at
+                with patch.object(ingest, "READ_SIZE", 512):
+                    assert read_cells(path)[1].rows_read == len(BODY_ROWS)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCellsEquality:
