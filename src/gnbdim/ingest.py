@@ -35,7 +35,9 @@ bytes, each CR-LF pair and lone CR a newline, as csv.reader splits it,
 with no limit on a line's length. From that piece to the end of the file,
 one csv.reader splits the decoded lines, with its field limit lifted for
 the parse, and the fields of each block of rows are joined by commas into
-one such buffer.
+one such buffer. Each piece, or each block of csv rows, is decoded on its
+own into its kept rows, as a :class:`Cells`, and its reject counts; those
+are joined into one table and one report.
 Either way one decoder reads the fields column by column in numpy:
 integers of up to 18 digits; decimals whose digits, point left out, form
 an integer up to 2**53 with at most 22 of them after the point, whose
@@ -56,10 +58,12 @@ import struct
 import sys
 import threading
 import zlib
+from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -167,7 +171,7 @@ def _plmn_digits(mcc_text: str, net_text: str) -> str | None:
     return plmn if len(mcc) == 3 and is_plmn(plmn) else None
 
 
-BLOCK_LINES = 1024  # rows write_cells formats, and add_rows decodes, at a time
+BLOCK_LINES = 1024  # rows write_cells formats, and _parse decodes from csv.reader, at a time
 
 _INTS = (3, 4, 9, 11, 12)  # area, cell, samples, created, updated
 _DECIMALS = (6, 7, 8, 13)  # lon, lat, range, averageSignal
@@ -179,150 +183,126 @@ _MANTISSA_MAX = 2**53
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(8)], dtype=np.uint64)
 
 
-# The dtype of each Cells column; result() passes the integer ones through int_column.
+# The dtype of each Cells column; _joined passes the integer ones through int_column.
 _DTYPES = dict(
     radio=np.int8, plmn=object, area=np.int64, cell=np.int64, lon=np.float64, lat=np.float64,
     range_m=np.float64, samples=np.int64, created=np.int64, updated=np.int64,
     avg_signal=np.float64,
 )
 _INT_NAMES = ("area", "cell", "samples", "created", "updated")  # the columns of _INTS
+_EMPTY = Cells(**{name: np.empty(0, dtype) for name, dtype in _DTYPES.items()})
 
 
-class _Columns:
-    """The kept rows' columns, as arrays block by block, and the reject counts."""
+def _csv_block(rows: list[list[str]]) -> tuple[Cells, Counter]:
+    """The block of csv rows: the fields of each row of 14 are joined by
+    commas into one UTF-8 buffer for :func:`_decode`."""
+    n_fields = len(EXPECTED_HEADER)
+    fields, misshapen = [], 0
+    for row in rows:
+        if len(row) == n_fields:
+            fields += row
+        elif row:  # a blank line is not a data row
+            misshapen += 1
+    joined = ",".join(fields)
+    length = map(len, fields) if joined.isascii() else (len(f.encode()) for f in fields)
+    length = np.fromiter(length, dtype=np.intp, count=len(fields))
+    raw = joined.encode()
+    end = (np.cumsum(length + 1) + (_PAD - 1)).reshape(-1, n_fields).T
+    start = end - length.reshape(-1, n_fields).T
+    data = np.frombuffer(bytes(_PAD) + raw + bytes(8), dtype=np.uint8)
+    return _decode(data, start, end, misshapen)
 
-    def __init__(self) -> None:
-        self.parts = {name: [np.empty(0, dtype)] for name, dtype in _DTYPES.items()}
-        # glibc returns a freed heap top over twice the largest block it has
-        # unmapped to the OS, so each block's decoder scratch would be faulted
-        # in anew; unmapping one untouched 4 MiB block keeps it in the heap.
-        np.empty(1 << 22, dtype=np.uint8)
-        self.rows_read = 0
-        self.rejects = dict.fromkeys((BAD_SHAPE, BAD_RADIO, BAD_NUMERIC, BAD_COORDINATE), 0)
 
-    def add_rows(self, rows: list[list[str]]) -> None:
-        """Add csv rows: the fields of each row of 14 are joined by commas
-        into one UTF-8 buffer for :meth:`add`, which decodes them."""
-        n_fields = len(EXPECTED_HEADER)
-        fields, misshapen = [], 0
-        for row in rows:
-            if len(row) == n_fields:
-                fields += row
-            elif row:  # a blank line is not a data row
-                misshapen += 1
-        joined = ",".join(fields)
-        length = map(len, fields) if joined.isascii() else (len(f.encode()) for f in fields)
-        length = np.fromiter(length, dtype=np.intp, count=len(fields))
-        raw = joined.encode()
-        end = (np.cumsum(length + 1) + (_PAD - 1)).reshape(-1, n_fields).T
-        start = end - length.reshape(-1, n_fields).T
-        data = np.frombuffer(bytes(_PAD) + raw + bytes(8), dtype=np.uint8)
-        self.add(data, start, end, misshapen)
+def _decode(
+    data: np.ndarray, start: np.ndarray, end: np.ndarray, misshapen: int
+) -> tuple[Cells, Counter]:
+    """The kept rows of those whose 14 fields are the spans [start, end) of
+    the UTF-8 buffer ``data``, row r's field c at ``[c, r]``, and the reject
+    counts of them and of ``misshapen`` rows without 14 fields.
 
-    def add(
-        self, data: np.ndarray, start: np.ndarray, end: np.ndarray, misshapen: int
-    ) -> None:
-        """Add the rows whose 14 fields are the spans [start, end) of the
-        UTF-8 buffer ``data``, row r's field c at ``[c, r]``, and count
-        ``misshapen`` rows without 14 fields.
+    Fields of the common shapes are decoded in numpy, every other field
+    by int() or float() on its own text, and each row's reject reason is
+    its first failed check, left to right.
+    """
+    n = start.shape[1]
+    if not n:
+        return _EMPTY, Counter({BAD_SHAPE: misshapen})
+    texts, inverse = _spellings(data, start[0], end[0])
+    code = np.array([_RADIO_CODE.get(t.strip(), -1) for t in texts], dtype=np.int8)[inverse]
+    texts, inverse = _spellings(data, start[1], end[2])  # "mcc,net"
+    # A comma in either field leaves one in the net part, which no PLMN holds.
+    digits = [_plmn_digits(*t.split(",", 1)) for t in texts]
+    plmn = np.array(digits, dtype=object)[inverse]
+    plmn_ok = np.array([d is not None for d in digits])[inverse]
 
-        Fields of the common shapes are decoded in numpy, every other field
-        by int() or float() on its own text, and each row's reject reason is
-        its first failed check, left to right.
-        """
-        n = start.shape[1]
-        self.rows_read += n + misshapen
-        self.rejects[BAD_SHAPE] += misshapen
-        if not n:
-            return
-        texts, inverse = _spellings(data, start[0], end[0])
-        code = np.array([_RADIO_CODE.get(t.strip(), -1) for t in texts], dtype=np.int8)[inverse]
-        texts, inverse = _spellings(data, start[1], end[2])  # "mcc,net"
-        # A comma in either field leaves one in the net part, which no PLMN holds.
-        digits = [_plmn_digits(*t.split(",", 1)) for t in texts]
-        plmn = np.array(digits, dtype=object)[inverse]
-        plmn_ok = np.array([d is not None for d in digits])[inverse]
+    numbers = list(_INTS + _DECIMALS)
+    start, end = start[numbers].ravel(), end[numbers].ravel()
+    mantissa, frac, neg, shaped, dotted = (
+        a.reshape(len(numbers), n) for a in _numbers(data, start, end)
+    )
 
-        numbers = list(_INTS + _DECIMALS)
-        start, end = start[numbers].ravel(), end[numbers].ravel()
-        mantissa, frac, neg, shaped, dotted = (
-            a.reshape(len(numbers), n) for a in _numbers(data, start, end)
-        )
+    # Integer columns, as Python ints; a field int() reads is patched in.
+    n_ints = len(_INTS)
+    ints = np.where(neg, -mantissa, mantissa)[:n_ints]
+    parsed = shaped[:n_ints] & ~dotted[:n_ints]
+    patched = [{} for _ in _INTS]
+    for c, r in zip(*np.nonzero(~parsed)):
+        i = c * n + r
+        try:
+            value = int(_text(data, start[i], end[i]))
+        except ValueError:
+            continue
+        patched[c][r] = value
+        parsed[c, r] = True
+        ints[c, r] = _check_value(c, value)
+    area, cell = ints[:2]
+    radio_ok = code >= 0
+    ids_ok = (
+        radio_ok & plmn_ok & (parsed[:2] & (ints[:2] >= 0)).all(axis=0)
+        & (area <= 0xFFFF) & ~((code == _LTE) & (cell >= LTE_CELL_LIMIT))
+    )
 
-        # Integer columns, as Python ints; a field int() reads is patched in.
-        n_ints = len(_INTS)
-        ints = np.where(neg, -mantissa, mantissa)[:n_ints]
-        parsed = shaped[:n_ints] & ~dotted[:n_ints]
-        patched = [{} for _ in _INTS]
-        for c, r in zip(*np.nonzero(~parsed)):
-            i = c * n + r
-            try:
-                value = int(_text(data, start[i], end[i]))
-            except ValueError:
-                continue
-            patched[c][r] = value
-            parsed[c, r] = True
-            ints[c, r] = _check_value(c, value)
-        area, cell = ints[:2]
-        radio_ok = code >= 0
-        ids_ok = (
-            radio_ok & plmn_ok & (parsed[:2] & (ints[:2] >= 0)).all(axis=0)
-            & (area <= 0xFFFF) & ~((code == _LTE) & (cell >= LTE_CELL_LIMIT))
-        )
+    # Decimal columns: a mantissa up to 2**53 over 10**k with k <= 22 is
+    # correctly rounded (Clinger's fast path), as float() is. An empty
+    # averageSignal is absent.
+    mantissa, frac, neg, shaped = (a[n_ints:] for a in (mantissa, frac, neg, shaped))
+    fast = shaped & (mantissa <= _MANTISSA_MAX) & (frac < len(_POW10))
+    decimals = mantissa / _POW10[np.where(fast, frac, 0)]
+    decimals = np.where(neg, -decimals, decimals)
+    absent = (end - start)[-n:] == 0
+    fast[-1] |= absent
+    decimals[-1, absent] = _NAN
+    for c, r in zip(*np.nonzero(~fast)):
+        i = (n_ints + c) * n + r
+        field = _text(data, start[i], end[i])
+        if c == len(_DECIMALS) - 1:  # averageSignal is stripped first
+            field = field.strip()
+            absent[r] = not field
+        try:
+            decimals[c, r] = float(field)
+        except ValueError:
+            decimals[c, r] = _NAN  # fails every check below, unless absent
+    lon, lat, range_m, signal = decimals
+    place_ok = (-180.0 <= lon) & (lon <= 180.0) & (-90.0 <= lat) & (lat <= 90.0)
+    rest_ok = (
+        (0.0 <= range_m) & (range_m <= _FLOAT_MAX) & (absent | np.isfinite(signal))
+        & (parsed[2:] & (ints[2:] >= 0)).all(axis=0)
+    )
+    keep = place_ok & ids_ok & rest_ok
+    rejects = Counter({
+        BAD_SHAPE: misshapen,
+        BAD_RADIO: int(np.count_nonzero(~radio_ok)),
+        BAD_NUMERIC: int(np.count_nonzero(radio_ok & ~ids_ok | ids_ok & place_ok & ~rest_ok)),
+        BAD_COORDINATE: int(np.count_nonzero(ids_ok & ~place_ok)),
+    })
 
-        # Decimal columns: a mantissa up to 2**53 over 10**k with k <= 22 is
-        # correctly rounded (Clinger's fast path), as float() is. An empty
-        # averageSignal is absent.
-        mantissa, frac, neg, shaped = (a[n_ints:] for a in (mantissa, frac, neg, shaped))
-        fast = shaped & (mantissa <= _MANTISSA_MAX) & (frac < len(_POW10))
-        decimals = mantissa / _POW10[np.where(fast, frac, 0)]
-        decimals = np.where(neg, -decimals, decimals)
-        absent = (end - start)[-n:] == 0
-        fast[-1] |= absent
-        decimals[-1, absent] = _NAN
-        for c, r in zip(*np.nonzero(~fast)):
-            i = (n_ints + c) * n + r
-            field = _text(data, start[i], end[i])
-            if c == len(_DECIMALS) - 1:  # averageSignal is stripped first
-                field = field.strip()
-                absent[r] = not field
-            try:
-                decimals[c, r] = float(field)
-            except ValueError:
-                decimals[c, r] = _NAN  # fails every check below, unless absent
-        lon, lat, range_m, signal = decimals
-        place_ok = (-180.0 <= lon) & (lon <= 180.0) & (-90.0 <= lat) & (lat <= 90.0)
-        rest_ok = (
-            (0.0 <= range_m) & (range_m <= _FLOAT_MAX) & (absent | np.isfinite(signal))
-            & (parsed[2:] & (ints[2:] >= 0)).all(axis=0)
-        )
-        keep = place_ok & ids_ok & rest_ok
-        self.rejects[BAD_RADIO] += int(np.count_nonzero(~radio_ok))
-        self.rejects[BAD_NUMERIC] += int(np.count_nonzero(radio_ok & ~ids_ok))
-        self.rejects[BAD_COORDINATE] += int(np.count_nonzero(ids_ok & ~place_ok))
-        self.rejects[BAD_NUMERIC] += int(np.count_nonzero(ids_ok & place_ok & ~rest_ok))
-
-        columns = dict(radio=code, plmn=plmn, lon=lon, lat=lat, range_m=range_m, avg_signal=signal)
-        for name, values, by_int in zip(_INT_NAMES, ints, patched):
-            if by_int:  # the values int() read, where _check_value stood in for them
-                values = values.astype(object)
-                values[list(by_int)] = list(by_int.values())
-            columns[name] = values
-        for name, values in columns.items():
-            self.parts[name].append(values[keep])
-
-    def result(self) -> tuple[Cells, IngestReport]:
-        reasons = {reason: n for reason, n in self.rejects.items() if n}
-        rejected = sum(reasons.values())
-        report = IngestReport(
-            rows_read=self.rows_read,
-            rows_kept=self.rows_read - rejected,
-            rows_rejected=rejected,
-            reject_reasons=reasons,
-        )
-        columns = {name: np.concatenate(parts) for name, parts in self.parts.items()}
-        columns.update((name, int_column(columns[name])) for name in _INT_NAMES)
-        return Cells(**columns), report
+    columns = dict(radio=code, plmn=plmn, lon=lon, lat=lat, range_m=range_m, avg_signal=signal)
+    for name, values, by_int in zip(_INT_NAMES, ints, patched):
+        if by_int:  # the values int() read, where _check_value stood in for them
+            values = values.astype(object)
+            values[list(by_int)] = list(by_int.values())
+        columns[name] = values
+    return Cells(**{name: values[keep] for name, values in columns.items()}), rejects
 
 
 def _text(data: np.ndarray, start: int, end: int) -> str:
@@ -401,10 +381,10 @@ def _check_value(column: int, value: int) -> int:
     return min(max(value, -1), 1 << 62)
 
 
-def _split_block(out: _Columns, raw: bytes) -> None:
-    """Add the rows of ``raw``, whole lines with no quote or CR (the last
-    may lack its newline), to ``out``, split at every comma and newline of
-    its bytes as csv.reader splits such lines."""
+def _split_block(raw: bytes) -> tuple[Cells, Counter]:
+    """The block of ``raw``, whole lines with no quote or CR (the last may
+    lack its newline), split at every comma and newline of its bytes as
+    csv.reader splits such lines."""
     if not raw.endswith(b"\n"):
         raw += b"\n"
     data = np.frombuffer(bytes(_PAD) + raw + bytes(8), dtype=np.uint8)
@@ -417,7 +397,7 @@ def _split_block(out: _Columns, raw: bytes) -> None:
     # newline before the row, or a virtual one before the block, as its 0th.
     bounds = np.concatenate(([_PAD - 1], delim))
     around = bounds[last[shaped] + np.arange(1 - n_fields, 2)[:, None]]
-    out.add(data, around[:-1] + 1, around[1:], int(np.count_nonzero(~blank & ~shaped)))
+    return _decode(data, around[:-1] + 1, around[1:], int(np.count_nonzero(~blank & ~shaped)))
 
 
 def _splittable(raw: bytes) -> bytes | None:
@@ -492,14 +472,18 @@ def _read_ahead(pieces: Iterator[bytes]) -> Iterator[bytes]:
         thread.join()
 
 
-def _parse(fh: BinaryIO) -> tuple[Cells, IngestReport]:
-    """Parse the tower records of the open binary file ``fh``: its pieces by
-    the byte splitter up to the first that :func:`_splittable` refuses, and
-    from that piece to the end of the file by one csv.reader. The header is
-    the first piece's first line, split at commas, or where that piece goes
-    to csv.reader, the reader's first row."""
+def _parse(fh: BinaryIO) -> Iterator[tuple[Cells, Counter]]:
+    """The blocks of tower records of the open binary file ``fh``: one per
+    piece by the byte splitter up to the first that :func:`_splittable`
+    refuses, and from that piece to the end of the file one per BLOCK_LINES
+    rows of one csv.reader. The header is the first piece's first line,
+    split at commas, or where that piece goes to csv.reader, the reader's
+    first row. Closing the generator early stops the reader thread."""
+    # glibc returns a freed heap top over twice the largest block it has
+    # unmapped to the OS, so each block's decoder scratch would be faulted
+    # in anew; unmapping one untouched 4 MiB block keeps it in the heap.
+    np.empty(1 << 22, dtype=np.uint8)
     pieces = _read_ahead(_checked(_whole_lines(fh.read)))
-    out = _Columns()
     header, reader = None, iter(())
     limit = csv.field_size_limit(_LONG_MAX)  # no field limit, as the byte splitter has none
     try:
@@ -510,15 +494,28 @@ def _parse(fh: BinaryIO) -> tuple[Cells, IngestReport]:
             if header is None:
                 line, _, split = split.partition(b"\n")  # an empty first piece is an empty file
                 header = _checked_header([line.decode().split(",")] if piece else [])
-            _split_block(out, split)
+            yield _split_block(split)
         if header is None:
             _checked_header(list(islice(reader, 1)))
         while rows := list(islice(reader, BLOCK_LINES)):
-            out.add_rows(rows)
+            yield _csv_block(rows)
     finally:
         pieces.close()  # before the caller closes fh
         csv.field_size_limit(limit)
-    return out.result()
+
+
+def _joined(blocks: Iterable[tuple[Cells, Counter]]) -> tuple[Cells, IngestReport]:
+    """The rows of ``blocks`` as one table, its integer columns through
+    :func:`int_column`, and their report."""
+    tables, rejects = [_EMPTY], Counter()
+    for cells, counts in blocks:
+        tables.append(cells)
+        rejects += counts  # keeps the reasons with a reject
+    columns = {name: np.concatenate([vars(t)[name] for t in tables]) for name in _DTYPES}
+    columns.update((name, int_column(columns[name])) for name in _INT_NAMES)
+    kept, rejected = len(columns["plmn"]), rejects.total()
+    report = IngestReport(kept + rejected, kept, rejected, dict(rejects))
+    return Cells(**columns), report
 
 
 def _checked_header(rows: list[list[str]]) -> list[list[str]]:
@@ -538,8 +535,8 @@ def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
     """
     opener = gzip.open if Path(path).name.endswith(".gz") else open
     try:
-        with opener(path, "rb") as fh:
-            return _parse(fh)
+        with opener(path, "rb") as fh, closing(_parse(fh)) as blocks:  # closed before fh
+            return _joined(blocks)
     except FileNotFoundError:
         raise GnbdimError(f"input file not found: {path}") from None
     except GnbdimError as exc:

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import zlib
+from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
@@ -20,6 +21,7 @@ from gnbdim.ingest import (
     BAD_SHAPE,
     EXPECTED_HEADER,
     RADIOS,
+    IngestReport,
     filter_records,
     read_cells,
     write_cells,
@@ -55,11 +57,19 @@ class TestParseCsv:
         assert records.avg_signal[0] == -95.0
 
     def test_header_only(self):
-        records, report = parse_text(HEADER + "\n")
-        assert len(records) == 0
-        assert report.rows_read == 0
-        assert report.rows_kept == 0
-        assert report.rows_rejected == 0
+        """A file of only a header gives a table of no rows whose columns
+        have their dtypes, on the byte splitter's route and on csv.reader's,
+        which yields no block at all."""
+        for header in (HEADER, '"radio"' + HEADER[5:]):
+            blocks = list(ingest._parse(io.BytesIO((header + "\n").encode())))
+            assert not any(len(cells) for cells, _ in blocks)
+            assert bool(blocks) == (header == HEADER)
+            records, report = parse_text(header + "\n")
+            assert len(records) == 0
+            assert {name: column.dtype for name, column in vars(records).items()} == ingest._DTYPES
+            assert report == IngestReport(
+                rows_read=0, rows_kept=0, rows_rejected=0, reject_reasons={}
+            )
 
     def test_latitude_out_of_bounds(self):
         row = GOOD_ROW.replace(",41.8,", ",95,")
@@ -228,7 +238,7 @@ def csv_split_only():
     """Every block is split by csv.reader, as the pieces from the first
     with a quote on are."""
     return patch.object(
-        ingest, "_split_block", lambda out, block: out.add_rows(csv.reader(ingest._text_lines(block)))
+        ingest, "_split_block", lambda raw: ingest._csv_block(csv.reader(ingest._text_lines(raw)))
     )
 
 
@@ -431,11 +441,11 @@ class TestReadAhead:
             for stop_at in (1, 3, len(data) // 512):
                 calls = []
 
-                def interrupted(out, raw):
+                def interrupted(raw):
                     calls.append(raw)
                     if len(calls) == stop_at:
                         raise KeyboardInterrupt
-                    split_block(out, raw)
+                    return split_block(raw)
 
                 before = threading.enumerate()
                 with patch.object(ingest, "READ_SIZE", 512), \
@@ -448,6 +458,56 @@ class TestReadAhead:
                     assert read_cells(path)[1].rows_read == len(BODY_ROWS)
         finally:
             sys.setswitchinterval(interval)
+
+    def test_an_interrupt_while_a_block_is_joined_stops_the_reader(self, tmp_path):
+        """An interrupt in read_cells after the parse yielded its first
+        block, as the block's counts are summed, leaves no thread behind."""
+
+        class Interrupting(Counter):
+            def items(self):
+                raise KeyboardInterrupt
+
+        path = tmp_path / "export.csv"
+        path.write_bytes(failing_export("plain"))
+        split_block = ingest._split_block
+
+        def interrupting(raw):
+            return split_block(raw)[0], Interrupting()
+
+        before = threading.enumerate()
+        with patch.object(ingest, "READ_SIZE", 512), \
+                patch.object(ingest, "_split_block", interrupting), \
+                pytest.raises(KeyboardInterrupt) as raised:
+            read_cells(path)
+        assert threading.enumerate() == before  # while ``raised`` holds the failed frames
+
+    @pytest.mark.parametrize("case", ["plain", "gz", "quoted-first"])
+    def test_closing_the_parse_after_its_first_block_stops_the_reader(self, tmp_path, case):
+        """The reader thread runs while the parse waits after its first
+        block, read in pieces of 512 bytes or blocks of 16 csv rows, and
+        closing the parse there joins it and gives the caller back its csv
+        field limit, on either route."""
+        data = failing_export("plain")
+        if case == "quoted-first":
+            data = data.replace(b",12345678,,", b',12345678,"u",', 1)
+        path = tmp_path / ("export.csv.gz" if case == "gz" else "export.csv")
+        path.write_bytes(gzip.compress(data) if case == "gz" else data)
+        opener = gzip.open if case == "gz" else open
+        before = threading.enumerate()
+        limit = csv.field_size_limit(2000)
+        try:
+            with patch.object(ingest, "READ_SIZE", 512), patch.object(ingest, "BLOCK_LINES", 16), \
+                    opener(path, "rb") as fh:
+                blocks = ingest._parse(fh)
+                cells, _ = next(blocks)
+                assert len(threading.enumerate()) == len(before) + 1
+                assert csv.field_size_limit() == ingest._LONG_MAX
+                blocks.close()
+            assert threading.enumerate() == before
+            assert csv.field_size_limit() == 2000
+        finally:
+            csv.field_size_limit(limit)
+        assert 0 < len(cells) < len(BODY_ROWS) // 3
 
 
 class TestCellsEquality:

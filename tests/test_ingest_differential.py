@@ -246,7 +246,7 @@ def test_columnar_parse_matches_reference(rows):
 # The parser splits a piece with no quote at its bytes' commas and
 # line ends, each CR-LF pair and lone CR a newline, and hands the first other
 # piece, and every piece after it, to csv.reader; both splits go to the one
-# numpy decoder, ``_Columns.add``.
+# numpy decoder, ``_decode``, which makes a block of each.
 # The exports below are written line by line with no csv quoting, so every
 # piece reaches the decoder, and ``READ_SIZE`` is patched small so each
 # export spans several pieces.
@@ -327,7 +327,7 @@ def cell_rows(cells) -> list[str]:
 
 def parse_bytes(data: bytes):
     """The parse ``read_cells`` makes of a file that holds ``data``."""
-    return ingest._parse(io.BytesIO(data))
+    return ingest._joined(ingest._parse(io.BytesIO(data)))
 
 
 READ_SIZES = st.integers(1, 64) | st.integers(65, 1024)
@@ -335,14 +335,14 @@ READ_SIZES = st.integers(1, 64) | st.integers(65, 1024)
 
 def parse_in_pieces(text: str, read_size: int, csv_split):
     """The parse of ``text`` read ``read_size`` bytes at a time, with
-    ``csv_split`` in place of ``_Columns.add_rows``, which adds the rows
+    ``csv_split`` in place of ``_csv_block``, which decodes the rows
     csv.reader split."""
     with patch.object(ingest, "READ_SIZE", read_size), \
-            patch.object(ingest._Columns, "add_rows", csv_split):
+            patch.object(ingest, "_csv_block", csv_split):
         return parse_bytes(text.encode())
 
 
-def no_csv_split(self, rows):
+def no_csv_split(rows):
     raise AssertionError("a piece without a quote went to csv.reader")
 
 
@@ -389,23 +389,69 @@ def test_only_a_block_with_a_quote_goes_to_the_row_loop():
     rows = [GOOD_ROW, edited(3, "70000"), edited(6, "far"), ["WIFI", "x"], []] * 3
     rows += [edited(5, '"a,b"'), GOOD_ROW, GOOD_ROW]
     text = "\n".join(map(",".join, [EXPECTED_HEADER, *rows])) + "\n"
-    add_rows = ingest._Columns.add_rows
+    csv_block = ingest._csv_block
     seen = []
 
-    def csv_split(self, rows):
+    def csv_split(rows):
         seen.append(list(rows))
-        add_rows(self, seen[-1])
+        return csv_block(seen[-1])
 
     cells, report = parse_in_pieces(text, 300, csv_split=csv_split)
     # Read 300 bytes at a time, the file is cut into pieces of 3, 8, 6 and 2
     # lines; the third holds the one quoted field, in its last line. No row
-    # of the first two reaches add_rows, and every row of the last two does.
+    # of the first two reaches _csv_block, and every row of the last two does.
     assert len(seen) == 1
     assert [len(row) for row in seen[0]] == [14, 14, 14, 2, 0, 14, 14, 14]
     assert seen[0][5][5] == "a,b"
     want_records, want_reasons = reference_parse(text)
     assert cell_rows(cells) == [repr(r) for r in want_records]
     assert report.reject_reasons == dict(want_reasons)
+
+
+QUOTED_FIELDS = st.sampled_from(['"a,b"', '"say ""hi"""', '"two\nlines"', '"cr\r\nlf"', '""'])
+
+
+@st.composite
+def quoted_exports(draw):
+    """An unquoted export with a quote in one line: the header's first
+    field quoted, or a row with a quoted ``unit`` put before a line or at
+    the end."""
+    lines = io.StringIO(draw(unquoted_exports()), newline="").readlines()
+    at = draw(st.integers(0, len(lines)))
+    if at == 0:
+        lines[0] = '"radio"' + lines[0][len("radio"):]
+    else:
+        if not lines[at - 1].endswith(("\n", "\r")):
+            lines[at - 1] += "\n"
+        lines.insert(at, ",".join(edited(5, draw(QUOTED_FIELDS))) + "\n")
+    return "".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unquoted_exports() | quoted_exports(), READ_SIZES)
+def test_the_blocks_make_the_table(text, read_size):
+    """The blocks ``_parse`` yields, on the byte splitter's route and on
+    csv.reader's, are typed as Cells columns, and joined they give the
+    table and report of ``read_cells``."""
+    data = text.encode()
+    with tempfile.TemporaryDirectory() as tmp, patch.object(ingest, "READ_SIZE", read_size):
+        path = Path(tmp) / "export.csv"
+        path.write_bytes(data)
+        cells, report = read_cells(path)
+        blocks = list(ingest._parse(io.BytesIO(data)))
+    for block, _ in blocks:
+        for name, column in vars(block).items():
+            assert column.dtype == ingest._DTYPES[name] or (
+                name in ingest._INT_NAMES and column.dtype == object
+            ), name
+    joined = Cells(**{
+        name: np.concatenate([np.empty(0, dtype), *(vars(block)[name] for block, _ in blocks)])
+        for name, dtype in ingest._DTYPES.items()
+    })
+    assert cell_rows(joined) == cell_rows(cells)
+    rejects = sum((counts for _, counts in blocks), Counter())
+    assert rejects == Counter(report.reject_reasons)
+    assert report.rows_read == len(cells) + rejects.total()
 
 
 # --- the csv split -------------------------------------------------------------
