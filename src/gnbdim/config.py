@@ -271,17 +271,9 @@ class RunConfig:
     resolved: dict = field(compare=False, repr=False)  # the checked document
 
     def to_dict(self) -> dict:
-        """Fully resolved echo; loading this dict reproduces the run."""
-        return _copy(self.resolved)
-
-
-def _copy(value: Any) -> Any:
-    """A copy of a JSON value, down to its leaves."""
-    if isinstance(value, dict):
-        return {key: _copy(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_copy(item) for item in value]
-    return value
+        """Fully resolved echo; loading this dict reproduces the run. It is
+        the config's own document, not a copy: callers must not change it."""
+        return self.resolved
 
 
 # What a model's own check raises: each is re-raised as a ConfigError.

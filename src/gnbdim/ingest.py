@@ -26,18 +26,19 @@ one representation of tower rows.
 A file is read as bytes, :data:`READ_SIZE` at a time, in pieces of whole
 lines, each checked as UTF-8; a leading BOM is left out, and an
 undecodable byte aborts the read. A second thread reads, inflates, cuts
-and checks pieces while the decoder works, up to :data:`_AHEAD` + 1
-pieces of READ_SIZE and a line ahead; results and errors are as on one
-thread. A line ends at a newline, a CR-LF pair or a lone CR, as text mode
-with newline="" cuts it. The header is the first csv row. Up to the first
-piece with a quote, each piece splits at every comma and line end of its
-bytes, each CR-LF pair and lone CR a newline, as csv.reader splits it,
-with no limit on a line's length. From that piece to the end of the file,
-one csv.reader splits the decoded lines, with its field limit lifted for
-the parse, and the fields of each block of rows are joined by commas into
-one such buffer. Each piece, or each block of csv rows, is decoded on its
-own into its kept rows, as a :class:`Cells`, and its reject counts; those
-are joined into one table and one report.
+and checks the next piece while the decoder works on this one, so one
+piece of READ_SIZE and a line is held ahead; results and errors are as
+on one thread. A line ends at a newline, a CR-LF pair or a lone CR, as
+text mode with newline="" cuts it. The header is the first csv row. Up
+to the first piece with a quote, each piece splits at every comma and
+line end of its bytes, each CR-LF pair and lone CR a newline, as
+csv.reader splits it, with no limit on a line's length. From that piece
+to the end of the file, one csv.reader splits the decoded lines, with
+its field limit lifted only while it splits, and the fields of each
+block of rows are joined by commas into one such buffer. Each non-empty
+piece, or each block of csv rows, is decoded on its own into its kept
+rows, as a :class:`Cells`, and its reject counts; those are joined into
+one table and one report.
 Either way one decoder reads the fields column by column in numpy:
 integers of up to 18 digits; decimals whose digits, point left out, form
 an integer up to 2**53 with at most 22 of them after the point, whose
@@ -53,12 +54,11 @@ import codecs
 import csv
 import gzip
 import io
-import queue
 import struct
 import sys
-import threading
 import zlib
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -416,7 +416,6 @@ def _text_lines(raw: bytes) -> list[str]:
 
 
 READ_SIZE = 1 << 17  # bytes read at a time: a piece is at most this and one line
-_AHEAD = 2  # pieces queued for the decoder; the reader holds one more, waiting to queue it
 _LONG_MAX = (1 << 8 * struct.calcsize("l") - 1) - 1  # the largest csv.field_size_limit()
 
 
@@ -445,47 +444,40 @@ def _checked(pieces: Iterator[bytes]) -> Iterator[bytes]:
 
 
 def _read_ahead(pieces: Iterator[bytes]) -> Iterator[bytes]:
-    """``pieces`` as one thread queues them, up to :data:`_AHEAD`, and its
-    exception last; ending or closing the generator stops and joins it."""
-    ready, stop = queue.Queue(_AHEAD), threading.Event()
-
-    def draw() -> None:  # stop is checked after each put, so one more put fits a drained queue
-        try:
-            for piece in chain(pieces, [None]):
-                ready.put(piece)
-                if stop.is_set():
-                    return
-        except BaseException as exc:
-            ready.put(exc)
-
-    thread = threading.Thread(target=draw, daemon=True)
-    thread.start()
-    try:
-        while (piece := ready.get()) is not None:
-            if isinstance(piece, BaseException):
-                raise piece
+    """``pieces``, the next one read on a worker thread while the caller
+    works on this one, and the reader's exception where it meets one;
+    ending or closing the generator joins the worker."""
+    with ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(next, pieces, None)
+        while (piece := ahead.result()) is not None:
+            ahead = pool.submit(next, pieces, None)
             yield piece
+
+
+def _csv_rows(reader: Iterator[list[str]], n: int) -> list[list[str]]:
+    """The next ``n`` rows of ``reader``, split with no field limit, as the
+    byte splitter has none; the caller's limit holds again on return."""
+    limit = csv.field_size_limit(_LONG_MAX)
+    try:
+        return list(islice(reader, n))
     finally:
-        stop.set()
-        while not ready.empty():
-            ready.get_nowait()
-        thread.join()
+        csv.field_size_limit(limit)
 
 
 def _parse(fh: BinaryIO) -> Iterator[tuple[Cells, Counter]]:
     """The blocks of tower records of the open binary file ``fh``: one per
-    piece by the byte splitter up to the first that :func:`_splittable`
-    refuses, and from that piece to the end of the file one per BLOCK_LINES
-    rows of one csv.reader. The header is the first piece's first line,
-    split at commas, or where that piece goes to csv.reader, the reader's
-    first row. Closing the generator early stops the reader thread."""
+    non-empty piece by the byte splitter up to the first that
+    :func:`_splittable` refuses, and from that piece to the end of the file
+    one per BLOCK_LINES rows of one csv.reader. The header is the first
+    piece's first line, split at commas, or where that piece goes to
+    csv.reader, the reader's first row. Closing the generator early joins
+    the reader thread."""
     # glibc returns a freed heap top over twice the largest block it has
     # unmapped to the OS, so each block's decoder scratch would be faulted
     # in anew; unmapping one untouched 4 MiB block keeps it in the heap.
     np.empty(1 << 22, dtype=np.uint8)
     pieces = _read_ahead(_checked(_whole_lines(fh.read)))
     header, reader = None, iter(())
-    limit = csv.field_size_limit(_LONG_MAX)  # no field limit, as the byte splitter has none
     try:
         for piece in pieces:
             if (split := _splittable(piece)) is None:
@@ -494,14 +486,14 @@ def _parse(fh: BinaryIO) -> Iterator[tuple[Cells, Counter]]:
             if header is None:
                 line, _, split = split.partition(b"\n")  # an empty first piece is an empty file
                 header = _checked_header([line.decode().split(",")] if piece else [])
-            yield _split_block(split)
+            if split:
+                yield _split_block(split)
         if header is None:
-            _checked_header(list(islice(reader, 1)))
-        while rows := list(islice(reader, BLOCK_LINES)):
+            _checked_header(_csv_rows(reader, 1))
+        while rows := _csv_rows(reader, BLOCK_LINES):
             yield _csv_block(rows)
     finally:
         pieces.close()  # before the caller closes fh
-        csv.field_size_limit(limit)
 
 
 def _joined(blocks: Iterable[tuple[Cells, Counter]]) -> tuple[Cells, IngestReport]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import csv
 
 import numpy as np
 import pytest
@@ -64,6 +65,15 @@ BASE_CONFIG = {
     },
     "window": {"w_cols": 7, "h_rows": 7},
 }
+
+
+@pytest.fixture(autouse=True)
+def csv_field_limit_kept():
+    """Fail a test that leaves csv.field_size_limit() changed, and put the
+    limit back so that the tests after it run with the default."""
+    limit = csv.field_size_limit()
+    yield
+    assert csv.field_size_limit(limit) == limit, "csv.field_size_limit() was left changed"
 
 
 def set_key(doc: dict, dotted: str, value) -> dict:

@@ -5,8 +5,10 @@ import math
 import re
 import sys
 import threading
+import time
 import zlib
 from collections import Counter
+from contextlib import closing
 from unittest.mock import patch
 
 import numpy as np
@@ -59,11 +61,10 @@ class TestParseCsv:
     def test_header_only(self):
         """A file of only a header gives a table of no rows whose columns
         have their dtypes, on the byte splitter's route and on csv.reader's,
-        which yields no block at all."""
+        neither of which yields a block."""
         for header in (HEADER, '"radio"' + HEADER[5:]):
             blocks = list(ingest._parse(io.BytesIO((header + "\n").encode())))
-            assert not any(len(cells) for cells, _ in blocks)
-            assert bool(blocks) == (header == HEADER)
+            assert not blocks
             records, report = parse_text(header + "\n")
             assert len(records) == 0
             assert {name: column.dtype for name, column in vars(records).items()} == ingest._DTYPES
@@ -237,9 +238,11 @@ class TestFiles:
 def csv_split_only():
     """Every block is split by csv.reader, as the pieces from the first
     with a quote on are."""
-    return patch.object(
-        ingest, "_split_block", lambda raw: ingest._csv_block(csv.reader(ingest._text_lines(raw)))
-    )
+
+    def csv_split(raw):
+        return ingest._csv_block(ingest._csv_rows(csv.reader(ingest._text_lines(raw)), sys.maxsize))
+
+    return patch.object(ingest, "_split_block", csv_split)
 
 
 def outcome(read, *args):
@@ -484,9 +487,9 @@ class TestReadAhead:
     @pytest.mark.parametrize("case", ["plain", "gz", "quoted-first"])
     def test_closing_the_parse_after_its_first_block_stops_the_reader(self, tmp_path, case):
         """The reader thread runs while the parse waits after its first
-        block, read in pieces of 512 bytes or blocks of 16 csv rows, and
-        closing the parse there joins it and gives the caller back its csv
-        field limit, on either route."""
+        block, read in pieces of 512 bytes or blocks of 16 csv rows, with
+        the caller's csv field limit in force, and closing the parse there
+        joins it, on either route."""
         data = failing_export("plain")
         if case == "quoted-first":
             data = data.replace(b",12345678,,", b',12345678,"u",', 1)
@@ -501,13 +504,32 @@ class TestReadAhead:
                 blocks = ingest._parse(fh)
                 cells, _ = next(blocks)
                 assert len(threading.enumerate()) == len(before) + 1
-                assert csv.field_size_limit() == ingest._LONG_MAX
+                assert csv.field_size_limit() == 2000
                 blocks.close()
             assert threading.enumerate() == before
             assert csv.field_size_limit() == 2000
         finally:
             csv.field_size_limit(limit)
         assert 0 < len(cells) < len(BODY_ROWS) // 3
+
+    def test_the_parse_reads_at_most_one_piece_past_its_last_block(self):
+        """Read 512 bytes at a time, each read is one piece and each piece
+        one block: after each of the first blocks, given time to run ahead,
+        the reader has read that block's piece and at most one more."""
+
+        class Counted(io.BytesIO):
+            reads = 0
+
+            def read(self, size=-1):
+                self.reads += 1
+                return super().read(size)
+
+        fh = Counted(failing_export("plain"))
+        with patch.object(ingest, "READ_SIZE", 512), closing(ingest._parse(fh)) as blocks:
+            for yielded in range(1, 5):
+                next(blocks)
+                time.sleep(0.05)
+                assert fh.reads <= yielded + 1
 
 
 class TestCellsEquality:
