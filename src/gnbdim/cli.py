@@ -12,6 +12,10 @@ import os
 import sys
 from contextlib import contextmanager
 
+# gnbdim makes no BLAS call, and OpenBLAS starts worker threads when numpy is
+# imported; a caller's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import click
 
 from . import __version__, density, pipeline

@@ -61,7 +61,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -171,7 +171,7 @@ def _plmn_digits(mcc_text: str, net_text: str) -> str | None:
     return plmn if len(mcc) == 3 and is_plmn(plmn) else None
 
 
-BLOCK_LINES = 1024  # rows write_cells formats, and _parse decodes from csv.reader, at a time
+BLOCK_LINES = 1024  # rows _parse decodes from csv.reader at a time
 
 _INTS = (3, 4, 9, 11, 12)  # area, cell, samples, created, updated
 _DECIMALS = (6, 7, 8, 13)  # lon, lat, range, averageSignal
@@ -539,25 +539,111 @@ def read_cells(path: str | Path) -> tuple[Cells, IngestReport]:
         raise GnbdimError(f"cannot read input {path}: {exc}") from None
 
 
+WRITE_LINES = 1 << 14  # rows write_cells formats at a time
+_POW10_INT = 10 ** np.arange(20, dtype=np.uint64)
+_RADIO_TEXT = np.array(RADIOS, "S").view(np.uint8).reshape(len(RADIOS), -1).T
+
+# The writer's fields are byte matrices with a column per row, NUL where the
+# field has no byte.
+
+
+def _ascii(texts: list[str]) -> np.ndarray:
+    return np.array(texts, "S").view(np.uint8).reshape(len(texts), -1).T
+
+
+def _digits(values: np.ndarray, width: int, lead: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The uint64 ``values`` as ``width`` ASCII digits, highest place first,
+    NUL for the zeros before the first non-zero digit (``lead``) or after
+    the last, but one; and each column's count of digits."""
+    digits = np.empty((width, len(values)), np.uint8)
+    for place in range(width - 1, -1, -1):
+        quotient = values // 10
+        digits[place] = values - quotient * 10
+        values = quotient
+    rank = np.arange(1, width + 1, dtype=np.uint8)[::-1 if lead else 1, None]
+    count = np.maximum(((digits > 0) * rank).max(axis=0), 1)
+    digits += ord("0")
+    digits *= rank <= count
+    return digits, count
+
+
+def _signed(neg: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+    digits, _ = _digits(magnitude, len(str(magnitude.max())), lead=True)
+    return np.concatenate([(neg * np.uint8(ord("-")))[None], digits]) if neg.any() else digits
+
+
+def _int_text(values: np.ndarray) -> np.ndarray:
+    if values.dtype == object:  # past int64
+        return _ascii(list(map(str, values.tolist())))
+    return _signed(values < 0, np.abs(values).view(np.uint64))  # -2**63 stays, read as 2**63
+
+
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """float.__repr__ of each value of ``x``.
+
+    A decimal of at most 15 significant digits survives the round trip
+    through a double (DBL_DIG), so no other such decimal reads back as the
+    same x: without its trailing zeros it is repr's shortest (Steele &
+    White; Gay, 1990). Where x has one, it is m = rint(|x| * 10**k) over
+    10**k, k the places that give m 15 digits, as |x| * 10**k is within a
+    relative 2**-53 of m, under 0.23 from it; the decoder's Clinger
+    division m / 10**k checks it. A value of 16 or 17 digits or in exponent
+    notation, and 0, inf and NaN, go to float.__repr__.
+    """
+    a = np.abs(x)
+    # repr's fixed notation; elsewhere 1.0, whose m checks against no x there
+    safe = np.where((1e-4 <= a) & (a < 1e16), a, 1.0)
+    k = 14 - np.floor(np.log10(safe)).astype(np.intp)  # places after the point
+    up, down = _POW10[np.maximum(k, 0)], _POW10[np.maximum(-k, 0)]
+    m = np.rint(safe * up / down)
+    m = np.where((m < 1e15) & (m / up * down == a), m, 0).astype(np.uint64)
+    places = np.maximum(k, 0)
+    width = max(int(places.max()), 1)
+    frac, count = _digits(m % _POW10_INT[places] * _POW10_INT[width - places], width, lead=False)
+    whole = _signed(np.signbit(x), m // _POW10_INT[places] * _POW10_INT[places - k])
+    text = np.concatenate([whole, np.full((1, len(x)), ord("."), np.uint8), frac[:count.max()]])
+    if len(slow := np.flatnonzero(m == 0)):
+        texts = _ascii(list(map(float.__repr__, x[slow].tolist())))
+        text = np.pad(text, ((0, max(len(texts) - len(text), 0)), (0, 0)))
+        text[:, slow] = 0
+        text[:len(texts), slow] = texts
+    return text
+
+
+def _distinct_float_text(x: np.ndarray) -> np.ndarray:
+    values, inverse = np.unique(x.view(np.int64), return_inverse=True)  # keeps -0.0 apart
+    return _float_text(values.view(np.float64)).take(inverse, axis=1)
+
+
+def _lines(radio, plmn, area, cell, lon, lat, range_m, samples, created, updated, signal) -> bytes:
+    """The records.csv lines of a block: its fields, commas and line ends
+    stacked, and read row by row with the NULs left out."""
+    n = len(plmn)
+    plmn = plmn.astype("S6").view(np.uint8).reshape(n, 6).T  # 5 or 6 digits
+    signal_text = _distinct_float_text(signal)
+    signal_text[:, np.isnan(signal)] = 0  # an absent signal is empty
+    empty = np.empty((0, n), np.uint8)
+    fields = (
+        _RADIO_TEXT.take(radio, axis=1), plmn[:3], plmn[3:], _int_text(area), _int_text(cell),
+        empty, _float_text(lon), _float_text(lat), _distinct_float_text(range_m),
+        _int_text(samples), empty, _int_text(created), _int_text(updated), signal_text,
+    )
+    comma = np.full((1, n), ord(","), np.uint8)
+    parts = [part for field in fields for part in (field, comma)]
+    parts[-1] = np.broadcast_to(np.array([[ord("\r")], [ord("\n")]], np.uint8), (2, n))
+    return np.concatenate(parts).T.tobytes().translate(None, b"\0")
+
+
 def write_cells(path: str | Path, records: Cells) -> None:
-    """Write records back out in the canonical 14-column layout, as
-    csv.writer writes them: floats by repr, so values round-trip exactly,
-    and CR-LF line ends. No field holds a character that needs quoting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(EXPECTED_HEADER) + "\r\n")
-        for start in range(0, len(records), BLOCK_LINES):  # a block's text at a time
-            radio, plmn, area, cell, lon, lat, range_m, samples, created, updated, signal = (
-                column[start:start + BLOCK_LINES].tolist() for column in vars(records).values()
-            )
-            signal = list(map(float.__repr__, signal))
-            columns = (
-                map(RADIOS.__getitem__, radio), [p[:3] for p in plmn], [p[3:] for p in plmn],
-                map(str, area), map(str, cell), repeat(""),
-                *(map(float.__repr__, column) for column in (lon, lat, range_m)),
-                map(str, samples), repeat(""), map(str, created), map(str, updated),
-                map({"nan": ""}.get, signal, signal),  # an absent signal is empty
-            )
-            fh.write("".join([line + "\r\n" for line in map(",".join, zip(*columns))]))
+    """Write records back out in the canonical 14-column layout, with the
+    bytes csv.writer writes: floats by repr, so values round-trip exactly,
+    and CR-LF line ends; no field needs quoting. :func:`_lines` formats
+    WRITE_LINES rows at a time in numpy."""
+    columns = vars(records).values()
+    with open(path, "wb") as fh:
+        fh.write(",".join(EXPECTED_HEADER).encode() + b"\r\n")
+        for start in range(0, len(records), WRITE_LINES):
+            fh.write(_lines(*(column[start:start + WRITE_LINES] for column in columns)))
 
 
 Bbox = tuple[float, float, float, float]  # (min_lon, min_lat, max_lon, max_lat)

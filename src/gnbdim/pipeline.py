@@ -345,9 +345,10 @@ def write_outputs(
     An output is a text, written as UTF-8, or a function that writes the
     file at the path it is given. Each goes to a temporary name in
     ``out_dir`` first, and all are renamed to their names only once every
-    write has succeeded. On any failure the files this call wrote are
-    removed, renamed ones included, and :class:`GnbdimError` names
-    ``out_dir``. Returns the paths written, in the order given.
+    write has succeeded. On any exception the files this call wrote are
+    removed, renamed ones included; an OSError becomes a
+    :class:`GnbdimError` naming ``out_dir``, and any other exception
+    propagates as it is. Returns the paths written, in the order given.
     """
     out = Path(out_dir)
     paths = [out / name for name in outputs]
@@ -363,9 +364,11 @@ def write_outputs(
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
             renamed.append(path)
-    except OSError as exc:
+    except BaseException as exc:
         for path in (*temps, *renamed):
             with contextlib.suppress(OSError):
                 path.unlink()
-        raise GnbdimError(f"cannot write output {out}: {exc}") from None
+        if isinstance(exc, OSError):
+            raise GnbdimError(f"cannot write output {out}: {exc}") from None
+        raise
     return paths

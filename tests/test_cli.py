@@ -621,3 +621,27 @@ def test_traced_functions_exist():
     for span, (module, attr) in traced.items():
         assert module.startswith("gnbdim."), span
         assert callable(getattr(importlib.import_module(module), attr, None)), span
+
+
+def _python(code: str, **env: str) -> str:
+    """The output of ``code`` run in a fresh interpreter with ``env`` over an
+    environment without OPENBLAS_NUM_THREADS."""
+    src = str(Path(gnbdim.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**base, **env},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
+def test_importing_the_cli_starts_no_openblas_threads():
+    assert _python("import os, gnbdim.cli; print(len(os.listdir('/proc/self/task')))") == "1"
+
+
+def test_a_preset_openblas_thread_count_is_kept():
+    code = "import os, gnbdim.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _python(code, OPENBLAS_NUM_THREADS="3") == "3"

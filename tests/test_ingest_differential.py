@@ -14,6 +14,7 @@ import csv
 import gzip
 import io
 import math
+import struct
 import sys
 import tempfile
 from collections import Counter
@@ -654,7 +655,49 @@ def cells_tables(draw) -> Cells:
 def test_write_cells_writes_the_bytes_csv_writer_wrote(records, block_lines):
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-        with patch.object(ingest, "BLOCK_LINES", block_lines):
+        with patch.object(ingest, "WRITE_LINES", block_lines):
             write_cells(got, records)
         csv_writer_cells(want, records)
         assert got.read_bytes() == want.read_bytes()
+
+
+def column_texts(matrix: np.ndarray) -> list[str]:
+    """The text of each column of one of the writer's byte matrices."""
+    return [bytes(column[column > 0]).decode() for column in matrix.T]
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def ulps_away(x: float, steps: int) -> float:
+    """The double ``steps`` doubles above the positive ``x`` (below if negative)."""
+    return from_bits(struct.unpack("<Q", struct.pack("<d", x))[0] + steps)
+
+
+NEAR_POWERS_OF_TEN = st.builds(
+    ulps_away, st.integers(-30, 30).map(lambda e: float(f"1e{e}")), st.integers(-40, 40)
+)
+REPR_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(from_bits).filter(math.isfinite),  # subnormals and both signs
+    NEAR_POWERS_OF_TEN,
+    st.builds(ulps_away, st.sampled_from([1e-4, 1e16]), st.integers(-10**6, 10**6)),
+    st.floats(9e-5, 1.1e-4) | st.floats(9e15, 1.1e16),  # where repr's notation changes
+    st.floats(-180, 180).map(lambda v: round(v, 7)),  # what exports hold
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(REPR_FLOATS | REPR_FLOATS.map(lambda v: -v), min_size=1, max_size=40))
+@example([1e15, 1e14, 123456789012345.0, 0.1, 0.30000000000000004, 5e-324, 1.7976931348623157e308])
+def test_float_text_is_float_repr(values):
+    assert column_texts(ingest._float_text(np.array(values))) == list(map(float.__repr__, values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-10**30, 10**30), min_size=1,
+                max_size=40))
+@example([-2**63, 2**63 - 1, 0, -1, 10, -10])
+def test_int_text_is_str(values):
+    assert column_texts(ingest._int_text(int_column(values))) == list(map(str, values))

@@ -1,10 +1,13 @@
-"""The summary and area documents hold copies of the plan's records."""
+"""The summary and area documents hold copies of the plan's records; outputs
+are written all or none."""
 
 from __future__ import annotations
 
+import pytest
+
 from gnbdim.density import area_to_geojson
 from gnbdim.ingest import IngestReport
-from gnbdim.pipeline import build_summary, run_dimension
+from gnbdim.pipeline import build_summary, run_dimension, write_outputs
 
 
 def test_summary_sections_are_copies(base_config, dense_records):
@@ -22,3 +25,18 @@ def test_summary_sections_are_copies(base_config, dense_records):
             section[key] = "changed"
 
     assert [vars(record) for record in records] == before
+
+
+@pytest.mark.parametrize("error", [ValueError("a writer's bug"), KeyboardInterrupt()])
+def test_an_exception_in_a_writer_leaves_out_dir_as_it_was(tmp_path, error):
+    (tmp_path / "a.txt").write_text("before", encoding="utf-8")
+
+    def writer(path):
+        path.write_text("half a file", encoding="utf-8")
+        raise error
+
+    with pytest.raises(type(error)) as caught:
+        write_outputs(tmp_path, {"a.txt": "after", "records.csv": writer})
+    assert caught.value is error
+    assert [path.name for path in tmp_path.iterdir()] == ["a.txt"]
+    assert (tmp_path / "a.txt").read_text(encoding="utf-8") == "before"
