@@ -167,7 +167,7 @@ SCHEMA = {
     "nr": (section({
         "fr": (text, REQUIRED),
         "carrier_ghz": (number, REQUIRED),
-        "channel_bw_mhz": (real, 0.0),  # 0: the widest allowed channel
+        "channel_bw_mhz": (real, nr.NrConfig.channel_bw_mhz),
         "guard_fraction": (
             checked(number, lambda g: 0 <= g < 1, "in [0, 1)"), nr.DEFAULT_GUARD_FRACTION
         ),
@@ -184,7 +184,7 @@ SCHEMA = {
             "mu": (MU, REQUIRED),
             "bw_mhz": (number, REQUIRED),
             "n_prb": (N_PRB, ABSENT),  # echoed as resolved
-            "purpose": (text, ""),
+            "purpose": (text, nr.BandwidthPart.purpose),
         })), REQUIRED),
     }), {}),
     "link_budget": (section({
@@ -201,22 +201,22 @@ SCHEMA = {
     }), {}),
     "propagation": (section({
         "kind": (text, REQUIRED),
-        "alpha": (number, 0.0),
-        "beta_db": (number, 0.0),
-        "gamma": (number, 0.0),
+        "alpha": (number, coverage.PropagationModel.alpha),
+        "beta_db": (number, coverage.PropagationModel.beta_db),
+        "gamma": (number, coverage.PropagationModel.gamma),
     }), {}),
     "traffic": (section({
         "demand_per_sub_mbps": (number, REQUIRED),
-        "target_load": (number, 1.0),
+        "target_load": (number, capacity.TrafficModel.target_load),
         "se_bps_per_hz": (number, REQUIRED),
         "overhead_fraction": (number, capacity.DEFAULT_OVERHEAD_FRACTION),
         "subs_per_weight": (checked(real, lambda x: x > 0, "> 0"), 1.0),
     }), {}),
     "balance": (section({
-        "eps_radius": (number, 0.10),
-        "eps_load": (number, 0.05),
-        "max_iter": (MAX_ITER, 100),
-        "damping": (number, 0.5),
+        "eps_radius": (number, balance.BalanceThresholds.eps_radius),
+        "eps_load": (number, balance.BalanceThresholds.eps_load),
+        "max_iter": (MAX_ITER, balance.BalanceThresholds.max_iter),
+        "damping": (number, balance.BalanceThresholds.damping),
         "eta": (number, balance.DEFAULT_ETA),
     }), {}),
     "cost": (section({
@@ -234,7 +234,7 @@ SCHEMA = {
         "origin_lat": (number, REQUIRED),
         "n_cols": (integer, REQUIRED),
         "n_rows": (integer, REQUIRED),
-        "tile_km": (real, 1.0),
+        "tile_km": (real, density.GridSpec.tile_km),
     }), {}),
     "window": (section({
         "w_cols": (integer, REQUIRED),

@@ -19,26 +19,28 @@ kept verbatim.
 
 Kept rows land in a columnar :class:`Cells` table of numpy arrays, one
 per field, with no per-row object: ``radio`` int8, ``plmn`` object (the
-digit strings), the decimals float64, and the integers int64, or object
-where a column holds a value beyond int64 (:func:`int_column`). It is the
-one representation of tower rows.
+digit strings), the decimals float64, and the integers int64, or object,
+the exact Python ints, where a kept row holds a value beyond int64. It is
+the one representation of tower rows.
 
 A file is read as bytes, :data:`READ_SIZE` at a time, in pieces of whole
-lines, each checked as UTF-8; a leading BOM is left out, and an
-undecodable byte aborts the read. A second thread reads, inflates, cuts
-and checks the next piece while the decoder works on this one, so one
-piece of READ_SIZE and a line is held ahead; results and errors are as
-on one thread. A line ends at a newline, a CR-LF pair or a lone CR, as
-text mode with newline="" cuts it. The header is the first csv row. Up
-to the first piece with a quote, each piece splits at every comma and
-line end of its bytes, each CR-LF pair and lone CR a newline, as
+lines, each checked as UTF-8 and each CR-LF pair and lone CR in it made a
+newline; a leading BOM is left out, and an undecodable byte aborts the
+read. So a line ends at a newline, a CR-LF pair or a lone CR, as text
+mode with newline="" cuts it; inside a quoted field that changes only
+whitespace at the end of a value, which every check ignores, or a field
+that no check accepts. A second thread reads, inflates, cuts and checks
+the next piece while the decoder works on this one, so one piece of
+READ_SIZE and a line is held ahead; results and errors are as on one
+thread. The header is the first csv row. Up to the first piece with a
+quote, each piece splits at every comma and newline of its bytes, as
 csv.reader splits it, with no limit on a line's length. From that piece
 to the end of the file, one csv.reader splits the decoded lines, with
 its field limit lifted only while it splits, and the fields of each
 block of rows are joined by commas into one such buffer. Each non-empty
 piece, or each block of csv rows, is decoded on its own into its kept
-rows, as a :class:`Cells`, and its reject counts; those are joined into
-one table and one report.
+rows, as a :class:`Cells` with its final dtypes, and its reject counts;
+those are concatenated into one table and one report.
 Either way one decoder reads the fields column by column in numpy:
 integers of up to 18 digits; decimals whose digits, point left out, form
 an integer up to 2**53 with at most 22 of them after the point, whose
@@ -135,15 +137,6 @@ class Cells:
         return Cells(**{name: column[keep] for name, column in vars(self).items()})
 
 
-def int_column(values) -> np.ndarray:
-    """An integer column of :class:`Cells`: int64, or an object array of the
-    exact Python ints where some value is beyond int64."""
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 @dataclass(frozen=True)
 class IngestReport:
     rows_read: int
@@ -183,7 +176,8 @@ _MANTISSA_MAX = 2**53
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(8)], dtype=np.uint64)
 
 
-# The dtype of each Cells column; _joined passes the integer ones through int_column.
+# The dtype of each Cells column; an integer one is object in a block where a
+# kept row holds a value past int64.
 _DTYPES = dict(
     radio=np.int8, plmn=object, area=np.int64, cell=np.int64, lon=np.float64, lat=np.float64,
     range_m=np.float64, samples=np.int64, created=np.int64, updated=np.int64,
@@ -241,20 +235,22 @@ def _decode(
         a.reshape(len(numbers), n) for a in _numbers(data, start, end)
     )
 
-    # Integer columns, as Python ints; a field int() reads is patched in.
+    # Integer columns; a field int() reads is put in as read, or where it
+    # is past int64, _check_value stands in for it and it is kept aside.
     n_ints = len(_INTS)
     ints = np.where(neg, -mantissa, mantissa)[:n_ints]
     parsed = shaped[:n_ints] & ~dotted[:n_ints]
-    patched = [{} for _ in _INTS]
+    wide = [{} for _ in _INTS]
     for c, r in zip(*np.nonzero(~parsed)):
         i = c * n + r
         try:
             value = int(_text(data, start[i], end[i]))
         except ValueError:
             continue
-        patched[c][r] = value
         parsed[c, r] = True
-        ints[c, r] = _check_value(c, value)
+        if not -(1 << 63) <= value < 1 << 63:
+            wide[c][r], value = value, _check_value(c, value)
+        ints[c, r] = value
     area, cell = ints[:2]
     radio_ok = code >= 0
     ids_ok = (
@@ -297,10 +293,10 @@ def _decode(
     })
 
     columns = dict(radio=code, plmn=plmn, lon=lon, lat=lat, range_m=range_m, avg_signal=signal)
-    for name, values, by_int in zip(_INT_NAMES, ints, patched):
-        if by_int:  # the values int() read, where _check_value stood in for them
+    for name, values, past in zip(_INT_NAMES, ints, wide):
+        if past := {r: value for r, value in past.items() if keep[r]}:
             values = values.astype(object)
-            values[list(by_int)] = list(by_int.values())
+            values[list(past)] = list(past.values())
         columns[name] = values
     return Cells(**{name: values[keep] for name, values in columns.items()}), rejects
 
@@ -400,18 +396,9 @@ def _split_block(raw: bytes) -> tuple[Cells, Counter]:
     return _decode(data, around[:-1] + 1, around[1:], int(np.count_nonzero(~blank & ~shaped)))
 
 
-def _splittable(raw: bytes) -> bytes | None:
-    """Whole lines ``raw`` as the byte splitter takes them, each CR-LF pair
-    and each lone CR made a newline; None where they hold a quote, which
-    csv.reader may split otherwise than at commas and line ends."""
-    if b'"' in raw:
-        return None
-    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
-
-
 def _text_lines(raw: bytes) -> list[str]:
-    """The lines of ``raw`` as text, cut as text mode with newline="" cuts
-    them: after a newline, a CR-LF pair or a lone CR."""
+    """The lines of ``raw``, whose line ends are newlines, as text, each
+    cut after its newline."""
     return io.StringIO(raw.decode(), newline="").readlines()
 
 
@@ -433,13 +420,16 @@ def _whole_lines(read: Callable[[int], bytes]) -> Iterator[bytes]:
 
 
 def _checked(pieces: Iterator[bytes]) -> Iterator[bytes]:
-    """``pieces`` of UTF-8 text, a leading BOM left out, each checked: an
+    """``pieces`` of UTF-8 text, a leading BOM left out, each checked, and
+    then each CR-LF pair and each lone CR in it made a newline: an
     undecodable byte raises UnicodeDecodeError. A piece ends at the end of
     a character, as a piece of whole lines does."""
     first = next(pieces).removeprefix(codecs.BOM_UTF8)
     for piece in chain((first,), pieces):
         if not piece.isascii():
             piece.decode("utf-8")
+        if b"\r" in piece:
+            piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         yield piece
 
 
@@ -466,12 +456,13 @@ def _csv_rows(reader: Iterator[list[str]], n: int) -> list[list[str]]:
 
 def _parse(fh: BinaryIO) -> Iterator[tuple[Cells, Counter]]:
     """The blocks of tower records of the open binary file ``fh``: one per
-    non-empty piece by the byte splitter up to the first that
-    :func:`_splittable` refuses, and from that piece to the end of the file
-    one per BLOCK_LINES rows of one csv.reader. The header is the first
-    piece's first line, split at commas, or where that piece goes to
-    csv.reader, the reader's first row. Closing the generator early joins
-    the reader thread."""
+    non-empty piece by the byte splitter up to the first piece with a
+    quote, which csv.reader may split otherwise than at commas and
+    newlines, and from that piece to the end of the file one per
+    BLOCK_LINES rows of one csv.reader. The header is the first piece's
+    first line, split at commas, or where that piece goes to csv.reader,
+    the reader's first row. Closing the generator early joins the reader
+    thread."""
     # glibc returns a freed heap top over twice the largest block it has
     # unmapped to the OS, so each block's decoder scratch would be faulted
     # in anew; unmapping one untouched 4 MiB block keeps it in the heap.
@@ -480,14 +471,15 @@ def _parse(fh: BinaryIO) -> Iterator[tuple[Cells, Counter]]:
     header, reader = None, iter(())
     try:
         for piece in pieces:
-            if (split := _splittable(piece)) is None:
+            if b'"' in piece:
                 reader = csv.reader(chain.from_iterable(map(_text_lines, chain([piece], pieces))))
                 break
             if header is None:
-                line, _, split = split.partition(b"\n")  # an empty first piece is an empty file
+                line, _, rest = piece.partition(b"\n")  # an empty first piece is an empty file
                 header = _checked_header([line.decode().split(",")] if piece else [])
-            if split:
-                yield _split_block(split)
+                piece = rest
+            if piece:
+                yield _split_block(piece)
         if header is None:
             _checked_header(_csv_rows(reader, 1))
         while rows := _csv_rows(reader, BLOCK_LINES):
@@ -497,17 +489,14 @@ def _parse(fh: BinaryIO) -> Iterator[tuple[Cells, Counter]]:
 
 
 def _joined(blocks: Iterable[tuple[Cells, Counter]]) -> tuple[Cells, IngestReport]:
-    """The rows of ``blocks`` as one table, its integer columns through
-    :func:`int_column`, and their report."""
+    """The rows of ``blocks`` as one table, and their report."""
     tables, rejects = [_EMPTY], Counter()
     for cells, counts in blocks:
         tables.append(cells)
         rejects += counts  # keeps the reasons with a reject
-    columns = {name: np.concatenate([vars(t)[name] for t in tables]) for name in _DTYPES}
-    columns.update((name, int_column(columns[name])) for name in _INT_NAMES)
-    kept, rejected = len(columns["plmn"]), rejects.total()
-    report = IngestReport(kept + rejected, kept, rejected, dict(rejects))
-    return Cells(**columns), report
+    table = Cells(**{name: np.concatenate([vars(t)[name] for t in tables]) for name in _DTYPES})
+    kept, rejected = len(table), rejects.total()
+    return table, IngestReport(kept + rejected, kept, rejected, dict(rejects))
 
 
 def _checked_header(rows: list[list[str]]) -> list[list[str]]:

@@ -10,7 +10,7 @@ import pytest
 
 from gnbdim.config import load_config_dict
 from gnbdim.density import DensityGrid, GridSpec, unproject
-from gnbdim.ingest import RADIOS, Cells, int_column
+from gnbdim.ingest import RADIOS, Cells
 
 # Reference urban scenario: 7x7 km2, FR1 at 3.5 GHz with a single 100 MHz
 # eMBB bandwidth part, deep-indoor margins. Chosen so the converged plan is
@@ -94,6 +94,15 @@ def base_config_dict() -> dict:
 @pytest.fixture
 def base_config(base_config_dict):
     return load_config_dict(base_config_dict)
+
+
+def int_column(values) -> np.ndarray:
+    """An integer column of :class:`Cells`: int64, or an object array of the
+    exact Python ints where some value is beyond int64."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def towers(lon, lat, samples) -> Cells:

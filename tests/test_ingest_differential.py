@@ -38,10 +38,11 @@ from gnbdim.ingest import (
     LTE_CELL_LIMIT,
     RADIOS,
     Cells,
-    int_column,
     read_cells,
     write_cells,
 )
+
+from conftest import int_column
 
 # A kept row: radio name, MCC+MNC, area, cell, lon, lat, range, samples,
 # created, updated, averageSignal (NaN when absent).
@@ -244,9 +245,9 @@ def test_columnar_parse_matches_reference(rows):
 
 # --- the numpy block decoder -------------------------------------------------
 #
-# The parser splits a piece with no quote at its bytes' commas and
-# line ends, each CR-LF pair and lone CR a newline, and hands the first other
-# piece, and every piece after it, to csv.reader; both splits go to the one
+# The reader makes each CR-LF pair and lone CR a newline. The parser splits a
+# piece with no quote at its bytes' commas and newlines, and hands the first
+# other piece, and every piece after it, to csv.reader; both splits go to the one
 # numpy decoder, ``_decode``, which makes a block of each.
 # The exports below are written line by line with no csv quoting, so every
 # piece reaches the decoder, and ``READ_SIZE`` is patched small so each
@@ -428,11 +429,22 @@ def quoted_exports(draw):
     return "".join(lines)
 
 
+INT_READ = [edited(3, " 5"), edited(9, "+7"), edited(11, "1_000")]  # kept; int() reads them
+GSM_WIDE_CELL = ["GSM", *edited(4, str(10**20))[1:]]  # kept: no cell limit for GSM
+LTE_WIDE_CELL = [edited(4, str(2**64))]  # rejected: past the LTE cell limit
+
+
 @settings(max_examples=100, deadline=None)
 @given(unquoted_exports() | quoted_exports(), READ_SIZES)
+@example(render(INT_READ), 1024)
+@example(render([GSM_WIDE_CELL]), 1024)
+@example(render(LTE_WIDE_CELL), 1024)
+# The same rows on csv.reader's route, from a piece that holds a quote.
+@example(render([edited(5, "a,b"), *INT_READ, GSM_WIDE_CELL, *LTE_WIDE_CELL]), 1024)
 def test_the_blocks_make_the_table(text, read_size):
     """The blocks ``_parse`` yields, on the byte splitter's route and on
-    csv.reader's, are typed as Cells columns, and joined they give the
+    csv.reader's, are typed as Cells columns: an integer column is int64
+    unless a kept row holds a value past int64. Joined, they give the
     table and report of ``read_cells``."""
     data = text.encode()
     with tempfile.TemporaryDirectory() as tmp, patch.object(ingest, "READ_SIZE", read_size):
@@ -442,9 +454,10 @@ def test_the_blocks_make_the_table(text, read_size):
         blocks = list(ingest._parse(io.BytesIO(data)))
     for block, _ in blocks:
         for name, column in vars(block).items():
-            assert column.dtype == ingest._DTYPES[name] or (
-                name in ingest._INT_NAMES and column.dtype == object
-            ), name
+            wide = name in ingest._INT_NAMES and any(
+                not -2**63 <= value < 2**63 for value in column.tolist()
+            )
+            assert column.dtype == (object if wide else ingest._DTYPES[name]), name
     joined = Cells(**{
         name: np.concatenate([np.empty(0, dtype), *(vars(block)[name] for block, _ in blocks)])
         for name, dtype in ingest._DTYPES.items()
@@ -582,6 +595,14 @@ def reference_read_outcome(path: Path):
 # no surrogate reaches the parser.
 @example((",".join(EXPECTED_HEADER) + "\n").encode()
          + ",".join(edited(6, "-87.6\ud800")).encode("utf-8", "surrogatepass") + b"\n", 64)
+# Quoted lon and averageSignal values that end in a CR-LF pair or a lone CR,
+# each read as a newline, as whitespace that float() and strip() ignore. The
+# read size ends a read between the CR and the LF of the pair: 6 reads of 21
+# bytes end at lon's CR, 5 reads of 34 at averageSignal's.
+@example((",".join(EXPECTED_HEADER) + "\n"
+          + ",".join(edited(6, '"-87.6\r\n"')[:13] + ['"-95\r"']) + "\n").encode(), 21)
+@example((",".join(EXPECTED_HEADER) + "\n"
+          + ",".join(edited(6, '"-87.6\r"')[:13] + ['"-95\r\n"']) + "\n").encode(), 34)
 def test_byte_reader_matches_text_mode_reference(data, read_size):
     with tempfile.TemporaryDirectory() as tmp:
         for path, payload in [
