@@ -4,16 +4,11 @@ Tower records are projected onto a local kilometer grid (equirectangular
 around the grid origin; error is well under link-budget margins for
 regions below ~100 km) and binned into tiles by their sample counts.
 The deployment area is the fixed-size window of maximum total weight,
-found exactly with 2-D prefix sums (a summed-area table; Crow, SIGGRAPH
-1984); ties resolve to the south-west (smallest row, then smallest
-column) so runs are reproducible. A grid holds only the tile rows that
-some record falls in, so binning and the search work in O(occupied rows
-* n_cols): a row whose weights are all +0.0 adds nothing to a prefix
-sum. Weights are sums of sample counts, never negative; the search
-rejects a weight whose sign bit is set, -0.0 included. It makes the
-prefix rows one band of window anchors at a time, so beyond the grid it
-holds at most twice _BAND_BYTES, whatever the window height, not two
-full-grid tables.
+ties resolved to the south-west so runs are reproducible. Weights are
+whole sample counts that total below 2**53, so every sum of them is an
+exact float64 integer in any order of addition. A grid holds only the
+tile rows that some record falls in: binning and the search work in
+O(occupied rows * n_cols), the search in _CHUNK_BYTES beside the grid.
 """
 
 from __future__ import annotations
@@ -31,8 +26,7 @@ MAX_TILES = 100_000_000
 MAX_EXTENT_KM = 2.0 * math.pi * EARTH_RADIUS_KM  # once around the Earth
 # Above this size, tile indices over MAX_EXTENT_KM are exact integers.
 MIN_TILE_KM = MAX_EXTENT_KM / 2**53
-_BAND_BYTES = 2 << 20  # bytes of prefix rows, and of window sums, in the window search
-_ROW_CALL_COLS = 256  # from this many columns, prefix rows are made a row per call
+_CHUNK_BYTES = 1 << 20  # bytes of the rows that the window search gathers at once
 
 _DEG = math.pi / 180.0
 KM_PER_DEG = EARTH_RADIUS_KM * _DEG  # along a meridian
@@ -185,149 +179,75 @@ def bin_records(records: Cells, spec: GridSpec) -> DensityGrid:
 
 
 def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
-    """Maximum-weight w x h window, exact via 2-D prefix sums.
+    """Maximum-weight w x h window; the first maximum in row-major order,
+    the south-west one, wins. A weight whose sign bit is set (-0.0
+    included), a grid total not below 2**53, or a weight that is not whole
+    raises GnbdimError, in that order.
 
-    The first maximum in row-major order wins, which is the south-west
-    tie-break. Weights are sample counts, so the grid total is the
-    largest prefix sum and bounds every window sum. A weight whose sign
-    bit is set, -0.0 included, raises GnbdimError: binning never writes
-    one, and -0.0 + 0.0 is +0.0, so leaving out the unlisted rows could
-    flip the sign of a zero prefix sum.
-
-    The work is O(listed rows * n_cols). An unlisted row holds only
-    +0.0: adding it to the running prefix changes no value, so prefix
-    row r equals prefix row k(r), made from the first k(r) listed rows
-    only. The sum of the window anchored at row a then depends only on
-    (k(a), k(a + h_rows)), and of each run of anchors sharing that pair
-    only the first, which wins the tie, is scored. From one scored
-    anchor to the next, k(a) and k(a + h_rows) each move on by at most
-    one listed row.
-
-    The prefix table is never held whole. Anchors are scored one band at
-    a time, and a band needs the prefix rows k(a) of its anchors, its
-    bottoms, and k(a + h_rows), its tops: each a run of at most one row
-    per anchor. While the window's listed rows fill at most half of the
-    _BAND_BYTES of prefix rows, one buffer from the bottoms to the tops
-    serves both and slides north from band to band. A taller window
-    gives the bottoms and the tops each their own run, made from their
-    own column carry, so every prefix row is made twice. The search
-    holds at most _BAND_BYTES of prefix rows and as much again of window
-    sums and gathered rows (but never fewer than two prefix rows and one
-    anchor's), whatever h_rows and the number of listed rows. Every sum
-    is added in the same order as over the full table, so the answer is
-    the same to the bit.
+    Step t takes row t into the window and drops row t - h_rows, for the
+    anchor t - h_rows + 1; the steps before anchor 0 fill its window. A
+    step is made where a listed row enters or leaves, and at anchor 0: an
+    anchor skipped has the sums of the one before it and loses the tie.
+    Each chunk of steps gathers its rows into at most _CHUNK_BYTES, checks
+    the rows that enter to be whole, carries the column sums down the
+    steps, then sums along the columns.
     """
-    weight = grid.weight
     rows, cols = grid.spec.n_rows, grid.spec.n_cols
     if not (1 <= w_cols <= cols and 1 <= h_rows <= rows):
         raise GnbdimError(f"window {w_cols}x{h_rows} does not fit the {cols}x{rows} grid")
-    if weight.size and weight.view(np.int64).min() < 0:  # some sign bit is set
+    weight = grid.weight if len(grid.weight) else np.zeros((1, cols))  # no row: take zeros
+    if weight.view(np.int64).min() < 0:  # some sign bit is set
         negative = weight[np.signbit(weight)][0].item()
         raise GnbdimError(f"tile weights must not be negative, got {negative!r}")
-    n_anchors = rows - h_rows + 1
-    every_row = len(weight) == rows
-    if every_row:  # every anchor starts a run
-        anchor = k0 = range(n_anchors)
-        k1 = range(h_rows, rows + 1)
-    else:
-        is_listed = np.zeros(rows, dtype=bool)
-        is_listed[grid.rows] = True
-        k = np.zeros(rows + 1, dtype=np.int64)  # k[r]: listed rows below row r
-        np.add.accumulate(is_listed, dtype=np.int64, out=k[1:])
-        # An anchor starts a run when a row enters or leaves its window.
-        first = np.ones(n_anchors, dtype=bool)
-        first[1:] = is_listed[: n_anchors - 1] | is_listed[h_rows:]
-        anchor = np.flatnonzero(first)
-        k0, k1 = k[anchor], k[anchor + h_rows]
-    n_scored, span = len(anchor), min(h_rows, len(weight))
-    # On an all-empty grid span is 0 and one anchor is scored.
-    row_bytes = (cols + 1) * 8
-    held = max(2, _BAND_BYTES // row_bytes)  # prefix rows
-    # Per anchor: a row of window sums and, unless every row is listed,
-    # a gathered top and bottom prefix row.
-    per_anchor = (cols - w_cols + 1) * 8 + (0 if every_row else 2 * row_bytes)
-    one_run = 2 * span <= held
-    band = max(1, min(n_scored, held - span if one_run else held // 2, _BAND_BYTES // per_anchor))
-    # A run is [buffer, base, made, carry]: buffer row j holds prefix row
-    # base + j for rows base..made, and carry the column sums of the
-    # weight rows below prefix row made. Column 0 and prefix row 0 stay
-    # zero. One run needs up to band + span rows, two runs band rows each.
-    prefix = np.zeros((band + span if one_run else 2 * band, cols + 1), dtype=np.float64)
-    if one_run:
-        bottom = top = [prefix, 0, 0, None]
-    else:
-        bottom, top = [prefix[:band], 0, 0, None], [prefix[band:], 0, 0, None]
-    sums = np.empty((band, cols - w_cols + 1), dtype=np.float64)
-    gathered = None if every_row else np.empty((2, band, cols + 1), dtype=np.float64)
-    best = None
-    # An overflow shows in the total, checked after the last band.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, n_scored, band):
-            n = min(band, n_scored - i0)
-            q0, b1 = int(k0[i0]), int(k0[i0 + n - 1])  # the bottoms' prefix rows
-            t0, q1 = int(k1[i0]), int(k1[i0 + n - 1])  # the tops'
-            runs = ((top, q0, q1),) if one_run else ((bottom, q0, b1), (top, t0, q1))
-            for run, lo_row, hi_row in runs:
-                buf, base, made, carry = run
-                while hi_row > made:  # a band may only move k0 on and need no new row
-                    # A run that starts past made + 1 (the tops', at first) makes
-                    # the rows below it too, for its carry only.
-                    keep = lo_row if lo_row <= made else made + 1
-                    if keep > base:  # slide the rows still needed to the front
-                        buf[: made - keep + 1] = buf[keep - base : made - base + 1]
-                        base = keep
-                    stop = hi_row if hi_row < base + len(buf) else base + len(buf) - 1
-                    new = buf[made - base + 1 : stop - base + 1, 1:]
-                    src = weight[made:stop]
-                    if cols < _ROW_CALL_COLS:  # one call adds down every column
-                        if carry is None:
-                            np.add.accumulate(src, axis=0, out=new)
-                        else:  # carry + W[r] is the full table's out[r-1] + W[r]
-                            np.add(carry, src[0], out=new[0])
-                            new[1:] = src[1:]
-                            np.add.accumulate(new, axis=0, out=new)
-                    else:  # the same additions, a whole row per call: faster on wide rows
-                        np.add(0.0 if carry is None else carry, src[0], out=new[0])
-                        for r in range(1, len(new)):
-                            np.add(new[r - 1], src[r], out=new[r])
-                    if stop < hi_row or i0 + n < n_scored:
-                        carry = new[-1].copy()
-                    np.add.accumulate(new, axis=1, out=new)
-                    made = stop
-                run[1:] = base, made, carry
-            bottoms, b_base = bottom[0], bottom[1]
-            tops, t_base = top[0], top[1]
-            if b1 - q0 == n - 1 and q1 - t0 == n - 1:  # k0 and k1 step by 1: slices
-                lo = bottoms[q0 - b_base : q0 - b_base + n]
-                hi = tops[t0 - t_base : t0 - t_base + n]
-            else:  # "clip" writes straight into out; the indices are in range
-                lo = np.take(bottoms, k0[i0 : i0 + n] - b_base, 0, gathered[0, :n], "clip")
-                hi = np.take(tops, k1[i0 : i0 + n] - t_base, 0, gathered[1, :n], "clip")
-            # In the order (a - b) - c + d, as over the full table.
-            s = sums[:n]
-            np.subtract(hi[:, w_cols:], lo[:, w_cols:], out=s)
-            s -= hi[:, :-w_cols]
-            s += lo[:, :-w_cols]
-            flat = int(s.argmax())  # row-major: smallest row0 first, then col0
-            value = s.item(flat)
-            if best is None or value > best[0]:  # an equal later band loses the tie
-                best = (value, i0 * s.shape[1] + flat)
-    tops, t_base, made, _ = top
-    total = float(tops[made - t_base, -1])  # prefix row k(n_rows): the grid total
-    if not math.isfinite(total):
+    with np.errstate(over="ignore"):
+        total = float(weight.sum())
+    if not total < 2**53:
         raise GnbdimError(
-            f"binned samples overflow: the grid's total weight is {total}, "
-            "beyond the float range"
+            f"binned samples overflow: the grid's total weight is {total:.6g}, "
+            f"not below 2**53 = {2**53}, where sums of sample counts are exact"
         )
-    scored, col0 = divmod(best[1], sums.shape[1])
-    return DeploymentArea(
-        col0=col0,
-        row0=int(anchor[scored]),
-        w_cols=w_cols,
-        h_rows=h_rows,
-        total_weight=float(best[0]),
-        area_km2=w_cols * h_rows * grid.spec.tile_km**2,
-    )
+    # listed[p]: row p - h_rows is listed, and k[p] - 1 is its place in weight.
+    listed = np.zeros(rows + h_rows, dtype=bool)
+    listed[slice(h_rows, None) if grid.rows is None else grid.rows + h_rows] = True
+    k = np.add.accumulate(listed, dtype=np.int64)
+    made = listed[h_rows:] | listed[:rows]
+    made[h_rows - 1] = True
+    steps = made.nonzero()[0]
+    first = int(np.count_nonzero(made[: h_rows - 1]))  # anchor 0's step
+    pos = np.add.outer((h_rows, 0), steps)  # each step's row in, and row out
+    index, unlisted = k[pos] - 1, ~listed[pos]  # -1 below the first listed row: clipped
+    chunk = max(1, min(len(steps), _CHUNK_BYTES // (16 * cols)))
+    buf = np.empty(2 * chunk * cols)  # rows in and out; the window sums
+    carry = np.zeros(cols)
+    n_sums = cols - w_cols + 1
+    best = (-1.0, 0)
+    for i0 in range(0, len(steps), chunk):
+        n = min(chunk, len(steps) - i0)
+        gathered = buf[: 2 * n * cols].reshape(2, n, cols)
+        entering = weight[k[steps[i0] + h_rows - 1] : k[steps[i0 + n - 1] + h_rows]]
+        whole = np.floor(entering, out=gathered[0, : len(entering)])
+        if np.count_nonzero(whole != entering):
+            fraction = entering[whole != entering][0].item()
+            raise GnbdimError(f"tile weights must be whole sample counts, got {fraction!r}")
+        np.take(weight, index[:, i0 : i0 + n], 0, gathered, "clip")
+        gathered[unlisted[:, i0 : i0 + n]] = 0.0
+        s = np.subtract(gathered[0], gathered[1], out=gathered[0])  # each step's change
+        s[0] += carry
+        np.add.accumulate(s, axis=0, out=s)
+        carry[:] = s[-1]
+        j0 = max(first - i0, 0)  # the chunk's first anchor
+        if j0 < n:
+            prefix = np.add.accumulate(s[j0:], axis=1, out=s[j0:])
+            window = buf[n * cols : n * cols + (n - j0) * n_sums].reshape(n - j0, n_sums)
+            window[:, 0] = prefix[:, w_cols - 1]
+            np.subtract(prefix[:, w_cols:], prefix[:, :-w_cols], out=window[:, 1:])
+            flat = int(window.argmax())  # row-major: smallest row0 first, then col0
+            if window.item(flat) > best[0]:  # an equal later chunk loses the tie
+                best = (window.item(flat), (i0 + j0) * n_sums + flat)
+    step, col0 = divmod(best[1], n_sums)
+    row0 = int(steps[step]) - h_rows + 1
+    area_km2 = w_cols * h_rows * grid.spec.tile_km**2
+    return DeploymentArea(col0, row0, w_cols, h_rows, best[0], area_km2)
 
 
 def subscriber_density(area: DeploymentArea, subs_per_weight: float) -> float:

@@ -17,7 +17,8 @@ from .errors import GnbdimError
 MU_MIN = 0
 MU_MAX = 4
 
-FR1_MAX_CARRIER_GHZ = 6.0
+# Carrier ranges in GHz (3GPP TS 38.104 Table 5.1-1; FR2 is Rel-17 FR2-1 and FR2-2).
+CARRIER_RANGES_GHZ = {"FR1": (0.41, 7.125), "FR2": (24.25, 71.0)}
 
 # Allowed channel bandwidths (MHz) per frequency range; overridable in config.
 FR1_BANDWIDTHS_MHZ = (5, 10, 15, 20, 25, 30, 40, 50, 60, 70, 80, 90, 100)
@@ -92,20 +93,18 @@ def prb_count(bw_mhz: float, mu: int, guard_fraction: float = DEFAULT_GUARD_FRAC
 
 @dataclass(frozen=True)
 class FrequencyRange:
-    """Carrier frequency and its NR range; FR1 below 6 GHz, FR2 above."""
+    """Carrier frequency and its NR range, inside CARRIER_RANGES_GHZ."""
 
     band: str
     carrier_ghz: float
 
     def __post_init__(self) -> None:
-        if self.band not in ("FR1", "FR2"):
+        if self.band not in CARRIER_RANGES_GHZ:
             raise ValueError(f"band must be 'FR1' or 'FR2', got {self.band!r}")
-        if self.carrier_ghz <= 0:
-            raise ValueError("carrier_ghz must be positive")
-        in_fr1 = self.carrier_ghz <= FR1_MAX_CARRIER_GHZ
-        if in_fr1 != (self.band == "FR1"):
+        lo, hi = CARRIER_RANGES_GHZ[self.band]
+        if not lo <= self.carrier_ghz <= hi:
             raise ValueError(
-                f"{self.carrier_ghz} GHz is inconsistent with {self.band}"
+                f"carrier_ghz must be in [{lo}, {hi}] GHz for {self.band}, got {self.carrier_ghz}"
             )
 
     @property

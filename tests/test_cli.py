@@ -504,23 +504,26 @@ def test_samples_beyond_float_range_is_bad_numeric(runner, tmp_path, base_config
 
 @pytest.mark.parametrize("command", ["dimension", "density"])
 def test_overflowing_tile_weights_exit_2(runner, tmp_path, base_config_dict, towers_csv, command):
-    # Each count is finite, so both rows are kept; their sum is not.
-    rows = towers_csv.read_text(encoding="utf-8").rstrip("\n").split("\n")
-    for i in (1, 2):
-        fields = rows[i].split(",")
-        fields[9] = str(10**308)
-        rows.append(",".join(fields))
-    towers_csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    base_config_dict["input"] = str(towers_csv)
-    base_config_dict["out"] = str(tmp_path / "out")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(base_config_dict), encoding="utf-8")
-    result = runner.invoke(main, [command, "--config", str(cfg)])
-    assert result.exit_code == 2, result.output
-    lines = result.output.strip().split("\n")
-    assert len(lines) == 1
-    assert lines[0].startswith("error: binned samples overflow")
-    assert not (tmp_path / "out").exists()
+    # Each count is finite, so both rows are kept; their sum is not, or it
+    # passes 2**53, past which sums of counts stop being exact.
+    text = towers_csv.read_text(encoding="utf-8")
+    for samples in (10**308, 2**52):
+        rows = text.rstrip("\n").split("\n")
+        for i in (1, 2):
+            fields = rows[i].split(",")
+            fields[9] = str(samples)
+            rows.append(",".join(fields))
+        towers_csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        base_config_dict["input"] = str(towers_csv)
+        base_config_dict["out"] = str(tmp_path / "out")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config_dict), encoding="utf-8")
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        lines = result.output.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("error: binned samples overflow"), samples
+        assert not (tmp_path / "out").exists()
 
 
 def test_filter_flags_are_written_into_the_echo(runner, tmp_path, config_file):

@@ -201,6 +201,13 @@ DEFECTS = [
     ("filters.plmn", 310260, "filters.plmn"),
     ("nr.bwps", "x", "nr.bwps must be a list"),  # not "missing nr.bwps[0].mu"
     ("nr.carrier_ghz", 10**400, "nr.carrier_ghz"),
+    # Outside its range's carriers (TS 38.104 Table 5.1-1).
+    ("nr.carrier_ghz", 0.1, "nr.carrier_ghz must be in [0.41, 7.125] GHz for FR1, got 0.1"),
+    ("nr.carrier_ghz", 7.2, "nr.carrier_ghz must be in [0.41, 7.125] GHz for FR1, got 7.2"),
+    ("nr", {**BASE_CONFIG["nr"], "fr": "FR2", "carrier_ghz": 6.5},
+     "nr.carrier_ghz must be in [24.25, 71.0] GHz for FR2, got 6.5"),
+    ("nr", {**BASE_CONFIG["nr"], "fr": "FR2", "carrier_ghz": 72},
+     "nr.carrier_ghz must be in [24.25, 71.0] GHz for FR2, got 72"),
     # The PRB count derived from a part's bandwidth overflows, or is 0.
     ("nr.bwps", [{"mu": 1, "bw_mhz": 1e305}],
      "nr.bwps[0]: cannot convert float infinity to integer"),

@@ -114,6 +114,14 @@ class TestTypes:
             FrequencyRange("FR1", 28.0)
         with pytest.raises(ValueError):
             FrequencyRange("FR2", 3.5)
+        # TS 38.104 Table 5.1-1: FR1 is 410 MHz to 7.125 GHz, FR2 24.25 to 71 GHz.
+        for band, ghz in (("FR1", 0.41), ("FR1", 6.5), ("FR1", 7.125), ("FR2", 24.25),
+                          ("FR2", 71.0)):
+            assert FrequencyRange(band, ghz).carrier_ghz == ghz
+        for band, ghz in (("FR1", 0.1), ("FR1", 7.2), ("FR2", 6.5), ("FR2", 24.0),
+                          ("FR2", 72.0), ("FR1", float("nan"))):
+            with pytest.raises(ValueError, match=f"^carrier_ghz must be in .* for {band}"):
+                FrequencyRange(band, ghz)
 
     def test_bwp_prbs_must_fit(self):
         with pytest.raises(ValueError):
