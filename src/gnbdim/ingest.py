@@ -19,9 +19,9 @@ kept verbatim.
 
 Kept rows land in a columnar :class:`Cells` table of numpy arrays, one
 per field, with no per-row object: ``radio`` int8, ``plmn`` object (the
-digit strings), the decimals float64, and the integers int64, or object,
-the exact Python ints, where a kept row holds a value beyond int64. It is
-the one representation of tower rows.
+digit strings), the decimals float64 and the integers int64. An integer
+past int64 is a BadNumeric reject, and so is a ``samples`` count of 2**53
+or more. It is the one representation of tower rows.
 
 A file is read as bytes, :data:`READ_SIZE` at a time, in pieces of whole
 lines, each checked as UTF-8 and each CR-LF pair and lone CR in it made a
@@ -173,11 +173,11 @@ _PAD = _MAX_WIDTH  # bytes of padding before a decoder's buffer, so every window
 _PLACES = np.arange(_MAX_WIDTH - 1, -1, -1, dtype=np.uint8)[:, None]
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 _MANTISSA_MAX = 2**53
+_SAMPLES_LIMIT = 2**53  # samples below it, where sums of counts are exact floats
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(8)], dtype=np.uint64)
 
 
-# The dtype of each Cells column; an integer one is object in a block where a
-# kept row holds a value past int64.
+# The dtype of each Cells column.
 _DTYPES = dict(
     radio=np.int8, plmn=object, area=np.int64, cell=np.int64, lon=np.float64, lat=np.float64,
     range_m=np.float64, samples=np.int64, created=np.int64, updated=np.int64,
@@ -235,22 +235,19 @@ def _decode(
         a.reshape(len(numbers), n) for a in _numbers(data, start, end)
     )
 
-    # Integer columns; a field int() reads is put in as read, or where it
-    # is past int64, _check_value stands in for it and it is kept aside.
+    # Integer columns; a field int() reads within int64 is put in as read.
     n_ints = len(_INTS)
     ints = np.where(neg, -mantissa, mantissa)[:n_ints]
     parsed = shaped[:n_ints] & ~dotted[:n_ints]
-    wide = [{} for _ in _INTS]
     for c, r in zip(*np.nonzero(~parsed)):
         i = c * n + r
         try:
             value = int(_text(data, start[i], end[i]))
         except ValueError:
             continue
-        parsed[c, r] = True
-        if not -(1 << 63) <= value < 1 << 63:
-            wide[c][r], value = value, _check_value(c, value)
-        ints[c, r] = value
+        if -(1 << 63) <= value < 1 << 63:
+            parsed[c, r] = True
+            ints[c, r] = value
     area, cell = ints[:2]
     radio_ok = code >= 0
     ids_ok = (
@@ -283,6 +280,7 @@ def _decode(
     rest_ok = (
         (0.0 <= range_m) & (range_m <= _FLOAT_MAX) & (absent | np.isfinite(signal))
         & (parsed[2:] & (ints[2:] >= 0)).all(axis=0)
+        & (ints[2] < _SAMPLES_LIMIT)
     )
     keep = place_ok & ids_ok & rest_ok
     rejects = Counter({
@@ -293,11 +291,7 @@ def _decode(
     })
 
     columns = dict(radio=code, plmn=plmn, lon=lon, lat=lat, range_m=range_m, avg_signal=signal)
-    for name, values, past in zip(_INT_NAMES, ints, wide):
-        if past := {r: value for r, value in past.items() if keep[r]}:
-            values = values.astype(object)
-            values[list(past)] = list(past.values())
-        columns[name] = values
+    columns.update(zip(_INT_NAMES, ints))
     return Cells(**{name: values[keep] for name, values in columns.items()}), rejects
 
 
@@ -368,13 +362,6 @@ def _numbers(data: np.ndarray, start: np.ndarray, end: np.ndarray):
         mantissa *= 10_000
         mantissa += quad
     return mantissa, frac.astype(np.intp), neg, shaped, dotted
-
-
-def _check_value(column: int, value: int) -> int:
-    """An int64 that every bound check on ``column`` decides as on ``value``."""
-    if column == _INTS.index(9) and value > _FLOAT_MAX:
-        return -1  # samples are binned as floats
-    return min(max(value, -1), 1 << 62)
 
 
 def _split_block(raw: bytes) -> tuple[Cells, Counter]:
@@ -562,8 +549,6 @@ def _signed(neg: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
 
 
 def _int_text(values: np.ndarray) -> np.ndarray:
-    if values.dtype == object:  # past int64
-        return _ascii(list(map(str, values.tolist())))
     return _signed(values < 0, np.abs(values).view(np.uint64))  # -2**63 stays, read as 2**63
 
 

@@ -96,15 +96,6 @@ def base_config(base_config_dict):
     return load_config_dict(base_config_dict)
 
 
-def int_column(values) -> np.ndarray:
-    """An integer column of :class:`Cells`: int64, or an object array of the
-    exact Python ints where some value is beyond int64."""
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 def towers(lon, lat, samples) -> Cells:
     """LTE towers of PLMN 310260 at the given coordinates and sample counts."""
     n = len(samples)
@@ -116,7 +107,7 @@ def towers(lon, lat, samples) -> Cells:
         lon=np.array(lon, dtype=np.float64),
         lat=np.array(lat, dtype=np.float64),
         range_m=np.full(n, 500.0),
-        samples=int_column(list(samples)),
+        samples=np.array(samples, dtype=np.int64),
         created=np.full(n, 1_600_000_000, dtype=np.int64),
         updated=np.full(n, 1_700_000_000, dtype=np.int64),
         avg_signal=np.full(n, np.nan),  # absent

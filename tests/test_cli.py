@@ -485,45 +485,57 @@ class TestConfigErrors:
         assert not (tmp_path / "o").exists()
 
 
-def test_samples_beyond_float_range_is_bad_numeric(runner, tmp_path, base_config_dict, towers_csv):
-    huge = "9" * 400
+def _with_samples(towers_csv, *samples) -> None:
+    """Append to the export a copy of its row i + 1 with samples[i]."""
     rows = towers_csv.read_text(encoding="utf-8").rstrip("\n").split("\n")
-    fields = rows[1].split(",")
-    fields[9] = huge
-    towers_csv.write_text("\n".join(rows + [",".join(fields)]) + "\n", encoding="utf-8")
+    for i, count in enumerate(samples):
+        fields = rows[i + 1].split(",")
+        fields[9] = str(count)
+        rows.append(",".join(fields))
+    towers_csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["dimension", "density"])
+def test_huge_samples_rows_are_bad_numeric(runner, tmp_path, base_config_dict, towers_csv, command):
+    # A count of 2**53 or more, past the float range or not, is rejected on
+    # its own row, so it never reaches the grid: the outputs are those of the
+    # export without it.
     base_config_dict["input"] = str(towers_csv)
-    base_config_dict["out"] = str(tmp_path / "out")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(base_config_dict), encoding="utf-8")
-    result = runner.invoke(main, ["dimension", "--config", str(cfg)])
-    assert result.exit_code == 0, result.output
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["ingest"]["reject_reasons"] == {"BadNumeric": 1}
-    assert summary["ingest"]["rows_kept"] == 49
+    outputs = {}
+    for out in ("clean", "dirty"):
+        if out == "dirty":
+            _with_samples(towers_csv, "9" * 400, 10**308, 2**53)
+        base_config_dict["out"] = str(tmp_path / out)
+        cfg.write_text(json.dumps(base_config_dict), encoding="utf-8")
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        outputs[out] = {
+            path.name: path.read_bytes() for path in (tmp_path / out).iterdir()
+            if path.name != "summary.json"
+        }
+    assert outputs["dirty"] == outputs["clean"]
+    if command == "dimension":
+        summary = json.loads((tmp_path / "dirty" / "summary.json").read_text())
+        assert summary["ingest"]["reject_reasons"] == {"BadNumeric": 3}
+        assert summary["ingest"]["rows_kept"] == 49
 
 
 @pytest.mark.parametrize("command", ["dimension", "density"])
 def test_overflowing_tile_weights_exit_2(runner, tmp_path, base_config_dict, towers_csv, command):
-    # Each count is finite, so both rows are kept; their sum is not, or it
-    # passes 2**53, past which sums of counts stop being exact.
-    text = towers_csv.read_text(encoding="utf-8")
-    for samples in (10**308, 2**52):
-        rows = text.rstrip("\n").split("\n")
-        for i in (1, 2):
-            fields = rows[i].split(",")
-            fields[9] = str(samples)
-            rows.append(",".join(fields))
-        towers_csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        base_config_dict["input"] = str(towers_csv)
-        base_config_dict["out"] = str(tmp_path / "out")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(base_config_dict), encoding="utf-8")
-        result = runner.invoke(main, [command, "--config", str(cfg)])
-        assert result.exit_code == 2, result.output
-        lines = result.output.strip().split("\n")
-        assert len(lines) == 1
-        assert lines[0].startswith("error: binned samples overflow"), samples
-        assert not (tmp_path / "out").exists()
+    # Each count is below 2**53, so both rows are kept; their sum is not,
+    # and past 2**53 sums of counts stop being exact.
+    _with_samples(towers_csv, 2**52, 2**52)
+    base_config_dict["input"] = str(towers_csv)
+    base_config_dict["out"] = str(tmp_path / "out")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base_config_dict), encoding="utf-8")
+    result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().split("\n")
+    assert len(lines) == 1
+    assert lines[0].startswith("error: binned samples overflow")
+    assert not (tmp_path / "out").exists()
 
 
 def test_filter_flags_are_written_into_the_echo(runner, tmp_path, config_file):

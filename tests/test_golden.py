@@ -23,8 +23,9 @@ GOLDEN = Path(__file__).parent / "golden"
 HEADER = "radio,mcc,net,area,cell,unit,lon,lat,range,samples,changeable,created,updated,averageSignal"
 
 # Kept rows cover whitespace, sign and underscore spellings, non-ASCII
-# digits, huge integers on a non-LTE radio, MNC padding and widths, an
-# absent signal and a negative zero; the rest hit every reject reason.
+# digits, MNC padding and widths, an absent signal and a negative zero.
+# Among them, huge integers on a non-LTE radio are a reject, past int64;
+# the rest hit every reject reason.
 DIRTY_ROWS = [
     "LTE,310,260,6699,12345678,,-87.6,41.8,1000,57,1,1600000000,1700000000,-95",
     " LTE , 310 , 260 , 6699 , 268435455 ,x, -87.61 , 41.81 , 1e3 , +5 ,0, 1_600_000_000 , 17 , -1e2 ",

@@ -29,11 +29,27 @@ from gnbdim.ingest import (
     write_cells,
 )
 
-from test_ingest_differential import cell_rows, parse_bytes, reference_parse
+from test_ingest_differential import cell_rows, edited, parse_bytes, reference_parse
 
 HEADER = ",".join(EXPECTED_HEADER)
 
 GOOD_ROW = "LTE,310,260,6699,12345678,,-87.6,41.8,1000,57,1,1600000000,1700000000,-95"
+
+INT64_MAX = 2**63 - 1
+# Kept: the largest int64 in each integer column whose own bound allows it
+# (GSM has no cell bound), and the largest samples count, 2**53 - 1.
+KEPT_EDGES = [
+    ",".join(["GSM", *edited(4, str(INT64_MAX))[1:]]),
+    ",".join(edited(9, str(2**53 - 1))),
+    ",".join(edited(11, str(INT64_MAX))),
+    ",".join(edited(12, str(INT64_MAX))),
+]
+# BadNumeric: one past int64 either way in area, cell, samples, created and
+# updated, and 2**53 samples.
+REJECTED_EDGES = [
+    ",".join(["GSM", *edited(column, value)[1:]])
+    for column in (3, 4, 9, 11, 12) for value in (str(2**63), str(-2**63 - 1))
+] + [",".join(edited(9, str(2**53)))]
 
 
 def parse_text(text: str):
@@ -106,6 +122,21 @@ class TestParseCsv:
         records, report = parse_text(HEADER + "\n" + "\n".join(rows) + "\n")
         assert len(records) == 0
         assert report.reject_reasons[BAD_NUMERIC] == 3
+
+    @pytest.mark.parametrize("unit", ["", '"a,b"'], ids=["byte-split", "csv-reader"])
+    def test_integer_edges(self, unit):
+        """Every integer column is int64: a value past it is BadNumeric, and
+        so is a samples count of 2**53 or more. Alike on both routes: a
+        quoted field in the first row sends the piece to csv.reader."""
+        rows = [GOOD_ROW.replace(",,", f",{unit},", 1), *KEPT_EDGES, *REJECTED_EDGES]
+        with patch.object(ingest, "_csv_block", wraps=ingest._csv_block) as csv_block:
+            records, report = parse_text(HEADER + "\n" + "\n".join(rows) + "\n")
+        assert csv_block.called == bool(unit)
+        assert report.reject_reasons == {BAD_NUMERIC: 11}
+        assert {vars(records)[name].dtype for name in ingest._INT_NAMES} == {np.dtype(np.int64)}
+        assert records.cell.tolist()[1] == INT64_MAX
+        assert records.samples.tolist()[2] == 2**53 - 1
+        assert records.created.tolist()[3] == records.updated.tolist()[4] == INT64_MAX
 
     def test_lte_cell_identity_limit(self):
         over = 1 << 28
@@ -185,28 +216,22 @@ class TestFiles:
         assert back == records
         assert report.rows_rejected == 0
 
-    def test_integers_beyond_int64_round_trip(self, tmp_path):
-        """One piece holds a GSM row with ``cell`` 10**20 and ``created``
-        2**64, the other pieces only int64 values: those two columns hold the
-        exact Python ints, and records.csv reads back as the same Cells."""
-        big = GOOD_ROW.replace("LTE,", "GSM,").replace(",12345678,", f",{10**20},")
-        big = big.replace(",1600000000,", f",{2**64},")
+    def test_integer_edges_round_trip(self, tmp_path):
+        """The largest int64 in cell, created and updated, and the largest
+        samples count, are written to records.csv as read and read back as
+        the same Cells."""
         path, out = tmp_path / "export.csv", tmp_path / "records.csv"
-        rows = [GOOD_ROW] * 200 + [big] + [GOOD_ROW] * 200
-        path.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        with patch.object(ingest, "READ_SIZE", 4096):  # the export is about 30 kB
-            records, _ = read_cells(path)
-            write_cells(out, records)
-            back, _ = read_cells(out)
+        path.write_text(HEADER + "\n" + "\n".join([GOOD_ROW, *KEPT_EDGES]) + "\n", encoding="utf-8")
+        records, _ = read_cells(path)
+        write_cells(out, records)
+        back, report = read_cells(out)
         assert back == records
-        assert records.cell.tolist() == [12345678] * 200 + [10**20] + [12345678] * 200
-        assert records.created.tolist() == [1600000000] * 200 + [2**64] + [1600000000] * 200
-        assert {type(v) for v in records.cell.tolist() + records.created.tolist()} == {int}
-        assert records.area.dtype == records.samples.dtype == np.int64
-        # An object column equals an int64 column that holds the same values.
-        lte = filter_records(records, radio="LTE")
-        assert lte.cell.dtype == lte.created.dtype == object
-        assert lte == parse_text(HEADER + "\n" + "\n".join([GOOD_ROW] * 400) + "\n")[0]
+        assert report.rows_kept == 5
+        assert records.cell.tolist() == [12345678, INT64_MAX, 12345678, 12345678, 12345678]
+        assert records.samples.tolist() == [57, 57, 2**53 - 1, 57, 57]
+        assert records.created.tolist() == [1600000000] * 3 + [INT64_MAX, 1600000000]
+        assert records.updated.tolist() == [1700000000] * 4 + [INT64_MAX]
+        assert out.read_text().count(str(INT64_MAX)) == 3
 
     def test_every_failure_names_the_path(self, tmp_path):
         missing = tmp_path / "absent.csv"
