@@ -132,6 +132,10 @@ class DensityGrid:
     n_outside: int = 0
     rows: np.ndarray | None = None  # ascending grid rows; None: all of them
 
+    def __post_init__(self) -> None:
+        if self.rows is None:
+            self.rows = np.arange(len(self.weight))
+
 
 @dataclass(frozen=True)
 class DeploymentArea:
@@ -208,7 +212,7 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
         )
     # listed[p]: row p - h_rows is listed, and k[p] - 1 is its place in weight.
     listed = np.zeros(rows + h_rows, dtype=bool)
-    listed[slice(h_rows, None) if grid.rows is None else grid.rows + h_rows] = True
+    listed[grid.rows + h_rows] = True
     k = np.add.accumulate(listed, dtype=np.int64)
     made = listed[h_rows:] | listed[:rows]
     made[h_rows - 1] = True
@@ -269,7 +273,7 @@ def grid_to_csv(grid: DensityGrid) -> str:
     listed tiles alone.
     """
     listed, cols = np.nonzero(grid.towers > 0)
-    rows = listed if grid.rows is None else grid.rows[listed]
+    rows = grid.rows[listed]
     lines = ["row,col,weight,towers"]
     lines += [
         f"{row},{col},{weight!r},{towers}"

@@ -1,16 +1,24 @@
-"""Shared fixtures: a reference run configuration and synthetic tower data."""
+"""Shared fixtures: a reference run configuration, synthetic tower data
+and the export rows the ingest tests edit."""
 
 from __future__ import annotations
 
 import copy
 import csv
+import io
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from gnbdim import ingest
 from gnbdim.config import load_config_dict
 from gnbdim.density import DensityGrid, GridSpec, unproject
 from gnbdim.ingest import RADIOS, Cells
+
+# An export's header, and one row that ingest keeps, for the tests to edit.
+HEADER = "radio,mcc,net,area,cell,unit,lon,lat,range,samples,changeable,created,updated,averageSignal"
+GOOD_ROW = "LTE,310,260,6699,12345678,,-87.6,41.8,1000,57,1,1600000000,1700000000,-95"
 
 # Reference urban scenario: 7x7 km2, FR1 at 3.5 GHz with a single 100 MHz
 # eMBB bandwidth part, deep-indoor margins. Chosen so the converged plan is
@@ -67,6 +75,18 @@ BASE_CONFIG = {
 }
 
 
+def edited(i: int, value: str) -> list[str]:
+    """The fields of GOOD_ROW with field ``i`` set to ``value``."""
+    fields = GOOD_ROW.split(",")
+    fields[i] = value
+    return fields
+
+
+def parse_bytes(data: bytes):
+    """The parse ``read_cells`` makes of a file that holds ``data``."""
+    return ingest._joined(ingest._parse(io.BytesIO(data)))
+
+
 @pytest.fixture(autouse=True)
 def csv_field_limit_kept():
     """Fail a test that leaves csv.field_size_limit() changed, and put the
@@ -84,6 +104,11 @@ def set_key(doc: dict, dotted: str, value) -> dict:
         target = target.setdefault(name, {})
     target[key] = value
     return doc
+
+
+@pytest.fixture
+def runner():
+    return CliRunner()
 
 
 @pytest.fixture
@@ -124,22 +149,30 @@ def tile_center_records(spec: GridSpec, samples: int) -> Cells:
     return towers([c[0] for c in centers], [c[1] for c in centers], [samples] * len(centers))
 
 
+def grid_of(weights, rows=None) -> DensityGrid:
+    """The raster ``weights`` as a grid of 1 km tiles that lists ``rows``
+    (None: every row); each tile with weight holds one tower."""
+    w = np.asarray(weights, dtype=np.float64)
+    spec = GridSpec(origin_lon=0.0, origin_lat=0.0, n_cols=w.shape[1], n_rows=w.shape[0])
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        w = w[rows]
+    return DensityGrid(spec=spec, weight=w, towers=(w > 0).astype(np.int64), rows=rows)
+
+
 def full_raster(grid: DensityGrid) -> DensityGrid:
     """``grid`` with every row listed: its rows put back onto the full raster."""
     spec = grid.spec
     weight = np.zeros((spec.n_rows, spec.n_cols))
     towers = np.zeros((spec.n_rows, spec.n_cols), dtype=np.int64)
-    rows = slice(None) if grid.rows is None else grid.rows
-    weight[rows] = grid.weight
-    towers[rows] = grid.towers
+    weight[grid.rows] = grid.weight
+    towers[grid.rows] = grid.towers
     return DensityGrid(spec=spec, weight=weight, towers=towers, n_outside=grid.n_outside)
 
 
 def records_to_csv_text(records: Cells) -> str:
     """Render records in the 14-column ingest layout."""
-    lines = [
-        "radio,mcc,net,area,cell,unit,lon,lat,range,samples,changeable,created,updated,averageSignal"
-    ]
+    lines = [HEADER]
     rows = zip(*(column.tolist() for column in vars(records).values()))
     for code, plmn, area, cell, lon, lat, range_m, samples, created, updated, signal in rows:
         signal = "" if signal != signal else repr(signal)
@@ -153,3 +186,4 @@ def records_to_csv_text(records: Cells) -> str:
 @pytest.fixture
 def dense_records(base_config) -> Cells:
     return tile_center_records(base_config.grid, samples=100)
+

@@ -11,7 +11,6 @@ from gnbdim.balance import (
     MAX_ITER,
     BalanceThresholds,
     Classification,
-    DimensioningResult,
     classify,
     final_plan,
     interference_margin_db,
@@ -38,20 +37,14 @@ from gnbdim.coverage import (
 from gnbdim.errors import LoadTooHighError
 from gnbdim.nr import FrequencyRange, NrConfig, bandwidth_part, prb_hz
 
+from conftest import BASE_CONFIG
+from reference import reference_iterate_balance, residual_scan_fixed_point
+
 
 def make_link(**overrides) -> LinkBudget:
-    values = dict(
-        tx_power_dbm=43.0,
-        tx_antenna_gain_dbi=17.0,
-        tx_losses_db=3.0,
-        rx_antenna_gain_dbi=0.0,
-        rx_losses_db=0.0,
-        noise_figure_db=7.0,
-        required_sinr_db=20.0,
-        shadow_margin_db=9.0,
-        penetration_margin_db=33.0,
-    )
-    values.update(overrides)
+    """The reference scenario's link budget, ``overrides`` put in."""
+    values = {**BASE_CONFIG["link_budget"], **overrides}
+    del values["sensitivity_prbs"]
     return LinkBudget(**values)
 
 
@@ -129,25 +122,6 @@ class TestClassify:
         assert classify(1.0, math.inf, self.TH) is Classification.OVER_DIMENSIONED
 
 
-def residual_scan_fixed_point(
-    link, model, f_mhz, cfg, traffic, rho, r_cap, capacity, eta, bw_hz, step=0.005
-):
-    """Independent oracle: the load grid point with the smallest
-    self-consistency residual |offered(load) - load|."""
-    best_load, best_res = None, None
-    load = 0.0
-    while load <= 0.995 + 1e-12:
-        margin = interference_margin_db(load, eta)
-        m = mapl_db(replace(link, interference_margin_db=margin), bw_hz)
-        r_cov = invert_to_radius(model, f_mhz, m)
-        actual = offered_load(min(r_cov, r_cap), rho, traffic, capacity)
-        res = abs(actual - load)
-        if best_res is None or res < best_res:
-            best_load, best_res = load, res
-        load += step
-    return best_load
-
-
 class TestIterateBalance:
     def test_reference_scenario_converges_to_the_scanned_fixed_point(self):
         link, cfg, traffic = make_link(), make_nr(), make_traffic()
@@ -160,7 +134,7 @@ class TestIterateBalance:
         capacity = cell_capacity_mbps(cfg, traffic)
         r_cap = capacity_radius(capacity, traffic, 100.0)
         oracle = residual_scan_fixed_point(
-            link, free_space(), 3500, cfg, traffic, 100.0, r_cap, capacity, th.eta, 360e3
+            link, free_space(), 3500, traffic, 100.0, r_cap, capacity, th.eta, 360e3
         )
         assert abs(result.assumed_load - oracle) <= 0.005
 
@@ -308,50 +282,6 @@ def test_reference_scenario_root_is_exact():
     result = iterate_balance(link, free_space(), 3500, cfg, traffic, 100.0, 49.0, th)
     assert result.converged and result.r_cov_km <= result.r_cap_km
     assert abs(result.assumed_load - root) <= th.eps_load / (1.0 + a * 0.6) + 1e-12
-
-
-def reference_iterate_balance(
-    link, model, f_mhz, cfg, traffic, rho_subs_per_km2, area_km2, th, sensitivity_prbs=1
-):
-    """The fixed point with every step taken from the whole link budget:
-    the margin put into a copy of ``link``, then ``mapl_db``,
-    ``invert_to_radius`` and ``offered_load``."""
-    capacity = cell_capacity_mbps(cfg, traffic)
-    bw_hz = sensitivity_prbs * prb_hz(cfg.bwps[0].mu)
-    if rho_subs_per_km2 > 0:
-        r_cap = capacity_radius(capacity, traffic, rho_subs_per_km2)
-        load = traffic.target_load
-        converged = False
-        for iterations in range(1, th.max_iter + 1):
-            assumed = load
-            margin = interference_margin_db(assumed, th.eta)
-            mapl = mapl_db(replace(link, interference_margin_db=margin), bw_hz)
-            r_cov = invert_to_radius(model, f_mhz, mapl)
-            actual = offered_load(min(r_cov, r_cap), rho_subs_per_km2, traffic, capacity)
-            if abs(actual - assumed) <= th.eps_load:
-                converged = True
-                break
-            upper = 0.999 / th.eta if th.eta > 0 else math.inf
-            load = assumed + th.damping * (min(max(actual, 0.0), upper) - assumed)
-    else:
-        r_cap = math.inf
-        assumed = actual = 0.0
-        mapl = mapl_db(replace(link, interference_margin_db=0.0), bw_hz)
-        r_cov = invert_to_radius(model, f_mhz, mapl)
-        iterations, converged = 0, True
-    plan = final_plan(r_cov, r_cap, area_km2, rho_subs_per_km2, traffic, capacity)
-    return DimensioningResult(
-        r_cov_km=r_cov,
-        r_cap_km=r_cap,
-        assumed_load=assumed,
-        actual_load=actual,
-        classification=classify(r_cov, r_cap, th),
-        iterations=iterations,
-        converged=converged,
-        mapl_db=mapl,
-        cell_capacity_mbps=capacity,
-        **vars(plan),
-    )
 
 
 def _outcome(run, *args):

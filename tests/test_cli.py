@@ -10,23 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import gnbdim
 from gnbdim.cli import main
 from gnbdim.density import GridSpec, unproject
 
 from conftest import (
-    BASE_CONFIG, records_to_csv_text, set_key, tile_center_records, towers,
+    BASE_CONFIG, GOOD_ROW, HEADER, records_to_csv_text, set_key, tile_center_records, towers,
 )
-
-GOOD_ROW = "LTE,310,260,6699,12345678,,-87.6,41.8,1000,57,1,1600000000,1700000000,-95"
-HEADER = "radio,mcc,net,area,cell,unit,lon,lat,range,samples,changeable,created,updated,averageSignal"
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture

@@ -1,11 +1,11 @@
 """Differential tests of the closed-form path-loss inversion.
 
 ``invert_to_radius`` is one exponent of the ABG model. It must give the
-radius that the bisection it replaced gives, kept here unchanged as
-``reference_invert_to_radius``, to that bisection's own stop tolerance,
+radius that the bisection it replaced gives, ``reference_invert_to_radius``,
+to that bisection's own stop tolerance,
 and raise the same bracket error, never an ``OverflowError``, for a MAPL
 that no radius in the bracket reaches. ``path_loss_db`` is one ABG
-expression; it must agree with the two-branch form it replaced, kept as
+expression; it must agree with the two-branch form it replaced,
 ``reference_path_loss_db``, where free space is written out on its own.
 """
 
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from gnbdim.coverage import (
     BRACKET_MAX_KM,
     BRACKET_MIN_KM,
-    PropagationModel,
     abg,
     free_space,
     invert_to_radius,
@@ -28,45 +27,7 @@ from gnbdim.coverage import (
 )
 from gnbdim.errors import GnbdimError
 
-BISECTION_REL_TOL = 1e-9
-
-
-def reference_path_loss_db(model: PropagationModel, f_mhz: float, d_km: float) -> float:
-    """Path loss with free space in its own textbook form."""
-    if f_mhz <= 0:
-        raise GnbdimError(f"frequency must be positive, got {f_mhz}")
-    if d_km <= 0:
-        raise GnbdimError(f"distance must be positive, got {d_km}")
-    if model.kind == "free_space":
-        return 32.45 + 20.0 * math.log10(f_mhz) + 20.0 * math.log10(d_km)
-    # ABG referenced to d0 = 1 m and 1 GHz.
-    return (
-        model.beta_db
-        + model.alpha * math.log10(d_km * 1000.0)
-        + model.gamma * 10.0 * math.log10(f_mhz / 1000.0)
-    )
-
-
-def reference_invert_to_radius(model: PropagationModel, f_mhz: float, mapl_db: float) -> float:
-    """Distance at which ``model`` reaches ``mapl_db``, by bisection.
-
-    Path loss is strictly increasing in distance for both models, so the
-    root in [BRACKET_MIN_KM, BRACKET_MAX_KM] is unique when it exists.
-    """
-    lo, hi = BRACKET_MIN_KM, BRACKET_MAX_KM
-    if not path_loss_db(model, f_mhz, lo) <= mapl_db <= path_loss_db(model, f_mhz, hi):
-        raise GnbdimError(
-            f"MAPL {mapl_db:.2f} dB maps outside [{lo}, {hi}] km at {f_mhz} MHz"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if path_loss_db(model, f_mhz, mid) < mapl_db:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= BISECTION_REL_TOL * mid:
-            break
-    return 0.5 * (lo + hi)
+from reference import BISECTION_REL_TOL, reference_invert_to_radius, reference_path_loss_db
 
 
 MODELS = st.one_of(

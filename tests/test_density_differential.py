@@ -4,9 +4,9 @@
 ``find_5gda`` carries the window's column sums from step to step over
 the listed rows only, a chunk of steps at a time. Together they must pick
 exactly the anchor and the window weight (to the bit) that the full-table
-search over the full raster picks, kept here as ``reference_find_5gda``,
-and reject the same grids with the same message, however many rows are
-empty. The input rule is that weights are whole sample counts that total
+search over the full raster, ``reference_find_5gda``, picks, and reject
+the same grids with the same message, however many rows are empty. The
+input rule is that weights are whole sample counts that total
 below 2**53, so that every sum is exact in any order; a grid that breaks
 it raises, whatever else is drawn. The search's memory must stay far
 below the grid's own size, and on a mostly empty grid below its chunk
@@ -28,8 +28,6 @@ from hypothesis import strategies as st
 
 from gnbdim import density
 from gnbdim.density import (
-    DensityGrid,
-    DeploymentArea,
     GridSpec,
     bin_records,
     find_5gda,
@@ -37,51 +35,8 @@ from gnbdim.density import (
 )
 from gnbdim.errors import GnbdimError
 
-from conftest import full_raster, towers
-
-
-def reference_find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
-    """The full-table search: both prefix and window-sum tables at once.
-
-    It takes the same input, checked in the same order: the window fits,
-    no weight has its sign bit set, the total is below 2**53, and every
-    weight is whole.
-    """
-    weight = grid.weight
-    rows, cols = weight.shape
-    if not (1 <= w_cols <= cols and 1 <= h_rows <= rows):
-        raise GnbdimError(
-            f"window {w_cols}x{h_rows} does not fit the {cols}x{rows} grid"
-        )
-    if np.signbit(weight).any():
-        negative = weight[np.signbit(weight)][0].item()
-        raise GnbdimError(f"tile weights must not be negative, got {negative!r}")
-    with np.errstate(over="ignore"):
-        total = float(weight.sum())
-    if not total < 2**53:
-        raise GnbdimError(
-            f"binned samples overflow: the grid's total weight is {total:.6g}, "
-            "not below 2**53 = 9007199254740992, where sums of sample counts are exact"
-        )
-    fractions = weight[weight != np.floor(weight)]
-    if fractions.size:
-        raise GnbdimError(f"tile weights must be whole sample counts, got {fractions[0].item()!r}")
-    prefix = np.zeros((rows + 1, cols + 1), dtype=np.float64)
-    np.cumsum(weight, axis=0, out=prefix[1:, 1:])
-    np.cumsum(prefix[1:, 1:], axis=1, out=prefix[1:, 1:])
-    sums = prefix[h_rows:, w_cols:] - prefix[:-h_rows, w_cols:]
-    sums -= prefix[h_rows:, :-w_cols]
-    sums += prefix[:-h_rows, :-w_cols]
-    flat = int(np.argmax(sums))  # row-major: smallest row0 first, then col0
-    row0, col0 = divmod(flat, sums.shape[1])
-    return DeploymentArea(
-        col0=col0,
-        row0=row0,
-        w_cols=w_cols,
-        h_rows=h_rows,
-        total_weight=float(sums[row0, col0]),
-        area_km2=w_cols * h_rows * grid.spec.tile_km**2,
-    )
+from conftest import full_raster, grid_of, towers
+from reference import reference_bin_records, reference_find_5gda
 
 
 def breaks_the_rule(weights) -> bool:
@@ -96,16 +51,6 @@ def breaks_the_rule(weights) -> bool:
     except OverflowError:  # finite weights whose total passes the float range
         return True
     return not (total < 2**53 and all(value.is_integer() for value in values))
-
-
-def grid_of(weights, rows=None) -> DensityGrid:
-    """The raster ``weights`` as a grid that lists ``rows`` (None: every row)."""
-    w = np.asarray(weights, dtype=np.float64)
-    spec = GridSpec(origin_lon=0.0, origin_lat=0.0, n_cols=w.shape[1], n_rows=w.shape[0])
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
-        w = w[rows]
-    return DensityGrid(spec=spec, weight=w, towers=np.zeros(w.shape, dtype=np.int64), rows=rows)
 
 
 def _outcome(search, grid, w_cols, h_rows):
@@ -157,7 +102,7 @@ def searches(draw):
 @example((np.array([[1.0, 0.5]]), 1, 1))  # a fraction
 @example((np.array([[2.0], [math.nan]]), 1, 1))
 @example((np.array([[0.0, math.inf]]), 1, 1))
-def test_banded_search_matches_the_full_table(case):
+def test_chunked_search_matches_the_full_table(case):
     weights, w_cols, h_rows = case
     grid = grid_of(weights)
     expected = _outcome(reference_find_5gda, grid, w_cols, h_rows)
@@ -226,7 +171,7 @@ def _counted_rows(rows, cols, at):
 @example((_one_row(9, 2, [2, 6], 2.0**51 - 0.5), [2, 6], 1, 3))  # whole sums of fractions
 @example((_one_row(9, 2, [2, 6], 2.0**51), [2, 6], 1, 3))  # total 2**53
 @example((_one_row(9, 2, [2, 6], 2.0**51 - 1), [2, 6], 2, 9))  # total 2**53 - 4: kept
-def test_row_skipping_matches_the_full_table(case):
+def test_search_over_the_listed_rows_matches_the_full_table(case):
     weights, listed, w_cols, h_rows = case
     expected = _outcome(reference_find_5gda, grid_of(weights), w_cols, h_rows)
     assert isinstance(expected, str) == breaks_the_rule(weights)
@@ -284,7 +229,7 @@ class _RowLog(np.ndarray):
 def _rows_read(weights, listed=None) -> set[int]:
     grid = grid_of(weights, listed)
     grid.weight = grid.weight.view(_RowLog)
-    grid.weight.rows = np.arange(len(weights)) if listed is None else np.asarray(listed)
+    grid.weight.rows = grid.rows
     grid.weight.read = set()
     find_5gda(grid, 1, 2)
     return grid.weight.read
@@ -320,14 +265,17 @@ _SAMPLES = {
 
 @st.composite
 def binned_searches(draw):
-    """(spec, records, w_cols, h_rows) on a tall grid with few occupied rows.
+    """(spec, records, w_cols, h_rows) on a tall grid with few occupied rows,
+    its origin at the equator or at 87.7 W 41.8 N, its tiles 1 or 0.5 km.
 
     Each record sits at a tile center: in one of at most six tiles in at
     most four rows, so that tiles hold several records, or up to three
     tiles past an edge of the grid.
     """
     n_cols, n_rows = draw(st.integers(1, 8)), draw(st.integers(20, 200))
-    spec = GridSpec(origin_lon=0.0, origin_lat=0.0, n_cols=n_cols, n_rows=n_rows)
+    origin_lon, origin_lat = draw(st.sampled_from([(0.0, 0.0), (-87.7, 41.8)]))
+    tile_km = draw(st.sampled_from([1.0, 0.5]))
+    spec = GridSpec(origin_lon, origin_lat, n_cols=n_cols, n_rows=n_rows, tile_km=tile_km)
     occupied = draw(st.lists(st.integers(0, n_rows - 1), max_size=4, unique=True))
     inside = st.nothing()
     if occupied:
@@ -337,8 +285,8 @@ def binned_searches(draw):
         lambda tile: not (0 <= tile[0] < n_rows and 0 <= tile[1] < n_cols)
     )
     tiles = draw(st.lists(inside | outside, max_size=30))
-    x_km = [col + 0.5 for _, col in tiles]
-    y_km = [row + 0.5 for row, _ in tiles]
+    x_km = [(col + 0.5) * tile_km for _, col in tiles]
+    y_km = [(row + 0.5) * tile_km for row, _ in tiles]
     lon, lat = unproject(np.array(x_km), np.array(y_km), spec)
     values = _SAMPLES[draw(st.sampled_from(sorted(_SAMPLES)))]
     samples = draw(st.lists(values, min_size=len(tiles), max_size=len(tiles)))
@@ -346,33 +294,19 @@ def binned_searches(draw):
     return spec, towers(lon, lat, samples), w_cols, h_rows
 
 
-def _scatter_add(records, spec):
-    """The full rasters, by a scatter-add in input order."""
-    weight = np.zeros((spec.n_rows, spec.n_cols))
-    count = np.zeros((spec.n_rows, spec.n_cols), dtype=np.int64)
-    x, y = density.project(records.lon, records.lat, spec)
-    col, row = np.floor(x / spec.tile_km).astype(int), np.floor(y / spec.tile_km).astype(int)
-    inside = (col >= 0) & (col < spec.n_cols) & (row >= 0) & (row < spec.n_rows)
-    samples = np.array(records.samples, dtype=np.float64)[inside]
-    with np.errstate(over="ignore"):  # an overflow shows in the total
-        np.add.at(weight, (row[inside], col[inside]), samples)
-    np.add.at(count, (row[inside], col[inside]), 1)
-    return weight, count
-
-
 @settings(max_examples=300, deadline=None)
 @given(binned_searches())
 def test_binning_the_occupied_rows_matches_the_full_raster(case):
     spec, records, w_cols, h_rows = case
     grid = bin_records(records, spec)
-    weight, count = _scatter_add(records, spec)
-    assert np.array_equal(grid.rows, np.flatnonzero(count.any(axis=1)))
+    want = reference_bin_records(records, spec)
+    assert np.array_equal(grid.rows, np.flatnonzero(want.towers.any(axis=1)))
     raster = full_raster(grid)
-    assert raster.weight.tobytes() == weight.tobytes()
-    assert np.array_equal(raster.towers, count)
-    assert grid.n_outside == len(records) - count.sum()
-    expected = _outcome(reference_find_5gda, raster, w_cols, h_rows)
-    assert isinstance(expected, str) == breaks_the_rule(weight)
+    assert raster.weight.tobytes() == want.weight.tobytes()
+    assert np.array_equal(raster.towers, want.towers)
+    assert grid.n_outside == want.n_outside
+    expected = _outcome(reference_find_5gda, want, w_cols, h_rows)
+    assert isinstance(expected, str) == breaks_the_rule(want.weight)
     assert _outcome(find_5gda, grid, w_cols, h_rows) == expected
 
 
@@ -410,7 +344,7 @@ def test_search_memory_does_not_grow_with_the_window_height():
     sparse = bin_records(records, spec)
     every_row = grid_of(np.random.default_rng(53).integers(0, 1000, (1200, 1000)))
     bound = density._CHUNK_BYTES + (1 << 18)
-    for grid in (sparse, every_row):
+    for name, grid in (("sparse", sparse), ("every row", every_row)):
         for h_rows in (30, 120, 300, 1000):
             tracemalloc.start()
             try:
@@ -418,4 +352,4 @@ def test_search_memory_does_not_grow_with_the_window_height():
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < bound, (grid.rows is None, h_rows, peak)
+            assert peak < bound, (name, h_rows, peak)

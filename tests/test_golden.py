@@ -12,15 +12,12 @@ import re
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from gnbdim.cli import main
 
-from conftest import records_to_csv_text, tile_center_records
+from conftest import HEADER, records_to_csv_text, tile_center_records
 
 GOLDEN = Path(__file__).parent / "golden"
-
-HEADER = "radio,mcc,net,area,cell,unit,lon,lat,range,samples,changeable,created,updated,averageSignal"
 
 # Kept rows cover whitespace, sign and underscore spellings, non-ASCII
 # digits, MNC padding and widths, an absent signal and a negative zero.
@@ -52,11 +49,6 @@ DIRTY_ROWS = [
     "LTE,310,260,6699,x,,-87.6,lat,1000,57,1,1600000000,1700000000,-95",
     "LTE,310,260,6699,1,,-87.6,lat,x,57,1,1600000000,1700000000,-95",
 ]
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def _golden(name: str) -> bytes:

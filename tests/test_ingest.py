@@ -21,7 +21,6 @@ from gnbdim.ingest import (
     BAD_NUMERIC,
     BAD_RADIO,
     BAD_SHAPE,
-    EXPECTED_HEADER,
     RADIOS,
     IngestReport,
     filter_records,
@@ -29,11 +28,8 @@ from gnbdim.ingest import (
     write_cells,
 )
 
-from test_ingest_differential import cell_rows, edited, parse_bytes, reference_parse
-
-HEADER = ",".join(EXPECTED_HEADER)
-
-GOOD_ROW = "LTE,310,260,6699,12345678,,-87.6,41.8,1000,57,1,1600000000,1700000000,-95"
+from conftest import GOOD_ROW, HEADER, edited, parse_bytes
+from reference import read_outcome, reference_read_outcome
 
 INT64_MAX = 2**63 - 1
 # Kept: the largest int64 in each integer column whose own bound allows it
@@ -270,32 +266,6 @@ def csv_split_only():
     return patch.object(ingest, "_split_block", csv_split)
 
 
-def outcome(read, *args):
-    """What a read returns, or the text of the error it raises."""
-    try:
-        return read(*args)
-    except (GnbdimError, csv.Error) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def kept_and_reasons(got):
-    """A parse's kept rows, in the reference's layout, and reject reasons;
-    or the text of its error."""
-    if isinstance(got, str):
-        return got
-    cells, report = got
-    return cell_rows(cells), report.reject_reasons
-
-
-def reference_outcome(lines):
-    """``reference_parse`` of ``lines`` as :func:`kept_and_reasons` gives it."""
-    got = outcome(reference_parse, lines)
-    if isinstance(got, str):
-        return got
-    records, reasons = got
-    return [repr(r) for r in records], dict(reasons)
-
-
 # 300 rows with a reject of each reason every five rows, about 28 kB, read
 # in pieces of 4 kB.
 BODY_ROWS = [
@@ -320,9 +290,8 @@ def export_bytes(case: str) -> bytes:
 
 class TestBlockFiles:
     """Files at the byte splitter's edges, read in pieces of 4 kB, each a
-    block: the same Cells and report as with csv.reader splitting every
-    block, or the same error, and the kept rows and reasons of the reference
-    parse."""
+    block: the same kept rows and reasons as with csv.reader splitting
+    every block, or the same error, and those of the reference parse."""
 
     @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
     @pytest.mark.parametrize("case", ["crlf", "bom", "no-final-newline", "quoted", "bad-byte"])
@@ -331,20 +300,16 @@ class TestBlockFiles:
         path = tmp_path / ("export.csv.gz" if gz else "export.csv")
         path.write_bytes(gzip.compress(data) if gz else data)
         with patch.object(ingest, "READ_SIZE", 4096):
-            got = outcome(read_cells, path)
+            got = read_outcome(path)
             with csv_split_only():
-                want = outcome(read_cells, path)
-        assert got == want
+                assert read_outcome(path) == got
         if case == "bad-byte":
-            assert got.startswith(f"GnbdimError: cannot read input {path}: 'utf-8' codec")
+            assert got.startswith(f"cannot read input {path}: 'utf-8' codec")
         else:
-            records, report = got
-            assert report.rows_read == len(BODY_ROWS)
-            assert report.reject_reasons == {
-                BAD_NUMERIC: 50, BAD_SHAPE: 50, BAD_COORDINATE: 50, BAD_RADIO: 50
-            }
-            assert len(records) == 100
-            assert kept_and_reasons(got) == reference_outcome(data.decode("utf-8-sig"))
+            rows, reasons = got
+            assert reasons == {BAD_NUMERIC: 50, BAD_SHAPE: 50, BAD_COORDINATE: 50, BAD_RADIO: 50}
+            assert len(rows) == 100
+            assert got == reference_read_outcome(path)
 
     @pytest.mark.parametrize("read_size", [9, 1024])
     def test_blocks_of_lines_wider_than_a_piece(self, tmp_path, read_size):
@@ -356,9 +321,9 @@ class TestBlockFiles:
         path = tmp_path / "export.csv"
         path.write_bytes(data)
         with patch.object(ingest, "READ_SIZE", read_size):
-            got = outcome(read_cells, path)
-        assert kept_and_reasons(got) == reference_outcome(io.StringIO(data.decode(), newline=""))
-        assert got[1].rows_kept == 24
+            got = read_outcome(path)
+        assert got == reference_read_outcome(path)
+        assert len(got[0]) == 24
 
     def test_a_line_past_the_csv_limit_after_a_quoted_field_is_read(self, tmp_path):
         """A quoted field of 900 lines opens in the first of two pieces and
@@ -374,14 +339,14 @@ class TestBlockFiles:
         try:
             with patch.object(ingest, "READ_SIZE", 4000):
                 first, second = filter(None, ingest._whole_lines(io.BytesIO(data).read))
-                got = outcome(read_cells, path)
+                got = read_outcome(path)
             assert csv.field_size_limit() == 2000
         finally:
             csv.field_size_limit(limit)
         assert first.count(b'"') == second.count(b'"') == 1
         assert second.endswith(b"\n" + wide.encode() + b"\n")
-        assert kept_and_reasons(got) == reference_outcome(data.decode())
-        assert got[1].rows_kept == 32
+        assert got == reference_read_outcome(path)
+        assert len(got[0]) == 32
 
     @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
     def test_a_crlf_export_with_a_wide_field_reads_as_its_lf_copy(self, tmp_path, gz):

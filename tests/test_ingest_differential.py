@@ -1,10 +1,10 @@
 """Differential test: the columnar parse loop against a per-row reference.
 
-``reference_parse`` is the row-at-a-time parser the columnar loop in
-``gnbdim.ingest`` replaced: it checks every field itself, with no
-validator of the package, returns each kept row as a plain tuple and
-names the first failing field, left to right. Over fuzzed exports both
-must keep the same rows, field for field, and give the same
+``reference_parse``, in ``reference.py``, is the row-at-a-time parser the
+columnar loop in ``gnbdim.ingest`` replaced: it checks every field
+itself, with no validator of the package, gives each kept row as a
+plain tuple and names the first failing field, left to right. Over fuzzed
+exports both must keep the same rows, field for field, and give the same
 reject-reason histogram.
 """
 
@@ -18,7 +18,6 @@ import struct
 import tempfile
 from collections import Counter
 from pathlib import Path
-from typing import Iterable
 from unittest.mock import patch
 
 import numpy as np
@@ -27,12 +26,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnbdim import ingest
-from gnbdim.errors import GnbdimError
 from gnbdim.ingest import (
-    BAD_COORDINATE,
     BAD_NUMERIC,
     BAD_RADIO,
-    BAD_SHAPE,
     EXPECTED_HEADER,
     LTE_CELL_LIMIT,
     RADIOS,
@@ -41,110 +37,14 @@ from gnbdim.ingest import (
     write_cells,
 )
 
-# A kept row: radio name, MCC+MNC, area, cell, lon, lat, range, samples,
-# created, updated, averageSignal (NaN when absent).
-Row = tuple[str, str, int, int, float, float, float, int, int, int, float]
-
-
-class _RowError(GnbdimError):
-    def __init__(self, reason: str, detail: str) -> None:
-        super().__init__(detail)
-        self.reason = reason
-
-
-def _parse_int(value: str, what: str, minimum: int = 0) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise _RowError(BAD_NUMERIC, f"{what}: not an integer: {value!r}") from None
-    if not -2**63 <= n < 2**63:
-        raise _RowError(BAD_NUMERIC, f"{what}: {n} outside int64")
-    if n < minimum:
-        raise _RowError(BAD_NUMERIC, f"{what}: {n} below {minimum}")
-    return n
-
-
-def _parse_float(value: str, what: str, reason: str = BAD_NUMERIC) -> float:
-    try:
-        x = float(value)
-    except ValueError:
-        raise _RowError(reason, f"{what}: not a number: {value!r}") from None
-    if not math.isfinite(x):
-        raise _RowError(reason, f"{what}: not finite: {value!r}")
-    return x
-
-
-def _parse_digits(text: str, what: str, lengths: tuple[int, ...]) -> str:
-    if len(text) not in lengths:
-        raise _RowError(BAD_NUMERIC, f"{what}: {text!r} is not {lengths} digits long")
-    if not all("0" <= ch <= "9" for ch in text):
-        raise _RowError(BAD_NUMERIC, f"{what}: {text!r} is not ASCII digits")
-    return text
-
-
-def _parse_mnc(value: str) -> str:
-    text = value.strip()
-    if len(text) == 1 and text.isdigit():
-        text = "0" + text
-    return _parse_digits(text, "net", (2, 3))
-
-
-def _parse_row(row: list[str]) -> Row:
-    if len(row) != len(EXPECTED_HEADER):
-        raise _RowError(BAD_SHAPE, f"expected {len(EXPECTED_HEADER)} fields, got {len(row)}")
-
-    radio = row[0].strip()
-    if radio not in RADIOS:
-        raise _RowError(BAD_RADIO, f"unknown radio {radio!r}")
-
-    mcc = _parse_digits(row[1].strip(), "mcc", (3,))
-    mnc = _parse_mnc(row[2])
-
-    area = _parse_int(row[3].strip(), "area")
-    if area > 0xFFFF:
-        raise _RowError(BAD_NUMERIC, f"area: {area} exceeds 16-bit range")
-    cell = _parse_int(row[4].strip(), "cell")
-    if radio == "LTE" and cell >= LTE_CELL_LIMIT:
-        raise _RowError(BAD_NUMERIC, f"cell: {cell} exceeds the 28-bit LTE cell identity")
-
-    lon = _parse_float(row[6].strip(), "lon", BAD_COORDINATE)
-    lat = _parse_float(row[7].strip(), "lat", BAD_COORDINATE)
-    if not -180.0 <= lon <= 180.0:
-        raise _RowError(BAD_COORDINATE, f"lon: {lon} outside [-180, 180]")
-    if not -90.0 <= lat <= 90.0:
-        raise _RowError(BAD_COORDINATE, f"lat: {lat} outside [-90, 90]")
-
-    range_m = _parse_float(row[8].strip(), "range")
-    if range_m < 0:
-        raise _RowError(BAD_NUMERIC, f"range: {range_m} below 0")
-    samples = _parse_int(row[9].strip(), "samples")
-    if samples >= 2**53:
-        raise _RowError(BAD_NUMERIC, f"samples: {samples} not below 2**53")
-    created = _parse_int(row[11].strip(), "created")
-    updated = _parse_int(row[12].strip(), "updated")
-
-    signal_text = row[13].strip()
-    avg_signal = math.nan if signal_text == "" else _parse_float(signal_text, "averageSignal")
-
-    return (radio, mcc + mnc, area, cell, lon, lat, range_m, samples, created,
-            updated, avg_signal)
-
-
-def reference_parse(text: str | Iterable[str]) -> tuple[list[Row], Counter]:
-    """Row-at-a-time parse of an export, or of its lines, with a valid
-    header row."""
-    records, reasons = [], Counter()
-    reader = csv.reader(io.StringIO(text) if isinstance(text, str) else text)
-    next(reader)
-    for row in reader:
-        if not row:
-            continue
-        try:
-            records.append(_parse_row(row))
-        except _RowError as exc:
-            reasons[exc.reason] += 1
-    return records, reasons
-
+from conftest import GOOD_ROW, HEADER, edited, parse_bytes
+from reference import (
+    csv_writer_cells,
+    kept_and_reasons,
+    read_outcome,
+    reference_parse,
+    reference_read_outcome,
+)
 
 # --- fuzzed exports ----------------------------------------------------------
 
@@ -208,15 +108,6 @@ def export_rows(draw):
     return (row + ["extra"])[:width]
 
 
-GOOD_ROW = ["LTE", "310", "260", "6699", "12345678", "", "-87.6", "41.8", "1000", "57", "1",
-            "1600000000", "1700000000", "-95"]
-
-
-def edited(i: int, value: str) -> list[str]:
-    """GOOD_ROW with field ``i`` set to ``value``."""
-    return GOOD_ROW[:i] + [value] + GOOD_ROW[i + 1:]
-
-
 def render(rows: list[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -229,18 +120,12 @@ def render(rows: list[list[str]]) -> str:
 @given(st.lists(export_rows(), max_size=12))
 # Each identifier field at and one past its limits; the fuzz draws these rarely.
 @example([
-    GOOD_ROW, edited(1, "31"), edited(1, "3100"), edited(2, "1"), edited(2, "001"),
+    GOOD_ROW.split(","), edited(1, "31"), edited(1, "3100"), edited(2, "1"), edited(2, "001"),
     edited(2, "2600"), edited(3, "65535"), edited(3, "65536"),
 ])
 def test_columnar_parse_matches_reference(rows):
     text = render(rows)
-    want_records, want_reasons = reference_parse(text)
-    cells, report = parse_bytes(text.encode())
-
-    assert cell_rows(cells) == [repr(r) for r in want_records]
-    assert report.reject_reasons == dict(want_reasons)
-    assert report.rows_kept == len(cells) == len(want_records)
-    assert report.rows_read == len(want_records) + sum(want_reasons.values())
+    assert kept_and_reasons(*parse_bytes(text.encode())) == reference_parse(text)
 
 
 # --- the numpy block decoder -------------------------------------------------
@@ -312,24 +197,12 @@ def unquoted_rows(draw):
 def unquoted_exports(draw):
     """Export text with blank lines between rows, each line ended by LF,
     CR-LF or a lone CR, and maybe no final line end."""
-    lines = [",".join(EXPECTED_HEADER)]
+    lines = [HEADER]
     for row in draw(st.lists(unquoted_rows(), max_size=40)):
         lines += [""] * draw(st.sampled_from([0] * 6 + [1, 2]))
         lines.append(",".join(row))
     text = "".join(line + draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"])) for line in lines)
     return text if draw(st.integers(0, 2)) else text.rstrip("\r\n")
-
-
-def cell_rows(cells) -> list[str]:
-    """``repr`` of each kept row, in the reference's tuple layout: the
-    columns' Python values, in field order, the radio by name."""
-    radio, *columns = (column.tolist() for column in vars(cells).values())
-    return [repr(row) for row in zip([RADIOS[code] for code in radio], *columns)]
-
-
-def parse_bytes(data: bytes):
-    """The parse ``read_cells`` makes of a file that holds ``data``."""
-    return ingest._joined(ingest._parse(io.BytesIO(data)))
 
 
 READ_SIZES = st.integers(1, 64) | st.integers(65, 1024)
@@ -366,30 +239,24 @@ def no_csv_split(rows):
     300,
 )
 def test_block_decoder_matches_reference(text, read_size):
-    want_records, want_reasons = reference_parse(io.StringIO(text, newline=""))
-    cells, report = parse_in_pieces(text, read_size, csv_split=no_csv_split)
-    assert cell_rows(cells) == [repr(r) for r in want_records]
-    assert report.reject_reasons == dict(want_reasons)
-    assert report.rows_kept == len(cells) == len(want_records)
-    assert report.rows_read == len(want_records) + sum(want_reasons.values())
+    got = kept_and_reasons(*parse_in_pieces(text, read_size, csv_split=no_csv_split))
+    assert got == reference_parse(io.StringIO(text, newline=""))
 
 
 @settings(max_examples=300, deadline=None)
 @given(number_texts(30), st.sampled_from(sorted(NUMBER_COLUMNS)), READ_SIZES)
 def test_each_number_decodes_as_int_or_float_reads_it(number, column, read_size):
     """One number field in an otherwise valid row."""
-    text = ",".join(EXPECTED_HEADER) + "\n" + ",".join(edited(column, number)) + "\n"
-    want_records, want_reasons = reference_parse(text)
-    cells, report = parse_in_pieces(text, read_size, csv_split=no_csv_split)
-    assert cell_rows(cells) == [repr(r) for r in want_records]
-    assert report.reject_reasons == dict(want_reasons)
+    text = HEADER + "\n" + ",".join(edited(column, number)) + "\n"
+    got = kept_and_reasons(*parse_in_pieces(text, read_size, csv_split=no_csv_split))
+    assert got == reference_parse(text)
 
 
 def test_only_a_block_with_a_quote_goes_to_the_row_loop():
     """The pieces before the first quote are byte split; from the piece
     that holds it to the end of the file, every row goes to csv.reader."""
-    rows = [GOOD_ROW, edited(3, "70000"), edited(6, "far"), ["WIFI", "x"], []] * 3
-    rows += [edited(5, '"a,b"'), GOOD_ROW, GOOD_ROW]
+    rows = [GOOD_ROW.split(","), edited(3, "70000"), edited(6, "far"), ["WIFI", "x"], []] * 3
+    rows += [edited(5, '"a,b"'), GOOD_ROW.split(","), GOOD_ROW.split(",")]
     text = "\n".join(map(",".join, [EXPECTED_HEADER, *rows])) + "\n"
     csv_block = ingest._csv_block
     seen = []
@@ -398,16 +265,14 @@ def test_only_a_block_with_a_quote_goes_to_the_row_loop():
         seen.append(list(rows))
         return csv_block(seen[-1])
 
-    cells, report = parse_in_pieces(text, 300, csv_split=csv_split)
+    got = kept_and_reasons(*parse_in_pieces(text, 300, csv_split=csv_split))
     # Read 300 bytes at a time, the file is cut into pieces of 3, 8, 6 and 2
     # lines; the third holds the one quoted field, in its last line. No row
     # of the first two reaches _csv_block, and every row of the last two does.
     assert len(seen) == 1
     assert [len(row) for row in seen[0]] == [14, 14, 14, 2, 0, 14, 14, 14]
     assert seen[0][5][5] == "a,b"
-    want_records, want_reasons = reference_parse(text)
-    assert cell_rows(cells) == [repr(r) for r in want_records]
-    assert report.reject_reasons == dict(want_reasons)
+    assert got == reference_parse(text)
 
 
 QUOTED_FIELDS = st.sampled_from(['"a,b"', '"say ""hi"""', '"two\nlines"', '"cr\r\nlf"', '""'])
@@ -458,10 +323,8 @@ def test_the_blocks_make_the_table(text, read_size):
         name: np.concatenate([np.empty(0, dtype), *(vars(block)[name] for block, _ in blocks)])
         for name, dtype in ingest._DTYPES.items()
     })
-    assert cell_rows(joined) == cell_rows(cells)
-    rejects = sum((counts for _, counts in blocks), Counter())
-    assert rejects == Counter(report.reject_reasons)
-    assert report.rows_read == len(cells) + rejects.total()
+    assert kept_and_reasons(joined, report) == kept_and_reasons(cells, report)
+    assert sum((counts for _, counts in blocks), Counter()) == Counter(report.reject_reasons)
 
 
 # --- the csv split -------------------------------------------------------------
@@ -471,34 +334,30 @@ def test_the_blocks_make_the_table(text, read_size):
 # The fields then hold what the byte split never meets: commas, quotes, CRs
 # and newlines.
 
-def parse_and_reference(lines: list[str]):
-    """Kept rows and reject reasons of the parse of a file that holds
-    ``lines`` and of ``reference_parse`` on them."""
-    cells, report = parse_bytes("".join(lines).encode())
-    rows, reasons = reference_parse(iter(lines))
-    return (cell_rows(cells), report.reject_reasons), ([repr(r) for r in rows], dict(reasons))
-
-
-def lines_of(rows: list[list[str]], quote: str = "") -> list[str]:
+def lines_of(rows: list[list[str]], quote: str = "") -> str:
     """Export lines of ``rows``, each field wrapped in ``quote``."""
     comma = f"{quote},{quote}"
-    return [quote + comma.join(row) + quote + "\n" for row in [EXPECTED_HEADER, *rows]]
+    return "".join(quote + comma.join(row) + quote + "\n" for row in [EXPECTED_HEADER, *rows])
 
 
 @pytest.mark.parametrize("quote", ['"', ""], ids=["quoted", "unquoted"])
-def test_nul_in_radio_mcc_and_net_is_read_as_the_reference_reads_it(quote):
+def test_nul_in_radio_mcc_and_net_is_read_as_the_reference_reads_it(tmp_path, quote):
     """A text that ends in NUL is another spelling than the text without it."""
-    rows = [GOOD_ROW, edited(0, "LTE\x00"), edited(0, "\x00LTE"), edited(1, "310\x00"),
+    rows = [GOOD_ROW.split(","), edited(0, "LTE\x00"), edited(0, "\x00LTE"), edited(1, "310\x00"),
             edited(2, "26\x00"), edited(2, "26"), edited(2, "260\x00"), edited(1, "\x00310")]
-    got, want = parse_and_reference(lines_of(rows, quote))
+    path = tmp_path / "export.csv"
+    path.write_bytes(lines_of(rows, quote).encode())
+    got, want = read_outcome(path), reference_read_outcome(path)
     assert got == want
     assert want[1] == {BAD_RADIO: 2, BAD_NUMERIC: 4}
 
 
-def test_a_comma_in_a_quoted_mcc_or_net_is_a_bad_plmn():
-    rows = [GOOD_ROW, edited(1, "3,10"), edited(1, "310,"), edited(1, ",310"), edited(1, "31,0"),
+def test_a_comma_in_a_quoted_mcc_or_net_is_a_bad_plmn(tmp_path):
+    rows = [GOOD_ROW.split(","), edited(1, "3,10"), edited(1, "310,"), edited(1, ",310"), edited(1, "31,0"),
             edited(2, "2,6"), edited(2, ",26"), edited(2, "26,"), edited(2, ",")]
-    got, want = parse_and_reference(render(rows).splitlines(keepends=True))
+    path = tmp_path / "export.csv"
+    path.write_bytes(render(rows).encode())
+    got, want = read_outcome(path), reference_read_outcome(path)
     assert got == want
     assert want[1] == {BAD_NUMERIC: 8}
 
@@ -532,7 +391,7 @@ def raw_exports(draw) -> bytes:
     """Export bytes: rows with multi-byte, quoted and NUL texts, each line
     ended by LF, CR-LF or a lone CR, blank lines, maybe a BOM, no final
     line end or an undecodable byte."""
-    lines = [",".join(EXPECTED_HEADER)]
+    lines = [HEADER]
     for row in draw(st.lists(export_rows(), max_size=12)):
         lines += [""] * draw(st.sampled_from([0] * 6 + [1]))
         for i in draw(st.lists(st.sampled_from([0, 5, 10, 13]), max_size=2)):
@@ -549,55 +408,33 @@ def raw_exports(draw) -> bytes:
     return b"\xef\xbb\xbf" + data if draw(st.booleans()) else data
 
 
-def read_outcome(path: Path):
-    """Kept rows and reasons of ``read_cells``, or its error text."""
-    try:
-        cells, report = read_cells(path)
-    except GnbdimError as exc:
-        return str(exc)
-    assert report.rows_kept == len(cells)
-    return cell_rows(cells), report.reject_reasons
-
-
-def reference_read_outcome(path: Path):
-    """Kept rows and reasons of ``reference_parse`` over the file in text
-    mode, or the error it raises."""
-    opener = gzip.open if path.name.endswith(".gz") else open
-    try:
-        with opener(path, "rt", encoding="utf-8-sig", newline="") as fh:
-            records, reasons = reference_parse(fh)
-    except UnicodeDecodeError as exc:
-        return exc
-    return [repr(r) for r in records], dict(reasons)
-
-
 @settings(max_examples=150, deadline=None)
 @given(raw_exports(), st.integers(1, 64) | st.integers(65, 1024))
 # A BOM split over pieces, a header ended by a lone CR, a quoted field of a
 # 3-byte character and newlines run past a piece, no final newline.
-@example(b"\xef\xbb\xbf" + ",".join(EXPECTED_HEADER).encode() + b"\r" + ",".join(GOOD_ROW).encode()
+@example(b"\xef\xbb\xbf" + ",".join(EXPECTED_HEADER).encode() + b"\r" + GOOD_ROW.encode()
          + b"\r\n" + ",".join(edited(5, '"\xe2\x82\xac\n\n"')).encode(), 2)
 # A lone CR and a CR-LF pair between unquoted rows of one piece.
-@example((",".join(EXPECTED_HEADER) + "\n" + "\r".join([",".join(GOOD_ROW)] * 2) + "\r\n"
-          + ",".join(GOOD_ROW) + "\n").encode(), 1024)
+@example((HEADER + "\n" + "\r".join([GOOD_ROW] * 2) + "\r\n"
+          + GOOD_ROW + "\n").encode(), 1024)
 # A header whose first field is quoted across a line, read 3 bytes at a
 # time: the header's csv row spans several pieces.
 @example(b'"radio\n",' + ",".join(EXPECTED_HEADER[1:]).encode() + b"\n"
-         + ",".join(GOOD_ROW).encode() + b"\n", 3)
+         + GOOD_ROW.encode() + b"\n", 3)
 # An undecodable byte in a column the parser ignores.
-@example((",".join(EXPECTED_HEADER) + "\n" + ",".join(GOOD_ROW) + "\n").encode()
+@example((HEADER + "\n" + GOOD_ROW + "\n").encode()
          + ",".join(edited(5, "\udcff")).encode("utf-8", "surrogateescape") + b"\n", 64)
 # A surrogate in lon, UTF-8-encoded (ED A0 80): strict UTF-8 rejects it, so
 # no surrogate reaches the parser.
-@example((",".join(EXPECTED_HEADER) + "\n").encode()
+@example((HEADER + "\n").encode()
          + ",".join(edited(6, "-87.6\ud800")).encode("utf-8", "surrogatepass") + b"\n", 64)
 # Quoted lon and averageSignal values that end in a CR-LF pair or a lone CR,
 # each read as a newline, as whitespace that float() and strip() ignore. The
 # read size ends a read between the CR and the LF of the pair: 6 reads of 21
 # bytes end at lon's CR, 5 reads of 34 at averageSignal's.
-@example((",".join(EXPECTED_HEADER) + "\n"
+@example((HEADER + "\n"
           + ",".join(edited(6, '"-87.6\r\n"')[:13] + ['"-95\r"']) + "\n").encode(), 21)
-@example((",".join(EXPECTED_HEADER) + "\n"
+@example((HEADER + "\n"
           + ",".join(edited(6, '"-87.6\r"')[:13] + ['"-95\r\n"']) + "\n").encode(), 34)
 def test_byte_reader_matches_text_mode_reference(data, read_size):
     with tempfile.TemporaryDirectory() as tmp:
@@ -616,20 +453,6 @@ def test_byte_reader_matches_text_mode_reference(data, read_size):
 
 
 # --- the records.csv writer --------------------------------------------------------
-
-def csv_writer_cells(path: Path, records: Cells) -> None:
-    """``write_cells`` as csv.writer wrote it, a row at a time."""
-    rows = zip(*(column.tolist() for column in vars(records).values()))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EXPECTED_HEADER)
-        writer.writerows(
-            (RADIOS[code], plmn[:3], plmn[3:], area, cell, "", lon, lat, range_m,
-             samples, "", created, updated, "" if signal != signal else signal)
-            for code, plmn, area, cell, lon, lat, range_m, samples, created,
-            updated, signal in rows
-        )
-
 
 BIG_INTS = st.one_of(
     st.integers(-2**63, 2**63 - 1),

@@ -4,15 +4,14 @@
 indent=2) + "\\n"`` writes for the JSON types it takes, and raise
 ``TypeError`` for any other.
 ``site_lattice`` must give exactly the sites of the per-point loop it
-replaced, kept here as ``reference_lattice``: one ``unproject`` call per
-site. For a lattice's sites document ``dump_json`` must write what
-``json.dumps`` writes for the dict that ``reference_sites_dict`` builds
-from the reference's sites, the writer its template replaced.
+replaced, ``reference_lattice``: one ``unproject`` call per site. For a
+lattice's sites document ``dump_json`` must write what ``json.dumps``
+writes for the dict that ``reference_sites_dict`` builds from the
+reference's sites, the writer its template replaced.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -21,13 +20,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnbdim import pipeline
-from gnbdim.density import EARTH_RADIUS_KM, DeploymentArea, GridSpec, unproject
+from gnbdim.density import EARTH_RADIUS_KM, DeploymentArea, GridSpec
 from gnbdim.errors import GnbdimError
 from gnbdim.pipeline import dump_json, site_lattice, sites_to_geojson
 
-
-def _reference_dump(value) -> str:
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+from reference import reference_dump, reference_lattice, reference_sites_dict
 
 
 # Quotes, backslashes, control characters, DEL, non-ASCII, astral and a
@@ -66,7 +63,7 @@ def _nested(depth: int):
 @given(json_values)
 @example(_nested(60))
 def test_dump_json_matches_json_dumps(value):
-    assert dump_json(value) == _reference_dump(value)
+    assert dump_json(value) == reference_dump(value)
 
 
 @pytest.mark.parametrize("value", [
@@ -89,44 +86,6 @@ def test_dump_json_rejects_types_no_document_holds(value):
 
 _UNIT = GridSpec(origin_lon=-87.7, origin_lat=41.8, n_cols=4, n_rows=4, tile_km=1.0)
 _AREA = DeploymentArea(0, 0, 3, 3, total_weight=1.0, area_km2=9.0)
-
-
-def reference_sites_dict(sites: list[tuple[float, float]], radius_km: float) -> dict:
-    """The sites document as a dict, one feature per site."""
-    features = [
-        {
-            "type": "Feature",
-            "geometry": {"type": "Point", "coordinates": [lon, lat]},
-            "properties": {"site": i, "radius_km": radius_km},
-        }
-        for i, (lon, lat) in enumerate(sites)
-    ]
-    return {"type": "FeatureCollection", "features": features}
-
-
-def reference_lattice(
-    area: DeploymentArea, spec: GridSpec, radius_km: float
-) -> list[tuple[float, float]]:
-    """The site lattice, projected one point at a time."""
-    if not math.isfinite(radius_km) or radius_km <= 0:
-        return []
-    pitch = math.sqrt(3.0) * radius_km
-    x0 = area.col0 * spec.tile_km
-    y0 = area.row0 * spec.tile_km
-    x1 = x0 + area.w_cols * spec.tile_km
-    y1 = y0 + area.h_rows * spec.tile_km
-
-    centers = []
-    j = 0
-    y = y0
-    while y <= y1 + 1e-9:
-        x = x0 + (pitch / 2.0 if j % 2 else 0.0)
-        while x <= x1 + 1e-9:
-            centers.append(unproject(x, y, spec))
-            x += pitch
-        y += 1.5 * radius_km
-        j += 1
-    return centers
 
 
 def _bits(sites) -> list[tuple[str, str]]:
@@ -185,7 +144,7 @@ _NARROW = DeploymentArea(0, 0, 1, 4, total_weight=1.0, area_km2=4.0)
 @example((_AREA, _UNIT, 0.4))  # rows share a lat, every other row its lons
 def test_sites_writer_matches_the_dict_reference(case):
     area, spec, radius = case
-    expected = _reference_dump(reference_sites_dict(reference_lattice(area, spec, radius), radius))
+    expected = reference_dump(reference_sites_dict(reference_lattice(area, spec, radius), radius))
     assert dump_json(sites_to_geojson(site_lattice(area, spec, radius), radius)) == expected
 
 
