@@ -21,7 +21,8 @@ Kept rows land in a columnar :class:`Cells` table of numpy arrays, one
 per field, with no per-row object: ``radio`` int8, ``plmn`` object (the
 digit strings), the decimals float64 and the integers int64. An integer
 past int64 is a BadNumeric reject, and so is a ``samples`` count of 2**53
-or more. It is the one representation of tower rows.
+or more. It is the one representation of tower rows, and its columns are
+read-only.
 
 A file is read as bytes, :data:`READ_SIZE` at a time, in pieces of whole
 lines, each checked as UTF-8 and each CR-LF pair and lone CR in it made a
@@ -116,6 +117,11 @@ class Cells:
     created: np.ndarray
     updated: np.ndarray
     avg_signal: np.ndarray
+
+    def __post_init__(self) -> None:
+        """Make every column read-only: a table never changes once built."""
+        for column in vars(self).values():
+            column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.plmn)
@@ -476,12 +482,14 @@ def _parse(fh: BinaryIO) -> Iterator[tuple[Cells, Counter]]:
 
 
 def _joined(blocks: Iterable[tuple[Cells, Counter]]) -> tuple[Cells, IngestReport]:
-    """The rows of ``blocks`` as one table, and their report."""
-    tables, rejects = [_EMPTY], Counter()
+    """The rows of ``blocks`` as one table, and their report; a block is
+    dropped once listed by column, and a column's list once concatenated."""
+    pieces, rejects = {name: [column] for name, column in vars(_EMPTY).items()}, Counter()
     for cells, counts in blocks:
-        tables.append(cells)
+        for name, column in vars(cells).items():
+            pieces[name].append(column)
         rejects += counts  # keeps the reasons with a reject
-    table = Cells(**{name: np.concatenate([vars(t)[name] for t in tables]) for name in _DTYPES})
+    table = Cells(**{name: np.concatenate(pieces.pop(name)) for name in _DTYPES})
     kept, rejected = len(table), rejects.total()
     return table, IngestReport(kept + rejected, kept, rejected, dict(rejects))
 

@@ -13,6 +13,7 @@ import json.encoder
 import logging
 import math
 import os
+import weakref
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -49,18 +50,48 @@ class DimensionOutcome:
     sites_lonlat: SiteLattice
 
 
+_last = None  # (weak reference to a table, key, (grid, area)): the last area located
+
+
+def _forget(table: weakref.ref) -> None:
+    global _last
+    if _last is not None and _last[0] is table:
+        _last = None
+
+
 def locate_area(cfg: RunConfig, records: Cells) -> tuple[DensityGrid, DeploymentArea]:
-    """Filter the records, bin them and find the deployment area."""
-    kept = filter_records(records, radio=cfg.radio, plmn=cfg.plmn, bbox=cfg.bbox)
-    grid = bin_records(kept, cfg.grid)
+    """Filter the records, bin them and find the deployment area.
+
+    The last area found is kept, with read-only arrays, while its table
+    lives, and returned for that table and the same repr of the filter,
+    grid and window fields (an origin of -0.0 is not 0.0). No error is kept.
+    """
+    global _last
+    key = repr((cfg.radio, cfg.plmn, cfg.bbox, cfg.grid, cfg.w_cols, cfg.h_rows))
+    last = _last
+    if last is not None and last[0]() is records and last[1] == key:
+        grid, area = last[2]
+    else:
+        kept = filter_records(records, radio=cfg.radio, plmn=cfg.plmn, bbox=cfg.bbox)
+        grid, area = bin_records(kept, cfg.grid), None
     if grid.n_outside:
         log.info("%d records fall outside the grid", grid.n_outside)
-    return grid, find_5gda(grid, cfg.w_cols, cfg.h_rows)
+    if area is None:
+        area = find_5gda(grid, cfg.w_cols, cfg.h_rows)
+        for column in (grid.weight, grid.towers, grid.rows):
+            column.flags.writeable = False
+        _last = (weakref.ref(records, _forget), key, (grid, area))
+    return grid, area
 
 
 def run_dimension(cfg: RunConfig, records: Cells) -> DimensionOutcome:
     """Run the full pipeline over already-parsed records."""
-    grid, area = locate_area(cfg, records)
+    return plan_area(cfg, *locate_area(cfg, records))
+
+
+def plan_area(cfg: RunConfig, grid: DensityGrid, area: DeploymentArea) -> DimensionOutcome:
+    """Dimension the deployment area ``area`` of ``grid``, as
+    :func:`locate_area` found it for ``cfg``."""
     rho = subscriber_density(area, cfg.subs_per_weight)
     log.info(
         "deployment area at (col %d, row %d), weight %.0f, density %.1f subs/km2",

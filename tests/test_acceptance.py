@@ -254,7 +254,8 @@ def test_criterion_7_conservation_and_monotonicity(base_config):
     rng = np.random.default_rng(7)
     records = tile_center_records(base_config.grid, samples=1)
     records = dataclasses.replace(
-        records, samples=[int(rng.integers(0, 100_000)) for _ in range(len(records))]
+        records,
+        samples=np.array([int(rng.integers(0, 100_000)) for _ in range(len(records))]),
     )
     grid = bin_records(records, base_config.grid)
     ok &= grid.weight.sum() == float(sum(records.samples))

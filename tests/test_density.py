@@ -124,7 +124,8 @@ class TestBinRecords:
         records = tile_center_records(spec, samples=1)
         import dataclasses
         records = dataclasses.replace(
-            records, samples=[int(rng.integers(0, 10_000)) for _ in range(len(records))]
+            records,
+            samples=np.array([int(rng.integers(0, 10_000)) for _ in range(len(records))]),
         )
         grid = bin_records(records, spec)
         assert grid.weight.sum() == float(sum(records.samples))

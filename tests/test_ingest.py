@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import zlib
 from collections import Counter
 from contextlib import closing
@@ -22,13 +23,14 @@ from gnbdim.ingest import (
     BAD_RADIO,
     BAD_SHAPE,
     RADIOS,
+    Cells,
     IngestReport,
     filter_records,
     read_cells,
     write_cells,
 )
 
-from conftest import GOOD_ROW, HEADER, edited, parse_bytes
+from conftest import GOOD_ROW, HEADER, edited, parse_bytes, towers
 from reference import read_outcome, reference_read_outcome
 
 INT64_MAX = 2**63 - 1
@@ -540,6 +542,56 @@ class TestCellsEquality:
     def test_not_equal_to_a_record_list(self):
         records, _ = parse_text(HEADER + "\n" + GOOD_ROW + "\n")
         assert records != list(zip(records.plmn, records.cell))  # per-row tuples
+
+
+class TestReadOnlyTables:
+    def test_writing_into_any_column_raises(self, tmp_path):
+        path = tmp_path / "export.csv"
+        path.write_text(f"{HEADER}\n{GOOD_ROW}\n{GOOD_ROW.replace('LTE', 'GSM')}\n")
+        read, _ = read_cells(path)
+        tables = {
+            "read_cells": read,
+            "take": read.take(np.array([True, False])),
+            "filter_records, some kept": filter_records(read, radio="GSM"),
+            "filter_records, all kept": filter_records(read),
+            "towers": towers([-87.6], [41.8], [57]),
+            "_EMPTY": ingest._EMPTY,
+        }
+        for source, table in tables.items():
+            for name, column in vars(table).items():
+                with pytest.raises(ValueError, match="read-only"):
+                    column[...] = column
+                assert not column.flags.writeable, (source, name)
+
+
+def test_joined_holds_the_rows_twice_for_one_column_at_most():
+    """_joined drops each block once its columns are listed and each
+    column's pieces once they are concatenated, so at its peak it holds
+    the table and one more column, where holding every block until the
+    end would hold the table twice. Each block is made only as _joined
+    draws it."""
+    n_blocks, block_rows = 200, 1000
+    rng = np.random.default_rng(3)
+    base = towers(rng.uniform(-180, 180, block_rows), rng.uniform(-90, 90, block_rows),
+                  rng.integers(0, 2**40, block_rows))
+
+    def blocks():
+        for _ in range(n_blocks):
+            yield Cells(**{name: c.copy() for name, c in vars(base).items()}), Counter({BAD_SHAPE: 1})
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table, report = ingest._joined(blocks())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert table == Cells(**{name: np.tile(c, n_blocks) for name, c in vars(base).items()})
+    assert report == IngestReport(200_200, 200_000, 200, {BAD_SHAPE: 200})
+    sizes = [column.nbytes for column in vars(table).values()]
+    block_bytes = sum(sizes) // n_blocks
+    # The blocks in hand and Python's own objects take well under 8 blocks.
+    assert peak <= sum(sizes) + max(sizes) + 8 * block_bytes, (peak, sum(sizes))
 
 
 class TestFilterRecords:

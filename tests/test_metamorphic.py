@@ -15,7 +15,9 @@ effect:
 - ``capex_per_site`` and ``opex_per_site_per_year`` xk: ``cost_per_bit``
   scales by k;
 - ``subs_per_weight``, ``penetration_margin_db`` or
-  ``demand_per_sub_mbps`` rising: ``n_sites_final`` never drops.
+  ``demand_per_sub_mbps`` rising: ``n_sites_final`` never drops;
+- the plan split in two: ``plan_area`` after ``locate_area`` is
+  ``run_dimension``.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from gnbdim.cli import main
 from gnbdim.config import load_config_dict
 from gnbdim.density import unproject
 from gnbdim.errors import GnbdimError
-from gnbdim.pipeline import run_dimension
+from gnbdim.pipeline import locate_area, plan_area, run_dimension
 
-from conftest import BASE_CONFIG, records_to_csv_text, towers
+from conftest import BASE_CONFIG, full_raster, records_to_csv_text, towers
 
 _SPEC = load_config_dict(copy.deepcopy(BASE_CONFIG)).grid
 
@@ -195,3 +197,25 @@ def test_sites_never_drop_as_the_knob_rises(key, case, where):
         changed[section][key] = value
         sizes.append(_size(changed, positions, samples))
     assert sizes[0] <= sizes[1]
+
+
+def _stages(plan, doc, positions, samples):
+    """Every field of the outcome of ``plan`` on a table of its own, the
+    grid as its full raster; or the error it raises."""
+    try:
+        outcome = plan(load_config_dict(doc), _towers(positions, samples))
+    except GnbdimError as exc:
+        return repr(exc)
+    raster = full_raster(outcome.grid)
+    return (
+        repr(raster.spec), raster.weight.tolist(), raster.towers.tolist(), raster.n_outside,
+        outcome.area, outcome.rho, repr(outcome.result), outcome.cost, outcome.sites_lonlat,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios())
+@example(_SPARSE)
+def test_plan_area_after_locate_area_is_run_dimension(case):
+    expected = _stages(run_dimension, *case)
+    assert _stages(lambda cfg, records: plan_area(cfg, *locate_area(cfg, records)), *case) == expected
