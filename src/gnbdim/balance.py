@@ -155,12 +155,11 @@ def iterate_balance(
     rho_subs_per_km2: float,
     area_km2: float,
     thresholds: BalanceThresholds | None = None,
-    sensitivity_prbs: int = 1,
 ) -> DimensioningResult:
     """Run the damped fixed point between the coverage and capacity legs.
 
-    The cell-edge sensitivity bandwidth is ``sensitivity_prbs`` PRBs of the
-    first bandwidth part (the cell-edge service reference). Non-convergence
+    The cell-edge sensitivity bandwidth is ``link.sensitivity_prbs`` PRBs of
+    the first bandwidth part (the cell-edge service reference). Non-convergence
     within ``max_iter`` comes back as ``converged=False``, never an error,
     with the last load evaluated and the results computed at it.
 
@@ -170,7 +169,7 @@ def iterate_balance(
     """
     th = thresholds or BalanceThresholds()
     capacity = cap.cell_capacity_mbps(cfg, traffic)
-    bw_hz = sensitivity_prbs * prb_hz(cfg.bwps[0].mu)
+    bw_hz = link.sensitivity_prbs * prb_hz(cfg.bwps[0].mu)
     budget = cov.budget_before_interference_db(link, bw_hz)
     radius_km = cov.radius_inverse(model, f_mhz)
 

@@ -26,6 +26,7 @@ class TrafficModel:
     target_load: float = 1.0
     se_bps_per_hz: float = 4.0
     overhead_fraction: float = DEFAULT_OVERHEAD_FRACTION
+    subs_per_weight: float = 1.0  # subscribers per unit of tile weight (samples)
 
     def __post_init__(self) -> None:
         if self.demand_per_sub_mbps <= 0:
@@ -36,6 +37,8 @@ class TrafficModel:
             raise ValueError("se_bps_per_hz must be > 0")
         if not 0 <= self.overhead_fraction < 1:
             raise ValueError("overhead_fraction must be in [0, 1)")
+        if self.subs_per_weight <= 0:
+            raise ValueError("subs_per_weight must be > 0")
 
 
 def cell_capacity_mbps(cfg: NrConfig, traffic: TrafficModel) -> float:

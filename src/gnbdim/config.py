@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
@@ -159,10 +159,12 @@ N_PRB = checked(integer, lambda n: n >= 1, ">= 1")  # and fits its bandwidth: _n
 MAX_ITER = checked(
     integer, lambda n: 1 <= n <= balance.MAX_ITER, f"in [1, {balance.MAX_ITER}]"
 )
+SENSITIVITY_PRBS = checked(integer, lambda n: n >= 1, ">= 1")  # and fits: load_config_dict
 
 # The whole schema. Numbers typed `number` are echoed as given, `real`
-# ones as floats. Value ranges are checked by the model dataclasses,
-# except for keys that exist only in the config and the integers above.
+# ones as floats. The keys of a model's section are its fields, less
+# LinkBudget.interference_margin_db, and their value ranges are checked by
+# the model; the nr section's keys and the integers above are checked here.
 SCHEMA = {
     "nr": (section({
         "fr": (text, REQUIRED),
@@ -197,7 +199,7 @@ SCHEMA = {
         "required_sinr_db": (number, REQUIRED),
         "shadow_margin_db": (number, 0.0),
         "penetration_margin_db": (number, 0.0),
-        "sensitivity_prbs": (checked(integer, lambda n: n >= 1, ">= 1"), 1),
+        "sensitivity_prbs": (SENSITIVITY_PRBS, coverage.LinkBudget.sensitivity_prbs),
     }), {}),
     "propagation": (section({
         "kind": (text, REQUIRED),
@@ -210,7 +212,7 @@ SCHEMA = {
         "target_load": (number, capacity.TrafficModel.target_load),
         "se_bps_per_hz": (number, REQUIRED),
         "overhead_fraction": (number, capacity.DEFAULT_OVERHEAD_FRACTION),
-        "subs_per_weight": (checked(real, lambda x: x > 0, "> 0"), 1.0),
+        "subs_per_weight": (real, capacity.TrafficModel.subs_per_weight),
     }), {}),
     "balance": (section({
         "eps_radius": (number, balance.BalanceThresholds.eps_radius),
@@ -223,11 +225,8 @@ SCHEMA = {
         "capex_per_site": (number, REQUIRED),
         "capex_amortization_years": (number, REQUIRED),
         "opex_per_site_per_year": (number, REQUIRED),
-        "duty_fraction": (
-            checked(real, lambda x: 0 < x <= 1, "in (0, 1]"),
-            economics.DEFAULT_DUTY_FRACTION,
-        ),
-        "cost_multiplier": (checked(real, lambda x: x > 0, "> 0"), 1.0),
+        "duty_fraction": (real, economics.CostModel.duty_fraction),
+        "cost_multiplier": (real, economics.CostModel.cost_multiplier),
     }), {}),
     "grid": (section({
         "origin_lon": (number, REQUIRED),
@@ -253,13 +252,10 @@ Filters = tuple[str | None, str | None, ingest.Bbox | None]
 class RunConfig:
     nr_config: nr.NrConfig
     link: coverage.LinkBudget
-    sensitivity_prbs: int
     propagation: coverage.PropagationModel
     traffic: capacity.TrafficModel
-    subs_per_weight: float
     thresholds: balance.BalanceThresholds
     cost: economics.CostModel
-    duty_fraction: float
     grid: density.GridSpec
     w_cols: int
     h_rows: int
@@ -291,19 +287,12 @@ def _named(exc: Exception, where: str, values: dict) -> ConfigError:
     return ConfigError(f"{where}{sep}{message}")
 
 
-@functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
-def _model(cls: type, resolved: dict, where: str, **changes: Any):
-    """The dataclass ``cls`` from the keys of section ``where`` that are its fields."""
-    values = resolved[where]
-    kwargs = {name: values[name] for name in _field_names(cls) if name in values}
+def _model(cls: type, resolved: dict, where: str):
+    """The dataclass ``cls`` from section ``where``, whose keys are its fields."""
     try:
-        return cls(**{**kwargs, **changes})
+        return cls(**resolved[where])
     except _MODEL_ERRORS as exc:
-        raise _named(exc, where, values) from None
+        raise _named(exc, where, resolved[where]) from None
 
 
 def _nr_config(values: dict, written: dict) -> nr.NrConfig:
@@ -373,23 +362,14 @@ def load_filters(values: dict) -> Filters:
 def load_config_dict(doc: dict) -> RunConfig:
     """Validate and materialize a configuration document; ``doc`` is not changed."""
     resolved = _walk(SCHEMA, doc, "")
-    cost = resolved["cost"]
-    multiplier = cost["cost_multiplier"]
     radio, plmn, bbox = _filters(resolved["filters"])
     cfg = RunConfig(
         nr_config=_nr_config(resolved["nr"], doc["nr"]),
         link=_model(coverage.LinkBudget, resolved, "link_budget"),
-        sensitivity_prbs=resolved["link_budget"]["sensitivity_prbs"],
         propagation=_model(coverage.PropagationModel, resolved, "propagation"),
         traffic=_model(capacity.TrafficModel, resolved, "traffic"),
-        subs_per_weight=resolved["traffic"]["subs_per_weight"],
         thresholds=_model(balance.BalanceThresholds, resolved, "balance"),
-        cost=_model(
-            economics.CostModel, resolved, "cost",
-            capex_per_site=cost["capex_per_site"] * multiplier,
-            opex_per_site_per_year=cost["opex_per_site_per_year"] * multiplier,
-        ),
-        duty_fraction=cost["duty_fraction"],
+        cost=_model(economics.CostModel, resolved, "cost"),
         grid=_model(density.GridSpec, resolved, "grid"),
         w_cols=resolved["window"]["w_cols"],
         h_rows=resolved["window"]["h_rows"],
@@ -408,7 +388,7 @@ def load_config_dict(doc: dict) -> RunConfig:
             what = f"in [1, grid.{limit}] = [1, {n_tiles}]"
             raise _bad(f"window.{key}", what, doc["window"][key])
     first = cfg.nr_config.bwps[0]  # the sensitivity is taken in this part
-    if cfg.sensitivity_prbs > first.n_prb:
+    if cfg.link.sensitivity_prbs > first.n_prb:
         what = f"in [1, nr.bwps[0].n_prb] = [1, {first.n_prb}]"
         raise _bad("link_budget.sensitivity_prbs", what, doc["link_budget"]["sensitivity_prbs"])
     # The fixed point's clamp lets the assumed load, and so the interference
@@ -417,7 +397,7 @@ def load_config_dict(doc: dict) -> RunConfig:
     f_mhz = cfg.nr_config.fr.carrier_mhz
     limit_db = coverage.path_loss_db(cfg.propagation, f_mhz, coverage.BRACKET_MAX_KM)
     try:
-        mapl = coverage.mapl_db(cfg.link, cfg.sensitivity_prbs * nr.prb_hz(first.mu))
+        mapl = coverage.mapl_db(cfg.link, cfg.link.sensitivity_prbs * nr.prb_hz(first.mu))
     except NegativeMaplError:
         pass  # infeasible, which the run reports with its own exit code
     else:
@@ -440,11 +420,21 @@ def load_config_dict(doc: dict) -> RunConfig:
     return cfg
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object from its pairs; a key given twice is a ConfigError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        names = [name for name, _ in pairs]
+        repeated = next(name for name in names if names.count(name) > 1)
+        raise ConfigError(f"duplicate config key {repeated}")
+    return obj
+
+
 def read_document(path: str | Path) -> Any:
     """The JSON document in the config file at ``path``, not yet checked."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:

@@ -42,8 +42,11 @@ class LinkBudget:
     shadow_margin_db: float
     penetration_margin_db: float
     interference_margin_db: float = 0.0
+    sensitivity_prbs: int = 1  # cell-edge bandwidth, in PRBs of the first part
 
     def __post_init__(self) -> None:
+        if self.sensitivity_prbs < 1:
+            raise ValueError("sensitivity_prbs must be >= 1")
         for name in (
             "tx_losses_db",
             "rx_losses_db",

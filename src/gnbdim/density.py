@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .capacity import TrafficModel
 from .errors import GnbdimError
 from .ingest import Cells
 
@@ -254,13 +255,11 @@ def find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> DeploymentArea:
     return DeploymentArea(col0, row0, w_cols, h_rows, best[0], area_km2)
 
 
-def subscriber_density(area: DeploymentArea, subs_per_weight: float) -> float:
+def subscriber_density(area: DeploymentArea, traffic: TrafficModel) -> float:
     """Subscribers per km2 inside the deployment area."""
-    if subs_per_weight <= 0:
-        raise GnbdimError(f"subs_per_weight must be > 0, got {subs_per_weight}")
     if area.area_km2 <= 0:
         raise ValueError("deployment area must have positive extent")
-    return area.total_weight * subs_per_weight / area.area_km2
+    return area.total_weight * traffic.subs_per_weight / area.area_km2
 
 
 # --- exports ---------------------------------------------------------------

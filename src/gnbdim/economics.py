@@ -6,13 +6,13 @@ utilization into a year-round average so annual bits are not overstated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .balance import DimensioningResult
 from .errors import GnbdimError, ZeroTrafficError
 
 SECONDS_PER_YEAR = 31_536_000  # 365 days
-DEFAULT_DUTY_FRACTION = 0.35
 
 
 @dataclass(frozen=True)
@@ -20,6 +20,8 @@ class CostModel:
     capex_per_site: float
     capex_amortization_years: float
     opex_per_site_per_year: float
+    duty_fraction: float = 0.35  # share of the year at busy-hour utilization
+    cost_multiplier: float = 1.0  # on both per-site costs
 
     def __post_init__(self) -> None:
         if self.capex_per_site < 0:
@@ -28,6 +30,10 @@ class CostModel:
             raise ValueError("opex_per_site_per_year must be >= 0")
         if self.capex_amortization_years <= 0:
             raise ValueError("capex_amortization_years must be > 0")
+        if not 0 < self.duty_fraction <= 1:
+            raise ValueError("duty_fraction must be in (0, 1]")
+        if self.cost_multiplier <= 0:
+            raise ValueError("cost_multiplier must be > 0")
 
 
 @dataclass(frozen=True)
@@ -42,30 +48,28 @@ def annual_cost(n_sites: int, cost: CostModel) -> float:
     """Yearly cash cost of ``n_sites``: amortized CAPEX plus OPEX."""
     if n_sites < 0:
         raise ValueError("n_sites must be >= 0")
-    per_site = cost.capex_per_site / cost.capex_amortization_years + cost.opex_per_site_per_year
-    return n_sites * per_site
+    m = cost.cost_multiplier
+    capex = cost.capex_per_site * m / cost.capex_amortization_years
+    return n_sites * (capex + cost.opex_per_site_per_year * m)
 
 
-def cost_per_bit(
-    result: DimensioningResult,
-    capacity_mbps: float,
-    cost: CostModel,
-    duty_fraction: float = DEFAULT_DUTY_FRACTION,
-) -> CostReport:
-    """Annual cost over annual bits actually carried by the deployed network."""
-    if capacity_mbps <= 0:
-        raise ValueError("capacity_mbps must be > 0")
-    if not 0 < duty_fraction <= 1:
-        raise ValueError("duty_fraction must be in (0, 1]")
+def cost_per_bit(result: DimensioningResult, cost: CostModel) -> CostReport:
+    """Annual cost over annual bits actually carried by the deployed network,
+    both finite or a :class:`GnbdimError`."""
     cost_year = annual_cost(result.n_sites_final, cost)
     bits_year = (
         result.n_sites_final
-        * capacity_mbps
+        * result.cell_capacity_mbps
         * result.utilization
-        * duty_fraction
+        * cost.duty_fraction
         * SECONDS_PER_YEAR
         * 1e6
     )
+    if not (math.isfinite(cost_year) and math.isfinite(bits_year)):
+        raise GnbdimError(
+            f"cost section gives {result.n_sites_final} sites an annual cost of "
+            f"{cost_year:g} for {bits_year:g} annual bits; both must be finite"
+        )
     if bits_year == 0:
         raise ZeroTrafficError("no traffic carried, cost per bit is undefined")
     return CostReport(

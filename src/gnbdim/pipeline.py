@@ -92,7 +92,7 @@ def run_dimension(cfg: RunConfig, records: Cells) -> DimensionOutcome:
 def plan_area(cfg: RunConfig, grid: DensityGrid, area: DeploymentArea) -> DimensionOutcome:
     """Dimension the deployment area ``area`` of ``grid``, as
     :func:`locate_area` found it for ``cfg``."""
-    rho = subscriber_density(area, cfg.subs_per_weight)
+    rho = subscriber_density(area, cfg.traffic)
     log.info(
         "deployment area at (col %d, row %d), weight %.0f, density %.1f subs/km2",
         area.col0, area.row0, area.total_weight, rho,
@@ -107,11 +107,10 @@ def plan_area(cfg: RunConfig, grid: DensityGrid, area: DeploymentArea) -> Dimens
         rho_subs_per_km2=rho,
         area_km2=area.area_km2,
         thresholds=cfg.thresholds,
-        sensitivity_prbs=cfg.sensitivity_prbs,
     )
 
     try:
-        cost = cost_per_bit(result, result.cell_capacity_mbps, cfg.cost, cfg.duty_fraction)
+        cost = cost_per_bit(result, cfg.cost)
     except ZeroTrafficError:
         cost = None
 

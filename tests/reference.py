@@ -272,14 +272,12 @@ def reference_find_5gda(grid: DensityGrid, w_cols: int, h_rows: int) -> Deployme
 # --- balance -----------------------------------------------------------------
 
 
-def reference_iterate_balance(
-    link, model, f_mhz, cfg, traffic, rho_subs_per_km2, area_km2, th, sensitivity_prbs=1
-):
+def reference_iterate_balance(link, model, f_mhz, cfg, traffic, rho_subs_per_km2, area_km2, th):
     """The fixed point with every step taken from the whole link budget:
     the margin put into a copy of ``link``, then ``mapl_db``,
     ``invert_to_radius`` and ``offered_load``."""
     capacity = cell_capacity_mbps(cfg, traffic)
-    bw_hz = sensitivity_prbs * prb_hz(cfg.bwps[0].mu)
+    bw_hz = link.sensitivity_prbs * prb_hz(cfg.bwps[0].mu)
     if rho_subs_per_km2 > 0:
         r_cap = capacity_radius(capacity, traffic, rho_subs_per_km2)
         load = traffic.target_load

@@ -43,9 +43,7 @@ from reference import reference_iterate_balance, residual_scan_fixed_point
 
 def make_link(**overrides) -> LinkBudget:
     """The reference scenario's link budget, ``overrides`` put in."""
-    values = {**BASE_CONFIG["link_budget"], **overrides}
-    del values["sensitivity_prbs"]
-    return LinkBudget(**values)
+    return LinkBudget(**{**BASE_CONFIG["link_budget"], **overrides})
 
 
 def make_nr() -> NrConfig:
@@ -336,7 +334,8 @@ def balance_cases(draw):
         | st.sampled_from([0.0, lo_db, hi_db]).flatmap(lambda at: st.floats(at - 5.0, at + 5.0))
     )
     sensitivity_prbs = draw(st.integers(1, 250))
-    link = make_link(penetration_margin_db=draw(st.floats(0.0, 40.0)))
+    link = make_link(penetration_margin_db=draw(st.floats(0.0, 40.0)),
+                     sensitivity_prbs=sensitivity_prbs)
     # tx_power_dbm enters the budget with weight 1.
     budget_db = mapl_db(link, sensitivity_prbs * prb_hz(1))
     link = replace(link, tx_power_dbm=link.tx_power_dbm + first_mapl_db + margin_db - budget_db)
@@ -345,18 +344,18 @@ def balance_cases(draw):
     ratio = draw(st.floats(-3.0, 1.0).map(lambda k: 10.0**k))
     rho = ratio * load * capacity / (hexagon_area_km2(r_km) * traffic.demand_per_sub_mbps)
     rho = draw(st.just(0.0) | st.just(rho))
-    return link, model, f_mhz, make_nr(), traffic, rho, 49.0, th, sensitivity_prbs
+    return link, model, f_mhz, make_nr(), traffic, rho, 49.0, th
 
 
 @settings(max_examples=300, deadline=None)
 @given(balance_cases())
 # The undamped 2-cycle at eta 0.99: all 100 steps, no convergence.
 @example((make_link(), free_space(), 3500, make_nr(), make_traffic(), 100.0, 49.0,
-          BalanceThresholds(damping=1.0, eta=0.99), 1))
+          BalanceThresholds(damping=1.0, eta=0.99)))
 # Where the capacity radius binds, the offered load is 0.99977: over the
 # load clamp 0.999/eta = 0.9995, which then sets the next load.
 @example((make_link(), free_space(), 3500, make_nr(), make_traffic(demand_per_sub_mbps=0.13),
-          1e4, 49.0, BalanceThresholds(eps_load=1e-9, eta=0.9995), 1))
+          1e4, 49.0, BalanceThresholds(eps_load=1e-9, eta=0.9995)))
 def test_fixed_point_matches_the_whole_budget_reference(case):
     expected = _outcome(reference_iterate_balance, *case)
     assert _outcome(iterate_balance, *case) == expected

@@ -475,6 +475,38 @@ class TestConfigErrors:
         assert lines[0].startswith(f"error: {error}")
         assert not (tmp_path / "o").exists()
 
+    def test_duplicate_key_exits_2_with_one_error_line(self, runner, tmp_path, config_file):
+        text = config_file.read_text(encoding="utf-8")
+        config_file.write_text(
+            text.replace('"demand_per_sub_mbps": 1.0',
+                         '"demand_per_sub_mbps": 1.0, "demand_per_sub_mbps": 500.0'),
+            encoding="utf-8",
+        )
+        result = runner.invoke(main, ["dimension", "--config", str(config_file)])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: duplicate config key demand_per_sub_mbps\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dotted, value", [
+        ("cost.capex_amortization_years", 1e-320),
+        ("cost.capex_per_site", 1.7e308),
+    ])
+    def test_non_finite_cost_exits_2_with_one_error_line(
+        self, runner, tmp_path, base_config_dict, towers_csv, dotted, value
+    ):
+        base_config_dict["input"] = str(towers_csv)
+        base_config_dict["out"] = str(tmp_path / "out")
+        set_key(base_config_dict, dotted, value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config_dict), encoding="utf-8")
+        result = runner.invoke(main, ["dimension", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            "error: cost section gives 19 sites an annual cost of inf for "
+            "5.40842e+16 annual bits; both must be finite\n"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 def _with_samples(towers_csv, *samples) -> None:
     """Append to the export a copy of its row i + 1 with samples[i]."""

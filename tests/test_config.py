@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnbdim import balance, capacity, coverage, density, economics
 from gnbdim.balance import MAX_ITER
 from gnbdim.config import ABSENT, REQUIRED, SCHEMA, load_config, load_config_dict
 from gnbdim.density import EARTH_RADIUS_KM, MIN_TILE_KM
+from gnbdim.economics import annual_cost
 from gnbdim.errors import ConfigError
 from gnbdim.ingest import RADIOS
 from gnbdim.nr import prb_count
@@ -38,9 +41,9 @@ class TestLoadConfig:
         assert cfg.thresholds.max_iter == 100
         assert cfg.thresholds.damping == 0.5
         assert cfg.thresholds.eta == 0.6
-        assert cfg.duty_fraction == 0.35
-        assert cfg.subs_per_weight == 1.0
-        assert cfg.sensitivity_prbs == 1
+        assert cfg.cost.duty_fraction == 0.35
+        assert cfg.traffic.subs_per_weight == 1.0
+        assert cfg.link.sensitivity_prbs == 1
 
     def test_echo_round_trips(self, base_config_dict):
         cfg = load_config_dict(base_config_dict)
@@ -126,7 +129,7 @@ class TestLoadConfig:
         # 277 PRBs of 360 kHz take 99.72 MHz of the part's 100 MHz.
         set_key(base_config_dict, "nr.prb_overrides", [{"bw_mhz": 100, "mu": 1, "n_prb": 277}])
         cfg = load_config_dict(base_config_dict)
-        assert cfg.sensitivity_prbs == 250
+        assert cfg.link.sensitivity_prbs == 250
         assert cfg.grid.tile_km > MIN_TILE_KM
         assert cfg.thresholds.max_iter == MAX_ITER
         assert cfg.nr_config.bwps[0].n_prb == 277
@@ -134,8 +137,8 @@ class TestLoadConfig:
     def test_cost_multiplier_applied(self, base_config_dict):
         base_config_dict["cost"]["cost_multiplier"] = 2.0
         cfg = load_config_dict(base_config_dict)
-        assert cfg.cost.capex_per_site == 200000.0
-        assert cfg.cost.opex_per_site_per_year == 20000.0
+        assert cfg.cost.cost_multiplier == 2.0
+        assert annual_cost(1, cfg.cost) == 200000.0 / 10.0 + 20000.0
         # The echo carries the per-site costs and the multiplier as given,
         # so reloading it changes nothing.
         echo = cfg.to_dict()["cost"]
@@ -157,6 +160,18 @@ class TestLoadConfig:
         path = tmp_path / "run.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="JSON"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"traffic": {"demand_per_sub_mbps": 1.0, "demand_per_sub_mbps": 500.0}}',
+         "demand_per_sub_mbps"),
+        ('{"input": null, "input": null}', "input"),  # the same value twice
+        ('{"nr": {"bwps": [{"mu": 1, "bw_mhz": 100, "mu": 0}]}}', "mu"),  # in a list
+    ], ids=["in-a-section", "same-value-twice", "in-a-list-item"])
+    def test_duplicate_key(self, tmp_path, text, key):
+        path = tmp_path / "run.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^duplicate config key {key}$"):
             load_config(path)
 
     def test_document_is_not_changed(self, base_config_dict):
@@ -269,6 +284,31 @@ DEFECTS = [
 def test_defect_is_config_error_naming_the_key(base_config_dict, dotted, value, named):
     with pytest.raises(ConfigError, match=re.escape(named)):
         load_config_dict(set_key(base_config_dict, dotted, value))
+
+
+# --- each model section is its model --------------------------------------
+
+MODELS = {
+    "link_budget": coverage.LinkBudget,
+    "propagation": coverage.PropagationModel,
+    "traffic": capacity.TrafficModel,
+    "balance": balance.BalanceThresholds,
+    "cost": economics.CostModel,
+    "grid": density.GridSpec,
+}
+
+
+@pytest.mark.parametrize("where", MODELS)
+def test_a_model_section_has_its_models_fields_and_defaults(where):
+    rows = SCHEMA[where][0].args[0]
+    model_fields = {f.name: f for f in dataclasses.fields(MODELS[where])}
+    # The interference margin is the fixed point's, not the config's.
+    unkeyed = {"interference_margin_db"} if where == "link_budget" else set()
+    assert set(rows) == set(model_fields) - unkeyed
+    for name, (_, default) in rows.items():
+        model_default = model_fields[name].default
+        if default is not REQUIRED and model_default is not dataclasses.MISSING:
+            assert default == model_default and type(default) is type(model_default), name
 
 
 # --- the echo of any valid document reloads to the same configuration -------

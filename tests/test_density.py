@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gnbdim.capacity import TrafficModel
 from gnbdim.density import (
     EARTH_RADIUS_KM,
     KM_PER_DEG,
@@ -185,18 +186,22 @@ class TestSubscriberDensity:
             col0=0, row0=0, w_cols=7, h_rows=7, total_weight=weight, area_km2=km2
         )
 
+    def traffic(self, subs_per_weight):
+        return TrafficModel(demand_per_sub_mbps=1.0, subs_per_weight=subs_per_weight)
+
     def test_reference_density(self):
-        assert subscriber_density(self.area(4900.0), 1.0) == 100.0
+        assert subscriber_density(self.area(4900.0), self.traffic(1.0)) == 100.0
 
     def test_zero_weight(self):
-        assert subscriber_density(self.area(0.0), 1.0) == 0.0
+        assert subscriber_density(self.area(0.0), self.traffic(1.0)) == 0.0
 
     def test_linear_in_scale(self):
-        assert subscriber_density(self.area(4900.0), 2.0) == 200.0
+        assert subscriber_density(self.area(4900.0), self.traffic(2.0)) == 200.0
 
     def test_rejects_non_positive_scale(self):
-        with pytest.raises(GnbdimError, match="subs_per_weight must be > 0"):
-            subscriber_density(self.area(4900.0), 0.0)
+        # The scale is the traffic model's, which checks its range.
+        with pytest.raises(ValueError, match="subs_per_weight must be > 0"):
+            self.traffic(0.0)
 
 
 class TestExports:

@@ -15,7 +15,7 @@ import pytest
 
 from gnbdim.cli import main
 
-from conftest import HEADER, records_to_csv_text, tile_center_records
+from conftest import HEADER, records_to_csv_text, set_key, tile_center_records
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -80,6 +80,28 @@ def test_dimension_outputs(runner, scenario):
     summary = (scenario / "out" / "summary.json").read_text(encoding="utf-8")
     assert _mask_timestamp(summary).encode("utf-8") == _golden("summary.json")
     assert (scenario / "out" / "sites.geojson").read_bytes() == _golden("sites.geojson")
+
+
+# The reference scenario with the cell-edge PRBs, the subscribers per
+# sample, the duty fraction and the cost multiplier off their defaults.
+NONDEFAULT = {
+    "link_budget.sensitivity_prbs": 4,
+    "traffic.subs_per_weight": 3.0,
+    "cost.duty_fraction": 0.5,
+    "cost.cost_multiplier": 2.5,
+}
+
+
+def test_dimension_outputs_off_the_defaults(runner, scenario):
+    doc = json.loads((scenario / "run.json").read_text(encoding="utf-8"))
+    for dotted, value in NONDEFAULT.items():
+        set_key(doc, dotted, value)
+    (scenario / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+    result = runner.invoke(main, ["dimension", "--config", "run.json"])
+    assert result.exit_code == 0, result.output
+    summary = (scenario / "out" / "summary.json").read_text(encoding="utf-8")
+    assert _mask_timestamp(summary).encode("utf-8") == _golden("summary_nondefault.json")
+    assert (scenario / "out" / "sites.geojson").read_bytes() == _golden("sites_nondefault.geojson")
 
 
 def test_density_outputs(runner, scenario):
